@@ -21,8 +21,6 @@ from .lp import (
     LpError,
     LpSolution,
     Status,
-    is_unique,
-    minimize_linf_residual,
     optimal_face_range,
     solve,
 )
@@ -32,10 +30,8 @@ from .goodness import (
     beta_bar,
     eta_1K,
     eta_j,
-    eta_sK_bound,
     gamma_hat_closed_form,
     gamma_hat_exact,
-    partial_sum_norm,
     s_star,
     sufficient_verdict,
 )

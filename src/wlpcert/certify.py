@@ -24,6 +24,7 @@ from .instance import (
 )
 from .goodness import beta_bar, sufficient_verdict
 from .lp import (
+    UNIQUE_TOL,
     LinearProgram,
     LpSolution,
     Status,
@@ -45,8 +46,7 @@ class CertifyConfig:
     beta_override: float | None = None
     max_weight_iterations: int = 10
     seed: int = 0
-    zero_tol: float = 1e-9
-    unique_tol: float = 1e-7
+    unique_tol: float = UNIQUE_TOL
     weight_strategy: str = "deterministic"  # or "seeded-random"
     brute_force_verify: bool | None = None  # None: on when n <= 20
 
@@ -55,6 +55,8 @@ class CertifyConfig:
             raise ValueError("max_weight_iterations must be >= 1")
         if self.weight_strategy not in ("deterministic", "seeded-random"):
             raise ValueError(f"unknown weight strategy {self.weight_strategy!r}")
+        if self.unique_tol < 0:
+            raise ValueError("unique_tol must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +82,15 @@ class Certificate:
 
 
 def weighted_lp(sf: StandardForm, c: Weights) -> LinearProgram:
-    """min c^T x over A1 x + A2 y = b', x >= 0, y >= 0, variables (x, y)."""
+    """min c^T x over A1 x + diag(-I_m, I_n) y = b', x >= 0, y >= 0,
+    variables (x, y)."""
     m, n = sf.m, sf.n
-    objective = np.concatenate([c.c, np.zeros(m + n)])
+    slack = np.block(
+        [[-np.eye(m), np.zeros((m, n))], [np.zeros((n, m)), np.eye(n)]]
+    )
     return LinearProgram(
-        objective=objective,
-        eq_matrix=np.hstack([sf.A1, sf.A2]),
+        objective=np.concatenate([c.c, np.zeros(m + n)]),
+        eq_matrix=np.hstack([sf.A1, slack]),
         eq_rhs=sf.bprime,
     )
 
@@ -98,8 +103,7 @@ def classify_case(
     sf: StandardForm,
     c: Weights,
     sol: LpSolution,
-    zero_tol: float = ZERO_TOL,
-    unique_tol: float = 1e-7,
+    unique_tol: float = UNIQUE_TOL,
 ) -> CaseKind:
     """Uniqueness and support-structure classification of the optimal face.
 
@@ -116,9 +120,9 @@ def classify_case(
     for j in range(sf.n):
         lo, hi = optimal_face_range(lp, sol.value, j)
         width = max(width, hi - lo)
-        if hi > zero_tol:
+        if hi > ZERO_TOL:
             hi_support.add(j)
-        if lo > zero_tol:
+        if lo > ZERO_TOL:
             lo_support.add(j)
     if width <= unique_tol:
         return CaseKind.UNIQUE_OPTIMUM
@@ -175,7 +179,7 @@ def brute_force_ip(inst: ZeroOneInstance) -> tuple:
         raise ValueError("brute-force dimension guard exceeded")
     codes = np.arange(2**n, dtype=np.int64)
     X = ((codes[:, None] >> np.arange(n)) & 1).astype(np.int8)
-    feasible = np.all(X @ inst.A.T >= inst.b - 1e-9, axis=1)
+    feasible = np.all(X @ inst.A.T >= inst.b - ZERO_TOL, axis=1)
     if not feasible.any():
         return math.inf, frozenset()
     sums = X.sum(axis=1)
@@ -193,7 +197,7 @@ def verify_certificate(inst: ZeroOneInstance, cert: Certificate) -> bool:
     if cert.recovered is None or cert.lp_solution is None:
         return False
     rec = np.asarray(cert.recovered)
-    if np.any(inst.A @ rec < inst.b - 1e-9):
+    if np.any(inst.A @ rec < inst.b - ZERO_TOL):
         return False
     value, _optima = brute_force_ip(inst)
     if int(rec.sum()) != value:
@@ -231,7 +235,7 @@ def certify(
         if (
             config.beta_override is not None
             and it == 0
-            and abs(config.beta_override - bb) > 1e-9
+            and abs(config.beta_override - bb) > ZERO_TOL
         ):
             discrepancies.append(
                 f"beta override {config.beta_override:g} differs from "
@@ -246,10 +250,8 @@ def certify(
             iterations.append((c, report, None))
             break
         x_part = sol.x[: n]
-        s_obs = int(np.count_nonzero(x_part > config.zero_tol))
-        case = classify_case(
-            sf, c, sol, zero_tol=config.zero_tol, unique_tol=config.unique_tol
-        )
+        s_obs = int(np.count_nonzero(x_part > ZERO_TOL))
+        case = classify_case(sf, c, sol, unique_tol=config.unique_tol)
         iterations.append((c, report, case))
         if ok and case is CaseKind.UNIQUE_OPTIMUM and s_obs <= report.s_star:
             certified = True
@@ -261,7 +263,7 @@ def certify(
         discrepancies.append("weight-adjustment iteration budget exhausted")
 
     s_observed = (
-        int(np.count_nonzero(x_part > config.zero_tol))
+        int(np.count_nonzero(x_part > ZERO_TOL))
         if sol is not None and sol.status is Status.OPTIMAL
         else 0
     )

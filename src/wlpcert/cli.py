@@ -3,7 +3,7 @@
 Subcommands: certify, eta, gamma-hat, brute-force, gen, mis. Every
 command prints a human-readable summary and, with --json, a machine-
 readable report document. Exit codes: 0 success (certify: certified and
-verified), 1 not certified, 2 input error.
+verified), 1 not certified, 2 input error, 3 internal LP failure.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from .certify import (
 )
 from .goodness import (
     beta_bar,
-    eta_j,
     gamma_hat_closed_form,
     gamma_hat_exact,
-    s_star as compute_s_star,
+    sufficient_verdict,
 )
 from .instance import (
     InstanceError,
@@ -41,6 +40,7 @@ from .instance import (
     random_instance,
     to_standard_form,
 )
+from .lp import UNIQUE_TOL, LpError
 
 SCHEMA_VERSION = "1"
 
@@ -152,11 +152,12 @@ def _config_from(args) -> CertifyConfig:
         "seeded-random" if getattr(args, "strategy", "even") == "random"
         else "deterministic"
     )
+    tol = getattr(args, "tol", None)
     return CertifyConfig(
         beta_override=getattr(args, "beta", None),
         max_weight_iterations=getattr(args, "max_iters", 10),
         seed=getattr(args, "seed", 0),
-        unique_tol=getattr(args, "tol", None) or 1e-7,
+        unique_tol=UNIQUE_TOL if tol is None else tol,
         weight_strategy=strategy,
         brute_force_verify=False if getattr(args, "no_verify", False) else None,
     )
@@ -194,26 +195,26 @@ def cmd_eta(args) -> int:
     bb = beta_bar(sf, c)
     beta = args.beta if args.beta is not None else bb
     t0 = time.perf_counter()
-    etas = [eta_j(sf, c, beta, j)[0] for j in range(inst.n)]
-    eta1 = max(etas)
-    star = compute_s_star(sf, c, beta)
+    _, report = sufficient_verdict(sf, c, beta)
     timings = {"eta": (time.perf_counter() - t0) * 1000.0}
-    threshold = 0.5 * float(np.min(c.c))
+    etas = [_sig(v) for v in report.eta_per_column]
+    eta1 = _sig(report.eta1)
+    threshold = _sig(report.threshold)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": _instance_doc(inst),
         "beta_bar": _sig(bb),
         "beta_used": _sig(beta),
-        "eta_per_column": [_sig(v) for v in etas],
-        "eta1": _sig(eta1),
-        "s_star": star,
-        "threshold": _sig(threshold),
+        "eta_per_column": etas,
+        "eta1": eta1,
+        "s_star": report.s_star,
+        "threshold": threshold,
         "timings_ms": {k: _sig(v) for k, v in timings.items()},
     }
     lines = [
         f"beta_bar: {_sig(bb)}  beta_used: {_sig(beta)}",
-        f"eta_per_column: {[_sig(v) for v in etas]}",
-        f"eta1: {_sig(eta1)}  s_star: {star}  threshold: {_sig(threshold)}",
+        f"eta_per_column: {etas}",
+        f"eta1: {eta1}  s_star: {report.s_star}  threshold: {threshold}",
     ]
     _emit(doc, args.json, lines)
     return 0
@@ -392,6 +393,9 @@ def main(argv=None) -> int:
     except (SystemExit2, ParseError, InstanceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except LpError as exc:
+        print(f"error: internal LP failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,9 +2,8 @@
 
 Computes the dual-radius default beta_bar, the n per-column residual
 bounds eta^j and their maximum eta1, the sparsity budget s_star, the
-partial-sum norm, the relaxed goodness constant gamma_hat (exact subset
-enumeration and its closed form), and the sufficiency verdict
-s * eta1 < (1/2) min_i c_i.
+relaxed goodness constant gamma_hat (exact subset enumeration and its
+closed form), and the sufficiency verdict s * eta1 < (1/2) min_i c_i.
 """
 
 from __future__ import annotations
@@ -16,13 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .instance import StandardForm, Weights, ZERO_TOL
-from .lp import (
-    LinearProgram,
-    LpError,
-    Status,
-    minimize_linf_residual,
-    solve,
-)
+from .lp import INF, LinearProgram, LpError, Status, solve
 
 # Strict-inequality guard band for threshold comparisons.
 STRICT_GUARD = 1e-10
@@ -61,34 +54,46 @@ def beta_bar(sf: StandardForm, c: Weights) -> float:
     return (float(np.max(c.c)) + 0.5 * float(np.min(c.c))) / rho
 
 
-def _sign_pattern(sf: StandardForm) -> np.ndarray:
-    # A2^T q <= 0 with A2 = diag(-I_m, I_n): first m coords >= 0, last n <= 0.
-    m, n = sf.m, sf.n
-    return np.concatenate([np.ones(m), -np.ones(n)])
-
-
 def eta_j(sf: StandardForm, c: Weights, beta: float, col: int) -> tuple:
-    """min ||C e_col - A1^T q||_inf over the sign- and box-constrained q."""
-    n = sf.n
+    """min ||c_col e_col - A1^T q||_inf over q = (u, v) with u in [0, beta]^m
+    and v in [-beta, 0]^n.
+
+    A1^T q = A^T u + v, and for fixed u the best v is
+    clip(c_col e_col - A^T u, -beta, 0) coordinatewise. So the LP runs over
+    (u, t) alone: (A^T u)_k <= beta + t for k != col, and
+    c_col - t <= (A^T u)_col <= c_col + beta + t.
+    """
+    m, n = sf.m, sf.n
     if not 0 <= col < n:
         raise ValueError(f"column index {col} out of range")
-    target = np.zeros(n)
-    target[col] = c.c[col]
-    q, value, _sol = minimize_linf_residual(
-        sf.A1, target, _sign_pattern(sf), beta
+    if beta <= 0:
+        raise ValueError("box bound must be positive")
+    At = sf.A1[:m].T
+    cj = float(c.c[col])
+    ineq = np.hstack([np.vstack([At, -At[col]]), -np.ones((n + 1, 1))])
+    rhs = np.full(n + 1, beta)
+    rhs[col] += cj
+    rhs[n] = -cj
+    objective = np.zeros(m + 1)
+    objective[m] = 1.0
+    upper = np.full(m + 1, beta)
+    upper[m] = INF
+    sol = solve(
+        LinearProgram(
+            objective=objective, ineq_matrix=ineq, ineq_rhs=rhs, upper=upper
+        )
     )
-    return value, DualWitness(q=q, achieved_residual=value)
+    if sol.status is not Status.OPTIMAL:
+        raise LpError(f"residual subproblem ended with status {sol.status.value}")
+    u = sol.x[:m]
+    target = np.zeros(n)
+    target[col] = cj
+    q = np.concatenate([u, np.clip(target - At @ u, -beta, 0.0)])
+    return sol.value, DualWitness(q=q, achieved_residual=sol.value)
 
 
 def eta_1K(sf: StandardForm, c: Weights, beta: float) -> float:
     return max(eta_j(sf, c, beta, j)[0] for j in range(sf.n))
-
-
-def eta_sK_bound(sf: StandardForm, c: Weights, beta: float, s: int) -> float:
-    """Amplified bound s * eta1; valid for any s >= 1."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return s * eta_1K(sf, c, beta)
 
 
 def s_star(sf: StandardForm, c: Weights, beta: float) -> int:
@@ -100,19 +105,7 @@ def _s_star_from(eta1: float, min_c: float, n: int) -> int:
     threshold = 0.5 * min_c
     if eta1 <= ZERO_TOL:
         return n
-    return max(0, min(n, int(math.floor(threshold / eta1 + 1e-9))))
-
-
-def partial_sum_norm(v, s: int) -> float:
-    """Sum of the s largest entries of a nonnegative vector."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if np.any(v < 0):
-        raise ValueError("negative entry")
-    if not 0 <= s <= v.size:
-        raise ValueError("s out of range")
-    if s == 0:
-        return 0.0
-    return float(np.sort(v)[::-1][:s].sum())
+    return max(0, min(n, int(math.floor(threshold / eta1 + ZERO_TOL))))
 
 
 def _inner_gamma_lp(sf: StandardForm, c: Weights, beta: float, support) -> float:

@@ -1,7 +1,7 @@
 """Data model for nonnegative 0-1 covering instances.
 
 Holds the dense (A, b) instance, its equality-form reformulation
-(A1 = [A; I], A2 = diag(-I, I), b' = [b; 1]), the independent-set front
+(A1 = [A; I], b' = [b; 1]), the independent-set front
 end, file parsing, a seeded generator, and ceiling recovery.
 """
 
@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Absolute zero-tolerance for support counting and ceiling; matches the
-# LP feasibility tolerance so counts are stable.
+# Absolute zero-tolerance for support counting and ceiling, covering
+# feasibility of 0-1 points, and the s_star floor; matches the simplex
+# pivot/cost tolerances so counts are stable.
 ZERO_TOL = 1e-9
 BOUND_TOL = 1e-6
 
@@ -93,10 +94,9 @@ class Weights:
 
 @dataclass(frozen=True, eq=False)
 class StandardForm:
-    """Equality reformulation A1 x + A2 y = b', x >= 0, y >= 0."""
+    """Equality reformulation A1 x + diag(-I_m, I_n) y = b', x >= 0, y >= 0."""
 
     A1: np.ndarray
-    A2: np.ndarray
     bprime: np.ndarray
 
     @property
@@ -118,16 +118,13 @@ class MisContext:
 
 
 def to_standard_form(inst: ZeroOneInstance) -> StandardForm:
-    """Stack A over the identity and attach the slack block diag(-I, I)."""
-    m, n = inst.m, inst.n
+    """Stack A over the identity and b over the all-ones vector."""
+    n = inst.n
     A1 = np.vstack([inst.A, np.eye(n)])
-    A2 = np.zeros((m + n, m + n))
-    A2[:m, :m] = -np.eye(m)
-    A2[m:, m:] = np.eye(n)
     bprime = np.concatenate([inst.b, np.ones(n)])
-    for arr in (A1, A2, bprime):
+    for arr in (A1, bprime):
         arr.setflags(write=False)
-    return StandardForm(A1=A1, A2=A2, bprime=bprime)
+    return StandardForm(A1=A1, bprime=bprime)
 
 
 def from_independent_set(vertex_count: int, edges) -> tuple:

@@ -1,8 +1,7 @@
 """Dense linear-programming core.
 
 Two-phase primal simplex with Bland's rule (lowest-index tie-breaking,
-deterministic), an epigraph solver for infinity-norm residual
-minimization, and optimal-face probing for uniqueness analysis.
+deterministic) and optimal-face probing for uniqueness analysis.
 """
 
 from __future__ import annotations
@@ -13,9 +12,10 @@ from enum import Enum
 
 import numpy as np
 
-FEAS_TOL = 1e-8
 COST_TOL = 1e-9
 PIVOT_TOL = 1e-9
+# Phase 1 declares the problem infeasible above this artificial sum.
+PHASE1_TOL = 1e-7
 UNIQUE_TOL = 1e-7
 INF = math.inf
 
@@ -200,7 +200,7 @@ def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
     status, it1 = _iterate(T, basis, c1, max_iters)
     if status is Status.ITERATION_LIMIT:
         return LpSolution(status, None, None, (), INF, it1)
-    if c1[basis] @ T[:, -1] > 1e-7:
+    if c1[basis] @ T[:, -1] > PHASE1_TOL:
         return LpSolution(Status.INFEASIBLE, None, None, (), INF, it1)
 
     # Drive remaining artificials out of the basis; drop redundant rows.
@@ -255,99 +255,24 @@ def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     return res
 
 
-def minimize_linf_residual(M, d, sign_pattern, box) -> tuple:
-    """argmin ||d - M^T q||_inf over sign-constrained q with ||q||_inf <= box.
+def optimal_face_range(lp: LinearProgram, opt_value: float, var: int) -> tuple:
+    """Range of one variable over the set of optimal solutions.
 
-    sign_pattern gives one of +1 (q_i >= 0), -1 (q_i <= 0), 0 (free) per
-    coordinate of q. Solved as the epigraph LP over (q, t). Returns
-    (q, t, solution).
+    Minimizes and maximizes the variable with the objective pinned to
+    opt_value as an extra equality row.
     """
-    M = np.asarray(M, dtype=float)
-    d = np.asarray(d, dtype=float).reshape(-1)
-    p, k = M.shape
-    if d.size != k:
-        raise ValueError("target length must match M's column count")
-    if box <= 0:
-        raise ValueError("box bound must be positive")
-    sign = np.asarray(sign_pattern, dtype=float).reshape(-1)
-    if sign.size != p:
-        raise ValueError("sign pattern length must match M's row count")
-
-    lower = np.empty(p + 1)
-    upper = np.empty(p + 1)
-    for i in range(p):
-        lower[i] = 0.0 if sign[i] > 0 else -box
-        upper[i] = 0.0 if sign[i] < 0 else box
-    lower[p], upper[p] = 0.0, INF
-
-    Mt = M.T
-    ones = np.ones((k, 1))
-    ineq = np.vstack(
-        [np.hstack([Mt, -ones]), np.hstack([-Mt, -ones])]
-    )
-    rhs = np.concatenate([d, -d])
-    obj = np.zeros(p + 1)
-    obj[p] = 1.0
-    sol = solve(
-        LinearProgram(
-            objective=obj, ineq_matrix=ineq, ineq_rhs=rhs, lower=lower, upper=upper
-        )
-    )
-    if sol.status is not Status.OPTIMAL:
-        raise LpError(f"residual subproblem ended with status {sol.status.value}")
-    return sol.x[:p].copy(), float(sol.value), sol
-
-
-def _face_lp(lp: LinearProgram, opt_value: float, objective: np.ndarray):
-    eqM = np.vstack([lp.eq_matrix, lp.objective[None, :]])
-    eqr = np.concatenate([lp.eq_rhs, [opt_value]])
-    return replace(lp, objective=objective, eq_matrix=eqM, eq_rhs=eqr)
-
-
-def _face_probe(lp: LinearProgram, opt_value: float, var: int):
-    """Minimizing and maximizing solutions of one variable over the
-    optimal face (objective pinned as an equality row)."""
+    eq_matrix = np.vstack([lp.eq_matrix, lp.objective[None, :]])
+    eq_rhs = np.concatenate([lp.eq_rhs, [opt_value]])
     e = np.zeros(lp.nvars)
     e[var] = 1.0
-    lo_sol = solve(_face_lp(lp, opt_value, e))
-    hi_sol = solve(_face_lp(lp, opt_value, -e))
-    for s in (lo_sol, hi_sol):
+    probes = [
+        solve(replace(lp, objective=obj, eq_matrix=eq_matrix, eq_rhs=eq_rhs))
+        for obj in (e, -e)
+    ]
+    for s in probes:
         if s.status not in (Status.OPTIMAL, Status.UNBOUNDED):
             raise LpError(f"face probe ended with status {s.status.value}")
-    return lo_sol, hi_sol
-
-
-def optimal_face_range(lp: LinearProgram, opt_value: float, var: int) -> tuple:
-    """Range of one variable over the set of optimal solutions."""
-    lo_sol, hi_sol = _face_probe(lp, opt_value, var)
+    lo_sol, hi_sol = probes
     lo = -INF if lo_sol.status is Status.UNBOUNDED else float(lo_sol.value)
     hi = INF if hi_sol.status is Status.UNBOUNDED else float(-hi_sol.value)
     return lo, hi
-
-
-def is_unique(
-    lp: LinearProgram,
-    solution: LpSolution,
-    tol: float = UNIQUE_TOL,
-    var_indices=None,
-) -> tuple:
-    """True iff every probed variable's optimal-face range has width <= tol.
-
-    When false, returns a second optimal point taken from the extremal
-    face probe that differs from the given solution.
-    """
-    if solution.status is not Status.OPTIMAL:
-        raise LpError("uniqueness probe requires an Optimal solution")
-    indices = range(lp.nvars) if var_indices is None else var_indices
-    for var in indices:
-        lo_sol, hi_sol = _face_probe(lp, solution.value, var)
-        lo = -INF if lo_sol.status is Status.UNBOUNDED else lo_sol.value
-        hi = INF if hi_sol.status is Status.UNBOUNDED else -hi_sol.value
-        if hi - lo > tol:
-            for probe in (lo_sol, hi_sol):
-                if probe.x is not None and abs(
-                    probe.x[var] - solution.x[var]
-                ) > tol / 2:
-                    return False, probe.x.copy()
-            return False, None
-    return True, None

@@ -57,6 +57,11 @@ class TestClassifyCase:
             is CaseKind.MULTIPLE_DIFFERENT_SPARSITY
         )
 
+    def test_example2_adjusted_weights_unique(self, sf2):
+        c = Weights(np.array([0.5, 0.7, 0.8]))
+        sol = solve_weighted_lp(sf2, c)
+        assert classify_case(sf2, c, sol) is CaseKind.UNIQUE_OPTIMUM
+
 
 class TestAdjustWeights:
     def test_even_spacing(self):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wlpcert import LpError, cli
 from wlpcert.cli import main
 
 from conftest import EX1_TEXT
@@ -83,6 +84,27 @@ class TestCertifyCommand:
         code = main(["certify", "--input", str(path)])
         assert code == 2
         assert "line" in capsys.readouterr().err
+
+    def test_tol_zero_is_kept(self, ex1_file):
+        args = cli._build_parser().parse_args(
+            ["certify", "--input", ex1_file, "--tol", "0"]
+        )
+        assert cli._config_from(args).unique_tol == 0.0
+
+    def test_negative_tol_exit_two(self, ex1_file, capsys):
+        code = main(["certify", "--input", ex1_file, "--tol", "-1"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_lp_failure_exit_three(self, ex1_file, capsys, monkeypatch):
+        def failing_certify(*args, **kwargs):
+            raise LpError("face probe ended with status iteration_limit")
+
+        monkeypatch.setattr(cli, "certify", failing_certify)
+        code = main(["certify", "--input", ex1_file])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_bad_weights_list_exit_two(self, ex1_file):
         assert main(["certify", "--input", ex1_file, "--weights", "0.5"]) == 2

@@ -5,13 +5,13 @@ import pytest
 
 from wlpcert import (
     Weights,
+    ZeroOneInstance,
     beta_bar,
     eta_1K,
     eta_j,
-    eta_sK_bound,
+    from_independent_set,
     gamma_hat_closed_form,
     gamma_hat_exact,
-    partial_sum_norm,
     random_instance,
     s_star,
     sufficient_verdict,
@@ -75,21 +75,74 @@ class TestEta:
         for small, large in zip(values, values[1:]):
             assert large <= small + 1e-9
 
+    def test_row_permutation_invariance(self, ex1, ones3):
+        perm = np.random.default_rng(3).permutation(ex1.m)
+        permuted = ZeroOneInstance(A=ex1.A[perm], b=ex1.b[perm])
+        sf, sf_perm = to_standard_form(ex1), to_standard_form(permuted)
+        for j in range(ex1.n):
+            assert eta_j(sf_perm, ones3, 0.5625, j)[0] == pytest.approx(
+                eta_j(sf, ones3, 0.5625, j)[0], abs=1e-9
+            )
 
-class TestAmplifiedBound:
-    def test_example1_s2(self, sf1, ones3):
-        assert eta_sK_bound(sf1, ones3, 0.5625, 2) == pytest.approx(
-            0.4375, abs=1e-8
-        )
 
-    def test_s1_identity(self, sf2, ones3):
-        assert eta_sK_bound(sf2, ones3, 0.5, 1) == pytest.approx(
-            eta_1K(sf2, ones3, 0.5), abs=1e-12
-        )
+def _full_epigraph_eta(A, cj, col, beta):
+    """eta_j by HiGHS on the unreduced LP over (u, v, t): min t subject to
+    |c_col e_col - A^T u - v| <= t, u in [0, beta]^m, v in [-beta, 0]^n."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, n = A.shape
+    target = np.zeros(n)
+    target[col] = cj
+    M = np.hstack([A.T, np.eye(n)])
+    ones = np.ones((n, 1))
+    res = linprog(
+        np.r_[np.zeros(m + n), 1.0],
+        A_ub=np.vstack([np.hstack([M, -ones]), np.hstack([-M, -ones])]),
+        b_ub=np.r_[target, -target],
+        bounds=[(0, beta)] * m + [(-beta, 0)] * n + [(0, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun
 
-    def test_example2_adjusted_s2(self, sf2):
-        c = Weights(np.array([0.5, 0.7, 0.8]))
-        assert eta_sK_bound(sf2, c, 0.7, 2) == pytest.approx(0.2, abs=1e-8)
+
+class TestEtaDifferential:
+    """The reduced (u, t) LP of eta_j against HiGHS on the full LP."""
+
+    @staticmethod
+    def _check(inst, c, beta):
+        """Compares every column and returns the eta_j values."""
+        sf = to_standard_form(inst)
+        values = []
+        for j in range(inst.n):
+            value, witness = eta_j(sf, c, beta, j)
+            reference = _full_epigraph_eta(inst.A, c.c[j], j, beta)
+            assert abs(value - reference) <= 1e-8
+            q = witness.q
+            target = np.zeros(inst.n)
+            target[j] = c.c[j]
+            residual = np.max(np.abs(target - sf.A1.T @ q))
+            assert abs(residual - value) <= 1e-9
+            assert np.all(q[: inst.m] >= -1e-9)
+            assert np.all(q[inst.m :] <= 1e-9)
+            assert np.max(np.abs(q)) <= beta + 1e-9
+            values.append(value)
+        return values
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_instances(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        inst = random_instance(m, n, seed=700 + seed, max_entry=3)
+        c = Weights(rng.uniform(0.2, 1.0, size=n))
+        bb = beta_bar(to_standard_form(inst), c)
+        for beta in (bb / 2, bb, 2 * bb):
+            self._check(inst, c, beta)
+
+    def test_odd_cycle_reaches_zero(self):
+        inst, _ = from_independent_set(9, [(i, i % 9 + 1) for i in range(1, 10)])
+        c = Weights(np.ones(9))
+        assert beta_bar(to_standard_form(inst), c) == pytest.approx(0.5)
+        assert max(self._check(inst, c, 0.5)) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestSStar:
@@ -102,34 +155,6 @@ class TestSStar:
     def test_zero_eta_gives_n(self, sf3):
         c = Weights(np.array([0.5, 0.35, 0.3]))
         assert s_star(sf3, c, 0.7) == 3
-
-
-class TestPartialSumNorm:
-    def test_definitional(self):
-        assert partial_sum_norm([3.0, 1.0, 2.0], 2) == pytest.approx(5.0)
-
-    def test_s_zero(self):
-        assert partial_sum_norm([3.0, 1.0], 0) == 0.0
-
-    def test_full_sum_is_one_norm(self):
-        v = [0.5, 2.0, 1.25]
-        assert partial_sum_norm(v, 3) == pytest.approx(sum(v))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            partial_sum_norm([-1.0], 1)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_subadditive_and_amplified(self, seed):
-        rng = np.random.default_rng(seed)
-        v = rng.random(8)
-        s, t = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-        if s + t <= 8:
-            assert partial_sum_norm(v, s + t) <= partial_sum_norm(
-                v, s
-            ) + partial_sum_norm(v, t) + 1e-12
-        if s * t <= 8:
-            assert partial_sum_norm(v, s * t) <= t * partial_sum_norm(v, s) + 1e-12
 
 
 class TestGammaHat:

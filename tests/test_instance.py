@@ -14,6 +14,7 @@ from wlpcert import (
     parse_instance,
     random_instance,
     to_standard_form,
+    weighted_lp,
 )
 
 from conftest import EX1_TEXT
@@ -90,7 +91,10 @@ class TestStandardForm:
         inst = ZeroOneInstance(A=np.array([[2.0]]), b=np.array([1.0]))
         sf = to_standard_form(inst)
         np.testing.assert_array_equal(sf.A1, [[2], [1]])
-        np.testing.assert_array_equal(sf.A2, [[-1, 0], [0, 1]])
+        np.testing.assert_array_equal(
+            weighted_lp(sf, Weights(np.ones(1))).eq_matrix,
+            [[2, -1, 0], [1, 0, 1]],
+        )
         np.testing.assert_array_equal(sf.bprime, [1, 1])
 
     def test_reslice_roundtrip(self):
@@ -101,10 +105,11 @@ class TestStandardForm:
         np.testing.assert_array_equal(sf.bprime[:4], inst.b)
         np.testing.assert_array_equal(sf.bprime[4:], np.ones(5))
         np.testing.assert_array_equal(
-            sf.A2, np.block([
+            weighted_lp(sf, Weights(np.ones(5))).eq_matrix[:, 5:],
+            np.block([
                 [-np.eye(4), np.zeros((4, 5))],
                 [np.zeros((5, 4)), np.eye(5)],
-            ])
+            ]),
         )
 
 

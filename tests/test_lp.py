@@ -6,9 +6,6 @@ import pytest
 from wlpcert import (
     LinearProgram,
     Status,
-    Weights,
-    is_unique,
-    minimize_linf_residual,
     optimal_face_range,
     solve,
     solve_weighted_lp,
@@ -124,52 +121,6 @@ class TestSolve:
             assert sol.residual <= 1e-8
 
 
-class TestLinfResidual:
-    def test_example1_column1(self, sf1):
-        sign = np.concatenate([np.ones(3), -np.ones(3)])
-        q, t, sol = minimize_linf_residual(
-            sf1.A1, [1.0, 0.0, 0.0], sign, 0.5625
-        )
-        assert t == pytest.approx(0.21875, abs=1e-8)
-        assert sol.status is Status.OPTIMAL
-        assert np.max(np.abs(q)) <= 0.5625 + 1e-8
-        assert np.all(q[:3] >= -1e-8) and np.all(q[3:] <= 1e-8)
-
-    def test_zero_target(self, sf1):
-        sign = np.concatenate([np.ones(3), -np.ones(3)])
-        q, t, _ = minimize_linf_residual(sf1.A1, np.zeros(3), sign, 1.0)
-        assert t == pytest.approx(0.0, abs=1e-10)
-        np.testing.assert_allclose(q, 0.0, atol=1e-8)
-
-    def test_example3_column3(self, sf3):
-        sign = np.concatenate([np.ones(3), -np.ones(3)])
-        _, t, _ = minimize_linf_residual(
-            sf3.A1, [0.0, 0.0, 1.0], sign, 0.375
-        )
-        assert t == pytest.approx(0.29166666666666, abs=1e-8)
-
-    def test_row_permutation_invariance(self, sf1):
-        rng = np.random.default_rng(3)
-        sign = np.concatenate([np.ones(3), -np.ones(3)])
-        d = np.array([1.0, 0.0, 0.0])
-        _, t_base, _ = minimize_linf_residual(sf1.A1, d, sign, 0.5625)
-        perm = rng.permutation(6)
-        _, t_perm, _ = minimize_linf_residual(
-            sf1.A1[perm], d, sign[perm], 0.5625
-        )
-        assert t_perm == pytest.approx(t_base, abs=1e-9)
-
-    def test_nonincreasing_in_radius(self, sf1):
-        sign = np.concatenate([np.ones(3), -np.ones(3)])
-        d = np.array([1.0, 0.0, 0.0])
-        values = [
-            minimize_linf_residual(sf1.A1, d, sign, beta)[1]
-            for beta in (0.2, 0.4, 0.8, 1.6)
-        ]
-        for small, large in zip(values, values[1:]):
-            assert large <= small + 1e-9
-
-
 class TestOptimalFace:
     def test_unique_vertex_has_zero_width(self, sf1, ones3):
         lp = weighted_lp(sf1, ones3)
@@ -187,25 +138,7 @@ class TestOptimalFace:
         assert lo == pytest.approx(0.5, abs=1e-8)
         assert hi == pytest.approx(1.0, abs=1e-8)
 
-    def test_example2_not_unique_with_optimal_witness(self, sf2, ones3):
-        lp = weighted_lp(sf2, ones3)
-        sol = solve(lp)
-        unique, witness = is_unique(lp, sol, var_indices=range(3))
-        assert not unique
-        assert witness is not None
-        # witness is optimal, feasible, and distinct from the solution
-        assert lp.objective @ witness == pytest.approx(sol.value, abs=1e-8)
-        assert np.max(np.abs(lp.eq_matrix @ witness - lp.eq_rhs)) <= 1e-7
-        assert np.max(np.abs(witness - sol.x)) > 1e-7
-
-    def test_example2_adjusted_weights_unique(self, sf2):
-        c = Weights(np.array([0.5, 0.7, 0.8]))
-        lp = weighted_lp(sf2, c)
-        sol = solve(lp)
-        unique, _ = is_unique(lp, sol, var_indices=range(3))
-        assert unique
-
-    def test_zero_objective_over_polytope_not_unique(self):
+    def test_zero_objective_over_polytope_has_positive_width(self):
         lp = LinearProgram(
             objective=np.zeros(2),
             ineq_matrix=np.array([[1.0, 1.0]]),
@@ -213,5 +146,7 @@ class TestOptimalFace:
             upper=np.array([1.0, 1.0]),
         )
         sol = solve(lp)
-        unique, witness = is_unique(lp, sol)
-        assert not unique and witness is not None
+        for var in range(2):
+            lo, hi = optimal_face_range(lp, sol.value, var)
+            assert lo == pytest.approx(0.0, abs=1e-9)
+            assert hi == pytest.approx(1.0, abs=1e-9)
