@@ -33,6 +33,8 @@ from .lp import (
 )
 
 BRUTE_FORCE_GUARD = 20
+# Codes enumerated per block by brute_force_ip.
+BRUTE_FORCE_BLOCK = 1 << 16
 
 
 class CaseKind(Enum):
@@ -45,16 +47,12 @@ class CaseKind(Enum):
 class CertifyConfig:
     beta_override: float | None = None
     max_weight_iterations: int = 10
-    seed: int = 0
     unique_tol: float = UNIQUE_TOL
-    weight_strategy: str = "deterministic"  # or "seeded-random"
-    brute_force_verify: bool | None = None  # None: on when n <= 20
+    brute_force_verify: bool = True  # applies only when n <= 20
 
     def __post_init__(self):
         if self.max_weight_iterations < 1:
             raise ValueError("max_weight_iterations must be >= 1")
-        if self.weight_strategy not in ("deterministic", "seeded-random"):
-            raise ValueError(f"unknown weight strategy {self.weight_strategy!r}")
         if self.unique_tol < 0:
             raise ValueError("unique_tol must be >= 0")
 
@@ -70,7 +68,7 @@ class Certificate:
     brute_force_verified: bool | None
     discrepancies: tuple
     brute_force_value: float | None = None
-    brute_force_optima_count: int | None = None
+    brute_force_optima: frozenset | None = None
 
     @property
     def final_case(self):
@@ -131,19 +129,13 @@ def classify_case(
     return CaseKind.MULTIPLE_DIFFERENT_SPARSITY
 
 
-def adjust_weights(
-    x_star,
-    beta_bar_value: float,
-    strategy: str = "deterministic",
-    seed: int = 0,
-) -> Weights:
+def adjust_weights(x_star, beta_bar_value: float) -> Weights:
     """Reweight so larger relaxation components get smaller weights.
 
     The largest component receives c_lo = min(beta_bar, 1), the smallest
     c_hi = min(1.25 * beta_bar, 1); c_lo is bumped down 10% if clamping
     collapsed the interval. Intermediate components are evenly spaced by
-    rank (deterministic) or drawn uniformly from [c_lo, c_hi]
-    (seeded-random). Ties break toward the lowest index.
+    rank. Ties break toward the lowest index.
     """
     x = np.asarray(x_star, dtype=float).reshape(-1)
     n = x.size
@@ -153,42 +145,38 @@ def adjust_weights(
         c_lo = 0.9 * c_lo
     order = sorted(range(n), key=lambda i: (-x[i], i))
     weights = np.empty(n)
-    if strategy == "deterministic":
-        for rank, idx in enumerate(order):
-            t = rank / (n - 1) if n > 1 else 0.0
-            weights[idx] = c_lo + t * (c_hi - c_lo)
-    elif strategy == "seeded-random":
-        rng = np.random.default_rng(seed)
-        for rank, idx in enumerate(order):
-            if rank == 0:
-                weights[idx] = c_lo
-            elif rank == n - 1:
-                weights[idx] = c_hi
-            else:
-                weights[idx] = rng.uniform(c_lo, c_hi)
-    else:
-        raise ValueError(f"unknown weight strategy {strategy!r}")
+    for rank, idx in enumerate(order):
+        t = rank / (n - 1) if n > 1 else 0.0
+        weights[idx] = c_lo + t * (c_hi - c_lo)
     return Weights(c=np.clip(weights, 1e-12, 1.0))
 
 
 def brute_force_ip(inst: ZeroOneInstance) -> tuple:
     """Exhaustive 0-1 minimum; (value, set-of-optima), (+inf, empty set)
-    when infeasible. Guarded at n <= 20."""
+    when infeasible. Guarded at n <= 20.
+
+    Code k encodes x_i = bit i of k. The 2^n codes are walked in blocks
+    of BRUTE_FORCE_BLOCK, so memory is bounded by the block, not by 2^n.
+    """
     n = inst.n
     if n > BRUTE_FORCE_GUARD:
         raise ValueError("brute-force dimension guard exceeded")
-    codes = np.arange(2**n, dtype=np.int64)
-    X = ((codes[:, None] >> np.arange(n)) & 1).astype(np.int8)
-    feasible = np.all(X @ inst.A.T >= inst.b - ZERO_TOL, axis=1)
-    if not feasible.any():
-        return math.inf, frozenset()
-    sums = X.sum(axis=1)
-    value = int(sums[feasible].min())
-    optima = frozenset(
-        tuple(int(v) for v in row)
-        for row in X[feasible & (sums == value)]
-    )
-    return value, optima
+    value, optima = math.inf, set()
+    for start in range(0, 2**n, BRUTE_FORCE_BLOCK):
+        stop = min(start + BRUTE_FORCE_BLOCK, 2**n)
+        codes = np.arange(start, stop, dtype=np.int64)
+        X = ((codes[:, None] >> np.arange(n)) & 1).astype(np.int8)
+        feasible = np.all(X @ inst.A.T >= inst.b - ZERO_TOL, axis=1)
+        if not feasible.any():
+            continue
+        sums = X.sum(axis=1)
+        block_value = int(sums[feasible].min())
+        if block_value > value:
+            continue
+        if block_value < value:
+            value, optima = block_value, set()
+        optima.update(map(tuple, X[feasible & (sums == value)].tolist()))
+    return value, frozenset(optima)
 
 
 def verify_certificate(inst: ZeroOneInstance, cert: Certificate) -> bool:
@@ -256,9 +244,7 @@ def certify(
         if ok and case is CaseKind.UNIQUE_OPTIMUM and s_obs <= report.s_star:
             certified = True
             break
-        c = adjust_weights(
-            x_part, bb, strategy=config.weight_strategy, seed=config.seed + it
-        )
+        c = adjust_weights(x_part, bb)
     else:
         discrepancies.append("weight-adjustment iteration budget exhausted")
 
@@ -273,17 +259,11 @@ def certify(
         else None
     )
 
-    do_verify = (
-        config.brute_force_verify
-        if config.brute_force_verify is not None
-        else n <= BRUTE_FORCE_GUARD
-    )
     bf_verified = None
     bf_value = None
-    bf_count = None
-    if do_verify and n <= BRUTE_FORCE_GUARD and recovered is not None:
+    optima = None
+    if config.brute_force_verify and n <= BRUTE_FORCE_GUARD and recovered is not None:
         bf_value, optima = brute_force_ip(inst)
-        bf_count = len(optima)
         if certified:
             bf_verified = (
                 tuple(int(v) for v in recovered) in optima
@@ -300,5 +280,5 @@ def certify(
         brute_force_verified=bf_verified,
         discrepancies=tuple(discrepancies),
         brute_force_value=bf_value,
-        brute_force_optima_count=bf_count,
+        brute_force_optima=optima,
     )

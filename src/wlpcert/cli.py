@@ -126,7 +126,9 @@ def _report_doc(inst, cert, timings) -> dict:
                 if cert.brute_force_value is not None
                 else None
             ),
-            "optima_count": cert.brute_force_optima_count,
+            "optima_count": len(cert.brute_force_optima)
+            if cert.brute_force_optima is not None
+            else None,
             "verified": cert.brute_force_verified,
         },
         "iterations": [
@@ -148,18 +150,12 @@ def _report_doc(inst, cert, timings) -> dict:
 
 
 def _config_from(args) -> CertifyConfig:
-    strategy = (
-        "seeded-random" if getattr(args, "strategy", "even") == "random"
-        else "deterministic"
-    )
     tol = getattr(args, "tol", None)
     return CertifyConfig(
-        beta_override=getattr(args, "beta", None),
-        max_weight_iterations=getattr(args, "max_iters", 10),
-        seed=getattr(args, "seed", 0),
+        beta_override=args.beta,
+        max_weight_iterations=args.max_iters,
         unique_tol=UNIQUE_TOL if tol is None else tol,
-        weight_strategy=strategy,
-        brute_force_verify=False if getattr(args, "no_verify", False) else None,
+        brute_force_verify=not getattr(args, "no_verify", False),
     )
 
 
@@ -294,8 +290,12 @@ def cmd_mis(args) -> int:
     if cert.certified and cert.brute_force_verified is not False:
         x_tilde = cert.recovered
     else:
-        # Certification is sufficient-only; fall back to enumeration.
-        value, optima = brute_force_ip(inst)
+        # Certification is sufficient-only; fall back to enumeration,
+        # which certify has already done unless n is above the guard.
+        if cert.brute_force_optima is None:
+            value, optima = brute_force_ip(inst)
+        else:
+            value, optima = cert.brute_force_value, cert.brute_force_optima
         if math.isinf(value):
             raise SystemExit2("complemented covering instance is infeasible")
         x_tilde = np.array(sorted(optima)[0])
@@ -333,21 +333,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="instance file")
-        p.add_argument("--beta", type=float, default=None,
-                       help="override the dual-radius beta_bar")
-        p.add_argument("--weights", default=None,
-                       help="comma-separated weights, overrides the file's c line")
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, weighted=True):
+        p.add_argument("--input", required=True, help="instance file")
+        if weighted:
+            p.add_argument("--beta", type=float, default=None,
+                           help="override the dual-radius beta_bar")
+            p.add_argument("--weights", default=None,
+                           help="comma-separated weights, overrides the file's c line")
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("certify", help="run the full adjust-and-certify loop")
     common(p)
     p.add_argument("--max-iters", type=int, default=10)
     p.add_argument("--tol", type=float, default=None, help="uniqueness tolerance")
-    p.add_argument("--strategy", choices=("even", "random"), default="even")
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(func=cmd_certify)
 
@@ -361,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gamma_hat)
 
     p = sub.add_parser("brute-force", help="exhaustive 0-1 optimum")
-    common(p)
+    common(p, weighted=False)
     p.set_defaults(func=cmd_brute_force)
 
     p = sub.add_parser("gen", help="write a seeded random instance file")
@@ -375,10 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mis", help="maximum independent set via the certifier")
     p.add_argument("--graph", required=True, help="graph file (p/e lines)")
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=10)
-    p.add_argument("--strategy", choices=("even", "random"), default="even")
-    p.add_argument("--no-verify", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mis)
 

@@ -34,14 +34,13 @@ class Status(Enum):
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """min objective @ x  s.t.  eq_matrix x = eq_rhs, ineq_matrix x <= ineq_rhs,
-    lower <= x <= upper (sentinels -inf/+inf allowed)."""
+    0 <= x <= upper (+inf allowed)."""
 
     objective: np.ndarray
     eq_matrix: np.ndarray | None = None
     eq_rhs: np.ndarray | None = None
     ineq_matrix: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
-    lower: np.ndarray | None = None  # default 0
     upper: np.ndarray | None = None  # default +inf
 
     def __post_init__(self):
@@ -49,28 +48,22 @@ class LinearProgram:
         n = c.size
         eqM, eqr = _as_rows(self.eq_matrix, self.eq_rhs, n, "eq")
         inM, inr = _as_rows(self.ineq_matrix, self.ineq_rhs, n, "ineq")
-        lo = (
-            np.zeros(n)
-            if self.lower is None
-            else np.asarray(self.lower, dtype=float).reshape(-1)
-        )
         up = (
             np.full(n, INF)
             if self.upper is None
             else np.asarray(self.upper, dtype=float).reshape(-1)
         )
-        if lo.size != n or up.size != n:
-            raise ValueError("bound vectors must match variable count")
-        if np.any(lo > up):
-            raise ValueError("lower bound above upper bound")
-        if np.isnan(c).any() or np.isnan(lo).any() or np.isnan(up).any():
+        if up.size != n:
+            raise ValueError("bound vector must match variable count")
+        if np.any(up < 0):
+            raise ValueError("negative upper bound")
+        if np.isnan(c).any() or np.isnan(up).any():
             raise ValueError("NaN in problem data")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "eq_matrix", eqM)
         object.__setattr__(self, "eq_rhs", eqr)
         object.__setattr__(self, "ineq_matrix", inM)
         object.__setattr__(self, "ineq_rhs", inr)
-        object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
     @property
@@ -101,47 +94,24 @@ class LpSolution:
 
 
 def _standardize(lp: LinearProgram):
-    """Rewrite as min c z, A z = b, z >= 0 with a column-to-variable map."""
-    n = lp.nvars
-    cols = []  # (original var, sign); free variables are split
-    x0 = np.where(np.isfinite(lp.lower), lp.lower, 0.0)
-    for i in range(n):
-        cols.append((i, 1.0))
-        if not math.isfinite(lp.lower[i]):
-            cols.append((i, -1.0))
-    ncols = len(cols)
-    B = np.zeros((n, ncols))
-    for k, (i, s) in enumerate(cols):
-        B[i, k] = s
-
-    eqM = lp.eq_matrix @ B
-    eqr = lp.eq_rhs - lp.eq_matrix @ x0
-    ubM = [lp.ineq_matrix @ B]
-    ubr = [lp.ineq_rhs - lp.ineq_matrix @ x0]
-    for i in range(n):
-        if math.isfinite(lp.upper[i]):
-            row = np.zeros(n)
-            row[i] = 1.0
-            ubM.append((row @ B)[None, :])
-            ubr.append(np.array([lp.upper[i] - x0[i]]))
-    ubM = np.vstack(ubM)
-    ubr = np.concatenate(ubr)
-
+    """Rewrite as min c z, A z = b, z >= 0, where z is x followed by one
+    slack per inequality row and per finite upper bound."""
+    finite = np.isfinite(lp.upper)
+    ubM = np.vstack([lp.ineq_matrix, np.eye(lp.nvars)[finite]])
+    ubr = np.concatenate([lp.ineq_rhs, lp.upper[finite]])
     n_ub = ubM.shape[0]
     A = np.vstack(
         [
-            np.hstack([eqM, np.zeros((eqM.shape[0], n_ub))]),
+            np.hstack([lp.eq_matrix, np.zeros((lp.eq_matrix.shape[0], n_ub))]),
             np.hstack([ubM, np.eye(n_ub)]),
         ]
     )
-    b = np.concatenate([eqr, ubr])
+    b = np.concatenate([lp.eq_rhs, ubr])
     neg = b < 0
     A[neg] *= -1
     b[neg] *= -1
-    c = np.concatenate(
-        [np.array([lp.objective[i] * s for i, s in cols]), np.zeros(n_ub)]
-    )
-    return A, b, c, B, x0, ncols
+    c = np.concatenate([lp.objective, np.zeros(n_ub)])
+    return A, b, c
 
 
 def _pivot(T, basis, row, col):
@@ -188,7 +158,7 @@ def _iterate(T, basis, cost, max_iters):
 
 def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
     """Two-phase simplex; deterministic for fixed input."""
-    A, b, c, B, x0, ncols = _standardize(lp)
+    A, b, c = _standardize(lp)
     m, N = A.shape
     if max_iters is None:
         max_iters = 50 * (m + N + m)
@@ -226,9 +196,8 @@ def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
         return LpSolution(status, None, None, (), INF, iters)
 
     z = np.zeros(N)
-    for r, bv in enumerate(basis):
-        z[bv] = T[r, -1]
-    x = x0 + B @ z[:ncols]
+    z[basis] = T[:, -1]
+    x = z[: lp.nvars]
     value = float(lp.objective @ x)
     return LpSolution(
         Status.OPTIMAL,
@@ -246,9 +215,6 @@ def _residual(lp: LinearProgram, x: np.ndarray) -> float:
         res = max(res, float(np.max(np.abs(lp.eq_matrix @ x - lp.eq_rhs))))
     if lp.ineq_matrix.shape[0]:
         res = max(res, float(np.max(lp.ineq_matrix @ x - lp.ineq_rhs, initial=0.0)))
-    finite_lo = np.isfinite(lp.lower)
-    if finite_lo.any():
-        res = max(res, float(np.max(lp.lower[finite_lo] - x[finite_lo], initial=0.0)))
     finite_up = np.isfinite(lp.upper)
     if finite_up.any():
         res = max(res, float(np.max(x[finite_up] - lp.upper[finite_up], initial=0.0)))

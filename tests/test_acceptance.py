@@ -141,7 +141,7 @@ class TestAcceptance:
             n = int(rng.integers(1, 7))
             inst = random_instance(m, n, seed=10_000 + seed, max_entry=2)
             cert = certify(
-                inst, CertifyConfig(seed=seed, max_weight_iterations=4)
+                inst, CertifyConfig(max_weight_iterations=4)
             )
             total += 1
             if cert.certified:
@@ -180,7 +180,7 @@ class TestAcceptance:
                 np.zeros(0),
                 lp.ineq_matrix,
                 lp.ineq_rhs,
-                lp.lower,
+                np.zeros(n),
                 lp.upper,
             )
             assert oracle is not None

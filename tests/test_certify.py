@@ -17,6 +17,7 @@ from wlpcert import (
     solve_weighted_lp,
     verify_certificate,
 )
+from wlpcert.certify import BRUTE_FORCE_BLOCK
 
 from _oracles import enumerate_binary_minimum
 
@@ -81,15 +82,6 @@ class TestAdjustWeights:
         assert w.c[0] == pytest.approx(0.9)
         assert w.c[1] == pytest.approx(1.0)
 
-    def test_seeded_random_is_deterministic_and_bounded(self):
-        x = np.array([0.9, 0.4, 0.1, 0.0])
-        a = adjust_weights(x, 0.5, strategy="seeded-random", seed=3)
-        b = adjust_weights(x, 0.5, strategy="seeded-random", seed=3)
-        np.testing.assert_array_equal(a.c, b.c)
-        assert np.all(a.c >= 0.5 - 1e-12) and np.all(a.c <= 0.625 + 1e-12)
-        assert a.c[0] == pytest.approx(0.5)
-        assert a.c[3] == pytest.approx(0.625)
-
 
 class TestBruteForce:
     def test_example1(self, ex1):
@@ -119,6 +111,45 @@ class TestBruteForce:
         oracle_value, oracle_optima = enumerate_binary_minimum(inst.A, inst.b)
         assert value == oracle_value
         assert optima == oracle_optima
+
+
+class TestBruteForceBlocks:
+    """n = 17 spans two blocks of BRUTE_FORCE_BLOCK codes; x_16 is set
+    exactly in the second."""
+
+    N = 17
+
+    def check(self, A, b):
+        assert 2**self.N > BRUTE_FORCE_BLOCK >= 2 ** (self.N - 1)
+        value, optima = brute_force_ip(ZeroOneInstance(A=A, b=b))
+        oracle_value, oracle_optima = enumerate_binary_minimum(A, b)
+        if oracle_value is None:
+            assert math.isinf(value)
+        else:
+            assert value == oracle_value
+        assert optima == oracle_optima
+        return value, optima
+
+    def test_optimum_only_in_second_block(self):
+        # The first block needs x_0 = x_1 = x_2 = x_5 = 1 (value 4);
+        # x_16 = 1 alone covers both rows.
+        A = np.zeros((2, self.N))
+        A[0, :3] = 1.0
+        A[0, 16] = 3.0
+        A[1, [5, 16]] = 1.0
+        value, optima = self.check(A, np.array([3.0, 1.0]))
+        assert value == 1
+        assert optima == {tuple(int(j == 16) for j in range(self.N))}
+
+    def test_optima_in_both_blocks_are_merged(self):
+        A = np.zeros((1, self.N))
+        A[0, [0, 16]] = 1.0
+        value, optima = self.check(A, np.array([1.0]))
+        assert value == 1 and len(optima) == 2
+
+    def test_infeasible(self):
+        value, optima = self.check(np.ones((1, self.N)), np.array([self.N + 1.0]))
+        assert math.isinf(value) and optima == frozenset()
 
 
 class TestCertify:
@@ -160,9 +191,8 @@ class TestCertify:
             assert verify_certificate(ex2, cert)
 
     def test_deterministic(self, ex3):
-        cfg = CertifyConfig(seed=5, weight_strategy="seeded-random")
-        a = certify(ex3, cfg)
-        b = certify(ex3, cfg)
+        a = certify(ex3, CertifyConfig())
+        b = certify(ex3, CertifyConfig())
         assert a.certified == b.certified
         np.testing.assert_array_equal(a.final_weights.c, b.final_weights.c)
         if a.recovered is not None:
@@ -204,7 +234,7 @@ class TestSoundnessEnsemble:
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         inst = random_instance(m, n, seed=3000 + seed, max_entry=2)
-        cert = certify(inst, CertifyConfig(seed=seed, max_weight_iterations=3))
+        cert = certify(inst, CertifyConfig(max_weight_iterations=3))
         if cert.certified:
             assert cert.brute_force_verified
             assert verify_certificate(inst, cert)

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,6 +150,7 @@ class TestCertifyCommand:
         assert doc["eta1"] == pytest.approx(0.21875, abs=1e-9)
         np.testing.assert_allclose(doc["lp"]["x"], [0, 0.5, 0.5], atol=1e-8)
         assert doc["brute_force"]["value"] == 2
+        assert doc["brute_force"]["optima_count"] == 3
         assert doc["brute_force"]["verified"] is True
 
     def test_json_and_text_agree(self, ex1_file, capsys):
@@ -197,6 +199,11 @@ class TestBruteForceCommand:
         assert doc["brute_force"]["value"] == 2
         assert doc["brute_force"]["optima_count"] == 3
 
+    def test_weight_flags_rejected(self, ex1_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["brute-force", "--input", ex1_file, "--beta", "1"])
+        assert exc.value.code == 2
+
 
 class TestGenCommand:
     def test_roundtrip(self, tmp_path, capsys):
@@ -233,13 +240,39 @@ class TestMisCommand:
         assert doc["size"] == 2
         assert doc["independent_set"] == [1, 3]
 
-    def test_triangle(self, tmp_path, capsys):
+    def test_triangle(self, tmp_path, capsys, monkeypatch):
+        # K3 is not certified; the answer comes from the optima that
+        # certify already enumerated, without a second enumeration.
+        def no_second_enumeration(inst):
+            raise AssertionError("brute_force_ip called again")
+
+        monkeypatch.setattr(cli, "brute_force_ip", no_second_enumeration)
         path = tmp_path / "k3.txt"
         path.write_text(K3_GRAPH)
         code = main(["mis", "--graph", str(path), "--json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["size"] == 1
+        assert doc["source"] == "brute_force"
 
     def test_missing_graph_exit_two(self, tmp_path):
         assert main(["mis", "--graph", str(tmp_path / "nope.txt")]) == 2
+
+    def test_no_verify_rejected(self, tmp_path):
+        path = tmp_path / "p3.txt"
+        path.write_text(P3_GRAPH)
+        with pytest.raises(SystemExit) as exc:
+            main(["mis", "--graph", str(path), "--no-verify"])
+        assert exc.value.code == 2
+
+    def test_fallback_above_guard_exit_two(self, tmp_path, capsys, monkeypatch):
+        # certify does not enumerate above n = 20, so the fallback does and
+        # hits the dimension guard.
+        uncertified = SimpleNamespace(
+            certified=False, brute_force_verified=None, brute_force_optima=None
+        )
+        monkeypatch.setattr(cli, "certify", lambda *args, **kwargs: uncertified)
+        path = tmp_path / "p21.txt"
+        path.write_text("p 21\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 21)))
+        assert main(["mis", "--graph", str(path)]) == 2
+        assert "guard" in capsys.readouterr().err

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ def random_lp(seed):
     """Feasible box-bounded LP with a known feasible point by construction."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
-    lower = np.zeros(n)
     upper = rng.uniform(1.0, 3.0, size=n)
     x0 = rng.uniform(0, 1, size=n) * upper
     n_ineq = int(rng.integers(1, 4))
@@ -35,7 +32,6 @@ def random_lp(seed):
         eq_rhs=eq_rhs,
         ineq_matrix=ineq,
         ineq_rhs=ineq_rhs,
-        lower=lower,
         upper=upper,
     )
 
@@ -54,13 +50,7 @@ class TestSolve:
         assert sol.residual <= 1e-8
 
     def test_unbounded(self):
-        sol = solve(
-            LinearProgram(
-                objective=np.array([-1.0]),
-                lower=np.array([0.0]),
-                upper=np.array([math.inf]),
-            )
-        )
+        sol = solve(LinearProgram(objective=np.array([-1.0])))
         assert sol.status is Status.UNBOUNDED
 
     def test_infeasible(self):
@@ -85,27 +75,13 @@ class TestSolve:
         sol = solve(weighted_lp(sf1, ones3), max_iters=1)
         assert sol.status is Status.ITERATION_LIMIT
 
-    def test_free_variable_handling(self):
-        # min x + y with x free, x + y = 1, y in [0, 1]
-        sol = solve(
-            LinearProgram(
-                objective=np.array([1.0, 0.0]),
-                eq_matrix=np.array([[1.0, 1.0]]),
-                eq_rhs=np.array([1.0]),
-                lower=np.array([-math.inf, 0.0]),
-                upper=np.array([math.inf, 1.0]),
-            )
-        )
-        assert sol.status is Status.OPTIMAL
-        assert sol.value == pytest.approx(0.0, abs=1e-9)
-
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_vertex_enumeration(self, seed):
         lp = random_lp(seed)
         sol = solve(lp)
         oracle = enumerate_lp_minimum(
             lp.objective, lp.eq_matrix, lp.eq_rhs,
-            lp.ineq_matrix, lp.ineq_rhs, lp.lower, lp.upper,
+            lp.ineq_matrix, lp.ineq_rhs, np.zeros(lp.nvars), lp.upper,
         )
         if oracle is None:
             assert sol.status is Status.INFEASIBLE
