@@ -40,6 +40,7 @@ from .certify import (
     Certificate,
     CertifyConfig,
     adjust_weights,
+    branch_and_bound_ip,
     brute_force_ip,
     certify,
     classify_case,

@@ -26,6 +26,7 @@ from .goodness import beta_bar, sufficient_verdict
 from .lp import (
     UNIQUE_TOL,
     LinearProgram,
+    LpError,
     LpSolution,
     Status,
     optimal_face_range,
@@ -35,6 +36,10 @@ from .lp import (
 BRUTE_FORCE_GUARD = 20
 # Codes enumerated per block by brute_force_ip.
 BRUTE_FORCE_BLOCK = 1 << 16
+# Nodes branch_and_bound_ip may solve before it raises LpError.
+BRANCH_NODE_LIMIT = 20_000
+# A node LP value within this of an integer k gives the bound k, not k + 1.
+BRANCH_BOUND_TOL = 1e-6
 
 
 class CaseKind(Enum):
@@ -115,8 +120,7 @@ def classify_case(
     hi_support = set()
     lo_support = set()
     width = 0.0
-    for j in range(sf.n):
-        lo, hi = optimal_face_range(lp, sol.value, j)
+    for j, (lo, hi) in enumerate(optimal_face_range(lp, sol.value, range(sf.n))):
         width = max(width, hi - lo)
         if hi > ZERO_TOL:
             hi_support.add(j)
@@ -135,7 +139,9 @@ def adjust_weights(x_star, beta_bar_value: float) -> Weights:
     The largest component receives c_lo = min(beta_bar, 1), the smallest
     c_hi = min(1.25 * beta_bar, 1); c_lo is bumped down 10% if clamping
     collapsed the interval. Intermediate components are evenly spaced by
-    rank. Ties break toward the lowest index.
+    rank. Ties break toward the lowest index. The weights are then divided
+    by their maximum: the certificate does not depend on the scale of c,
+    and max c = 1 keeps every pass clear of the absolute LP tolerances.
     """
     x = np.asarray(x_star, dtype=float).reshape(-1)
     n = x.size
@@ -148,7 +154,8 @@ def adjust_weights(x_star, beta_bar_value: float) -> Weights:
     for rank, idx in enumerate(order):
         t = rank / (n - 1) if n > 1 else 0.0
         weights[idx] = c_lo + t * (c_hi - c_lo)
-    return Weights(c=np.clip(weights, 1e-12, 1.0))
+    weights = np.clip(weights, 1e-12, 1.0)
+    return Weights(c=weights / weights.max())
 
 
 def brute_force_ip(inst: ZeroOneInstance) -> tuple:
@@ -177,6 +184,68 @@ def brute_force_ip(inst: ZeroOneInstance) -> tuple:
             value, optima = block_value, set()
         optima.update(map(tuple, X[feasible & (sums == value)].tolist()))
     return value, frozenset(optima)
+
+
+def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
+    """Exact 0-1 minimum by depth-first LP branch-and-bound; (value,
+    optimum) with optimum a 0-1 tuple, (+inf, None) when infeasible.
+
+    A node fixes some variables: x_j = 1 moves column j to the right-hand
+    side, x_j = 0 drops it. Its bound is the fixed ones plus
+    ceil(LP value - BRANCH_BOUND_TOL), since the 0-1 optimum is an integer
+    no smaller than the LP value. A >= 0, so the LP point rounded up is
+    feasible and becomes the incumbent when it is better. The node branches
+    on its most fractional variable, x_j = 1 first. Raises LpError after
+    BRANCH_NODE_LIMIT nodes.
+    """
+    n = inst.n
+    best_value, best = math.inf, None
+    stack = [np.full(n, -1, dtype=np.int8)]  # -1 free, else the fixed value
+    nodes = 0
+    while stack:
+        if nodes == BRANCH_NODE_LIMIT:
+            raise LpError(f"branch-and-bound node budget of {nodes} exhausted")
+        nodes += 1
+        fixed = stack.pop()
+        ones = fixed == 1
+        free = (fixed < 0).nonzero()[0]
+        rhs = inst.b - inst.A[:, ones].sum(axis=1)
+        rows = rhs > ZERO_TOL
+        x = np.zeros(free.size)
+        bound = int(ones.sum())
+        if rows.any():
+            if not free.size:
+                continue
+            sol = solve(
+                LinearProgram(
+                    objective=np.ones(free.size),
+                    ineq_matrix=-inst.A[np.ix_(rows, free)],
+                    ineq_rhs=-rhs[rows],
+                    upper=np.ones(free.size),
+                )
+            )
+            if sol.status is Status.INFEASIBLE:
+                continue
+            if sol.status is not Status.OPTIMAL:
+                raise LpError(
+                    f"branch-and-bound node ended with status {sol.status.value}"
+                )
+            x = sol.x
+            bound += math.ceil(sol.value - BRANCH_BOUND_TOL)
+        if bound >= best_value:
+            continue
+        point = ones.astype(int)
+        point[free] = x > ZERO_TOL
+        if point.sum() < best_value and np.all(inst.A @ point >= inst.b - ZERO_TOL):
+            best_value, best = int(point.sum()), tuple(point.tolist())
+        if bound >= best_value:
+            continue
+        j = free[int(np.argmax(np.minimum(x, 1.0 - x)))]
+        for value in (0, 1):
+            child = fixed.copy()
+            child[j] = value
+            stack.append(child)
+    return best_value, best
 
 
 def verify_certificate(inst: ZeroOneInstance, cert: Certificate) -> bool:
@@ -262,13 +331,21 @@ def certify(
     bf_verified = None
     bf_value = None
     optima = None
-    if config.brute_force_verify and n <= BRUTE_FORCE_GUARD and recovered is not None:
-        bf_value, optima = brute_force_ip(inst)
+    if config.brute_force_verify and recovered is not None:
+        if n <= BRUTE_FORCE_GUARD:
+            bf_value, optima = brute_force_ip(inst)
+        elif certified:
+            bf_value, _ = branch_and_bound_ip(inst)
         if certified:
-            bf_verified = (
-                tuple(int(v) for v in recovered) in optima
-                and int(recovered.sum()) == bf_value
+            bf_verified = int(recovered.sum()) == bf_value and bool(
+                np.all(inst.A @ recovered >= inst.b - ZERO_TOL)
             )
+            if not bf_verified:
+                certified = False
+                discrepancies.append(
+                    f"certificate refuted: the recovery has {int(recovered.sum())} "
+                    f"ones, the 0-1 optimum is {bf_value}"
+                )
 
     return Certificate(
         final_weights=iterations[-1][0] if iterations else c,

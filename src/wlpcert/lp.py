@@ -14,6 +14,8 @@ import numpy as np
 
 COST_TOL = 1e-9
 PIVOT_TOL = 1e-9
+# A pivot leaves alone the rows whose pivot-column entry is at most this.
+ELIM_TOL = 1e-13
 # Phase 1 declares the problem infeasible above this artificial sum.
 PHASE1_TOL = 1e-7
 UNIQUE_TOL = 1e-7
@@ -115,10 +117,12 @@ def _standardize(lp: LinearProgram):
 
 
 def _pivot(T, basis, row, col):
+    """Make column col basic in row: one rank-1 update over the rows whose
+    column-col entry exceeds ELIM_TOL in magnitude."""
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > 1e-13:
-            T[i] -= T[i, col] * T[row]
+    rows = np.abs(T[:, col]) > ELIM_TOL
+    rows[row] = False
+    T[rows] -= T[rows, col][:, None] * T[row]
     basis[row] = col
 
 
@@ -128,82 +132,96 @@ def _iterate(T, basis, cost, max_iters):
     ncols = T.shape[1] - 1
     while used < max_iters:
         reduced = cost - cost[basis] @ T[:, :ncols]
-        basic = set(basis)
-        entering = -1
-        for j in range(ncols):
-            if j not in basic and reduced[j] < -COST_TOL:
-                entering = j
-                break
-        if entering < 0:
+        candidates = reduced < -COST_TOL
+        candidates[basis] = False
+        entering = int(candidates.argmax())
+        if not candidates[entering]:
             return Status.OPTIMAL, used
         col = T[:, entering]
-        best_ratio = None
-        leave = -1
-        for i in range(T.shape[0]):
-            if col[i] > PIVOT_TOL:
-                ratio = T[i, -1] / col[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - PIVOT_TOL
-                    or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if not rows.size:
             return Status.UNBOUNDED, used
-        _pivot(T, basis, leave, entering)
+        ratios = (T[rows, -1] / col[rows]).tolist()
+        keys = basis[rows].tolist()
+        # Bland's sequential scan: a ratio within PIVOT_TOL of the best so
+        # far ties, and a tie goes to the lower basic variable index.
+        best, best_ratio = 0, ratios[0]
+        for k in range(1, len(ratios)):
+            ratio = ratios[k]
+            if ratio < best_ratio - PIVOT_TOL or (
+                abs(ratio - best_ratio) <= PIVOT_TOL and keys[k] < keys[best]
+            ):
+                best_ratio = ratio
+                best = k
+        _pivot(T, basis, int(rows[best]), entering)
         used += 1
     return Status.ITERATION_LIMIT, used
+
+
+def _phase1(A, b, max_iters):
+    """Phase 1 on A z = b, z >= 0, with an artificial on every row.
+
+    Returns (status, iterations, tableau, basis). On Status.OPTIMAL the
+    tableau holds a feasible basis, without the artificial columns and
+    with redundant rows dropped; otherwise tableau and basis are None.
+    """
+    m, N = A.shape
+    T = np.hstack([A, np.eye(m), b[:, None]])
+    basis = np.arange(N, N + m)
+    c1 = np.concatenate([np.zeros(N), np.ones(m)])
+    status, used = _iterate(T, basis, c1, max_iters)
+    if status is Status.ITERATION_LIMIT:
+        return status, used, None, None
+    if c1[basis] @ T[:, -1] > PHASE1_TOL:
+        return Status.INFEASIBLE, used, None, None
+
+    # Drive remaining artificials out of the basis; drop redundant rows.
+    keep = np.ones(m, dtype=bool)
+    for r in (basis >= N).nonzero()[0]:
+        piv = (np.abs(T[r, :N]) > PIVOT_TOL).nonzero()[0]
+        if piv.size:
+            _pivot(T, basis, r, piv[0])
+        else:
+            keep[r] = False
+    T = np.hstack([T[keep, :N], T[keep, -1:]])
+    return Status.OPTIMAL, used, T, basis[keep]
+
+
+def _phase2(T, basis, cost, max_iters):
+    """Phase 2 from phase 1's tableau, which it overwrites.
+
+    Returns (status, iterations, z), z the optimal point or None."""
+    status, used = _iterate(T, basis, cost, max_iters)
+    if status is not Status.OPTIMAL:
+        return status, used, None
+    z = np.zeros(T.shape[1] - 1)
+    z[basis] = T[:, -1]
+    return status, used, z
+
+
+def _iteration_budget(A) -> int:
+    m, N = A.shape
+    return 50 * (m + N + m)
 
 
 def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
     """Two-phase simplex; deterministic for fixed input."""
     A, b, c = _standardize(lp)
-    m, N = A.shape
     if max_iters is None:
-        max_iters = 50 * (m + N + m)
-
-    # Phase 1: artificials on every row.
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = list(range(N, N + m))
-    c1 = np.concatenate([np.zeros(N), np.ones(m)])
-    status, it1 = _iterate(T, basis, c1, max_iters)
-    if status is Status.ITERATION_LIMIT:
+        max_iters = _iteration_budget(A)
+    status, it1, T, basis = _phase1(A, b, max_iters)
+    if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, (), INF, it1)
-    if c1[basis] @ T[:, -1] > PHASE1_TOL:
-        return LpSolution(Status.INFEASIBLE, None, None, (), INF, it1)
-
-    # Drive remaining artificials out of the basis; drop redundant rows.
-    drop = []
-    for r in range(len(basis)):
-        if basis[r] >= N:
-            piv = next(
-                (j for j in range(N) if abs(T[r, j]) > PIVOT_TOL), None
-            )
-            if piv is None:
-                drop.append(r)
-            else:
-                _pivot(T, basis, r, piv)
-    if drop:
-        keep = [i for i in range(len(basis)) if i not in drop]
-        T = T[keep]
-        basis = [basis[i] for i in keep]
-    T = np.hstack([T[:, :N], T[:, -1:]])
-
-    status, it2 = _iterate(T, basis, c, max_iters - it1)
+    status, it2, z = _phase2(T, basis, c, max_iters - it1)
     iters = it1 + it2
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, (), INF, iters)
-
-    z = np.zeros(N)
-    z[basis] = T[:, -1]
     x = z[: lp.nvars]
-    value = float(lp.objective @ x)
     return LpSolution(
         Status.OPTIMAL,
         x,
-        value,
-        tuple(sorted(basis)),
+        float(lp.objective @ x),
+        tuple(sorted(basis.tolist())),
         _residual(lp, x),
         iters,
     )
@@ -221,24 +239,40 @@ def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     return res
 
 
-def optimal_face_range(lp: LinearProgram, opt_value: float, var: int) -> tuple:
-    """Range of one variable over the set of optimal solutions.
+def optimal_face_range(lp: LinearProgram, opt_value: float, variables) -> list:
+    """Range (lo, hi) of each given variable over the optimal solutions.
 
-    Minimizes and maximizes the variable with the objective pinned to
-    opt_value as an extra equality row.
+    Minimizes and maximizes each variable with the objective pinned to
+    opt_value as an extra equality row. Phase 1 does not read the
+    objective, so it runs once; each probe runs phase 2 on a copy of its
+    tableau, exactly as `solve` would on the probe's LP.
     """
-    eq_matrix = np.vstack([lp.eq_matrix, lp.objective[None, :]])
-    eq_rhs = np.concatenate([lp.eq_rhs, [opt_value]])
-    e = np.zeros(lp.nvars)
-    e[var] = 1.0
-    probes = [
-        solve(replace(lp, objective=obj, eq_matrix=eq_matrix, eq_rhs=eq_rhs))
-        for obj in (e, -e)
-    ]
-    for s in probes:
-        if s.status not in (Status.OPTIMAL, Status.UNBOUNDED):
-            raise LpError(f"face probe ended with status {s.status.value}")
-    lo_sol, hi_sol = probes
-    lo = -INF if lo_sol.status is Status.UNBOUNDED else float(lo_sol.value)
-    hi = INF if hi_sol.status is Status.UNBOUNDED else float(-hi_sol.value)
-    return lo, hi
+    pinned = replace(
+        lp,
+        eq_matrix=np.vstack([lp.eq_matrix, lp.objective[None, :]]),
+        eq_rhs=np.concatenate([lp.eq_rhs, [opt_value]]),
+    )
+    A, b, _ = _standardize(pinned)
+    max_iters = _iteration_budget(A)
+    status, it1, T, basis = _phase1(A, b, max_iters)
+    if status is not Status.OPTIMAL:
+        raise LpError(f"face probe ended with status {status.value}")
+    slack_costs = np.zeros(A.shape[1] - lp.nvars)
+    ranges = []
+    for var in variables:
+        e = np.zeros(lp.nvars)
+        e[var] = 1.0
+        ends = []
+        for obj in (e, -e):
+            status, _, z = _phase2(
+                T.copy(), basis.copy(), np.concatenate([obj, slack_costs]),
+                max_iters - it1,
+            )
+            if status is Status.OPTIMAL:
+                ends.append(float(obj @ z[: lp.nvars]))
+            elif status is Status.UNBOUNDED:
+                ends.append(-INF)
+            else:
+                raise LpError(f"face probe ended with status {status.value}")
+        ranges.append((ends[0], -ends[1]))
+    return ranges

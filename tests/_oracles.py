@@ -1,13 +1,26 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent oracles for the test suite.
 
-These deliberately avoid the package's simplex path: LP minima come
-from enumerating candidate vertices as solutions of n active
-constraints chosen from the stacked constraint rows.
+The brute-force oracles deliberately avoid the package's simplex path:
+LP minima come from enumerating candidate vertices as solutions of n
+active constraints chosen from the stacked constraint rows.
+`reference_solve` is the row-by-row two-phase simplex that the
+vectorised `wlpcert.lp.solve` must reproduce pivot for pivot.
 """
 
 from itertools import combinations, islice
 
 import numpy as np
+
+from wlpcert.lp import (
+    COST_TOL,
+    INF,
+    PHASE1_TOL,
+    PIVOT_TOL,
+    LpSolution,
+    Status,
+    _residual,
+    _standardize,
+)
 
 TOL = 1e-9
 # Candidate vertices solved per np.linalg.solve call.
@@ -120,3 +133,91 @@ def enumerate_binary_minimum(A, b):
             elif val == best:
                 optima.add(tuple(int(v) for v in x))
     return best, optima
+
+
+def _reference_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and abs(T[i, col]) > 1e-13:
+            T[i] -= T[i, col] * T[row]
+    basis[row] = col
+
+
+def _reference_iterate(T, basis, cost, max_iters):
+    used = 0
+    ncols = T.shape[1] - 1
+    while used < max_iters:
+        reduced = cost - cost[basis] @ T[:, :ncols]
+        basic = set(basis)
+        entering = -1
+        for j in range(ncols):
+            if j not in basic and reduced[j] < -COST_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return Status.OPTIMAL, used
+        col = T[:, entering]
+        best_ratio = None
+        leave = -1
+        for i in range(T.shape[0]):
+            if col[i] > PIVOT_TOL:
+                ratio = T[i, -1] / col[i]
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio - PIVOT_TOL
+                    or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return Status.UNBOUNDED, used
+        _reference_pivot(T, basis, leave, entering)
+        used += 1
+    return Status.ITERATION_LIMIT, used
+
+
+def reference_solve(lp, max_iters=None):
+    """Two-phase simplex with Bland's rule, one tableau row at a time."""
+    A, b, c = _standardize(lp)
+    m, N = A.shape
+    if max_iters is None:
+        max_iters = 50 * (m + N + m)
+
+    T = np.hstack([A, np.eye(m), b[:, None]])
+    basis = list(range(N, N + m))
+    c1 = np.concatenate([np.zeros(N), np.ones(m)])
+    status, it1 = _reference_iterate(T, basis, c1, max_iters)
+    if status is Status.ITERATION_LIMIT:
+        return LpSolution(status, None, None, (), INF, it1)
+    if c1[basis] @ T[:, -1] > PHASE1_TOL:
+        return LpSolution(Status.INFEASIBLE, None, None, (), INF, it1)
+
+    drop = []
+    for r in range(len(basis)):
+        if basis[r] >= N:
+            piv = next((j for j in range(N) if abs(T[r, j]) > PIVOT_TOL), None)
+            if piv is None:
+                drop.append(r)
+            else:
+                _reference_pivot(T, basis, r, piv)
+    if drop:
+        keep = [i for i in range(len(basis)) if i not in drop]
+        T = T[keep]
+        basis = [basis[i] for i in keep]
+    T = np.hstack([T[:, :N], T[:, -1:]])
+
+    status, it2 = _reference_iterate(T, basis, c, max_iters - it1)
+    iters = it1 + it2
+    if status is not Status.OPTIMAL:
+        return LpSolution(status, None, None, (), INF, iters)
+    z = np.zeros(N)
+    z[basis] = T[:, -1]
+    x = z[: lp.nvars]
+    return LpSolution(
+        Status.OPTIMAL,
+        x,
+        float(lp.objective @ x),
+        tuple(sorted(basis)),
+        _residual(lp, x),
+        iters,
+    )

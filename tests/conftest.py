@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wlpcert import Weights, ZeroOneInstance, to_standard_form
+from wlpcert import Weights, ZeroOneInstance, from_independent_set, to_standard_form
 
 EX1_TEXT = """\
 # example instance 1
@@ -11,6 +11,20 @@ EX1_TEXT = """\
 1 0 2
 1 1 1
 """
+
+# random_instance(m, n, seed) arguments of instances whose first pass
+# passes the eta test with the recovery [1, 1]; the 0-1 optimum is 1.
+REFUTED_INSTANCES = (
+    (2, 2, 35),
+    (3, 2, 742944872),
+    (2, 2, 840156141),
+    (3, 2, 600752579),
+)
+
+
+def cycle_instance(n):
+    """Covering instance of maximum independent set on the n-cycle."""
+    return from_independent_set(n, [(i, i % n + 1) for i in range(1, n + 1)])[0]
 
 
 @pytest.fixture

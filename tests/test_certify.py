@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,12 +9,15 @@ import pytest
 from wlpcert import (
     CaseKind,
     CertifyConfig,
+    LpError,
     Weights,
     ZeroOneInstance,
     adjust_weights,
+    branch_and_bound_ip,
     brute_force_ip,
     certify,
     classify_case,
+    from_independent_set,
     random_instance,
     solve_weighted_lp,
     verify_certificate,
@@ -20,6 +25,7 @@ from wlpcert import (
 from wlpcert.certify import BRUTE_FORCE_BLOCK
 
 from _oracles import enumerate_binary_minimum
+from conftest import REFUTED_INSTANCES, cycle_instance
 
 
 class TestWeightedLp:
@@ -66,8 +72,9 @@ class TestClassifyCase:
 
 class TestAdjustWeights:
     def test_even_spacing(self):
+        # [0.5, 0.5625, 0.625] divided by its maximum
         w = adjust_weights(np.array([1.0, 0.5, 0.0]), 0.5)
-        np.testing.assert_allclose(w.c, [0.5, 0.5625, 0.625])
+        np.testing.assert_allclose(w.c, [0.8, 0.9, 1.0])
 
     def test_largest_component_gets_smallest_weight(self):
         w = adjust_weights(np.array([1.0, 0.5, 0.0]), 0.5)
@@ -75,7 +82,7 @@ class TestAdjustWeights:
 
     def test_all_equal_components_tie_break_by_index(self):
         w = adjust_weights(np.array([0.5, 0.5, 0.5]), 0.5)
-        np.testing.assert_allclose(w.c, [0.5, 0.5625, 0.625])
+        np.testing.assert_allclose(w.c, [0.8, 0.9, 1.0])
 
     def test_clamped_interval_bumps_lower(self):
         w = adjust_weights(np.array([1.0, 0.0]), 1.2)
@@ -239,3 +246,89 @@ class TestSoundnessEnsemble:
             assert cert.brute_force_verified
             assert verify_certificate(inst, cert)
             assert cert.s_observed <= cert.final_report.s_star
+
+
+def random_graph_instance(n, seed, density=0.3):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    rng = np.random.default_rng([seed, n])
+    chosen = rng.choice(len(pairs), size=round(density * len(pairs)), replace=False)
+    return from_independent_set(n, [pairs[i] for i in sorted(chosen)])[0]
+
+
+class TestRefutedCertificate:
+    @pytest.mark.parametrize("shape", REFUTED_INSTANCES)
+    def test_small_instances(self, shape):
+        cert = certify(random_instance(*shape))
+        assert not cert.certified
+        assert cert.brute_force_verified is False
+        assert cert.brute_force_value == 1
+        np.testing.assert_array_equal(cert.recovered, [1, 1])
+        assert any("refuted" in note for note in cert.discrepancies)
+
+    @pytest.mark.parametrize("n, cover", [(9, 5), (15, 8), (21, 11)])
+    def test_odd_cycles(self, n, cover):
+        # The all-1/2 optimum passes the eta test and rounds up to all ones;
+        # C21 is checked by branch-and-bound, the others by enumeration.
+        cert = certify(cycle_instance(n))
+        assert not cert.certified
+        assert cert.brute_force_verified is False
+        assert cert.brute_force_value == cover
+        assert (cert.brute_force_optima is None) == (n > 20)
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+        inst = random_instance(m, n, seed=5000 + seed)
+        value, point = branch_and_bound_ip(inst)
+        bf_value, optima = brute_force_ip(inst)
+        assert value == bf_value
+        assert point in optima
+
+    def test_zero_rhs(self):
+        inst = ZeroOneInstance(A=np.array([[1.0, 1.0]]), b=np.array([0.0]))
+        assert branch_and_bound_ip(inst) == (0, (0, 0))
+
+    def test_infeasible(self):
+        inst = ZeroOneInstance(A=np.array([[1.0, 1.0]]), b=np.array([3.0]))
+        value, point = branch_and_bound_ip(inst)
+        assert math.isinf(value) and point is None
+
+    def test_leaf_with_an_uncovered_row(self):
+        # The LP value 1e-7 bounds the root by 0, so it branches; x_0 = 0
+        # then leaves no free variable for the row b = 1e-7.
+        inst = ZeroOneInstance(A=np.array([[1.0]]), b=np.array([1e-7]))
+        assert brute_force_ip(inst) == (1, {(1,)})
+        assert branch_and_bound_ip(inst) == (1, (1,))
+
+    def test_node_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            importlib.import_module("wlpcert.certify"), "BRANCH_NODE_LIMIT", 1
+        )
+        with pytest.raises(LpError, match="budget"):
+            branch_and_bound_ip(cycle_instance(21))
+
+    @pytest.mark.parametrize(
+        "name, inst",
+        [(f"C{n}", cycle_instance(n)) for n in range(21, 32)]
+        + [
+            (f"G({n}, 0.3) seed {s}", random_graph_instance(n, s))
+            for n in (24, 30)
+            for s in (1, 2)
+        ],
+    )
+    def test_matches_milp(self, name, inst):
+        optimize = pytest.importorskip("scipy.optimize")
+        res = optimize.milp(
+            c=np.ones(inst.n),
+            constraints=optimize.LinearConstraint(inst.A, lb=inst.b, ub=np.inf),
+            integrality=np.ones(inst.n),
+            bounds=optimize.Bounds(0, 1),
+        )
+        assert res.status == 0
+        value, point = branch_and_bound_ip(inst)
+        assert value == round(res.fun)
+        x = np.array(point)
+        assert x.sum() == value and np.all(inst.A @ x >= inst.b)

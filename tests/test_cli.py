@@ -4,10 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wlpcert import LpError, cli
+from wlpcert import LpError, cli, format_instance, random_instance
 from wlpcert.cli import main
 
-from conftest import EX1_TEXT
+from conftest import EX1_TEXT, REFUTED_INSTANCES
 
 EX2_TEXT = """\
 3 3
@@ -153,6 +153,15 @@ class TestCertifyCommand:
         assert doc["brute_force"]["optima_count"] == 3
         assert doc["brute_force"]["verified"] is True
 
+    @pytest.mark.parametrize("shape", REFUTED_INSTANCES)
+    def test_refuted_certificate_exit_one(self, shape, tmp_path, capsys):
+        path = tmp_path / "inst.txt"
+        path.write_text(format_instance(random_instance(*shape)))
+        assert main(["certify", "--input", str(path), "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certified"] is False
+        assert doc["brute_force"]["verified"] is False
+
     def test_json_and_text_agree(self, ex1_file, capsys):
         main(["certify", "--input", ex1_file, "--beta", "0.5625", "--json"])
         doc = json.loads(capsys.readouterr().out)
@@ -255,6 +264,18 @@ class TestMisCommand:
         assert doc["size"] == 1
         assert doc["source"] == "brute_force"
 
+    def test_odd_cycle_above_guard(self, tmp_path, capsys):
+        # C21's certificate is refuted by branch-and-bound, which then
+        # gives the answer: a maximum independent set of 10.
+        path = tmp_path / "c21.txt"
+        edges = "".join(f"e {i} {i % 21 + 1}\n" for i in range(1, 22))
+        path.write_text("p 21\n" + edges)
+        assert main(["mis", "--graph", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certified"] is False
+        assert doc["source"] == "branch_and_bound"
+        assert doc["size"] == 10
+
     def test_missing_graph_exit_two(self, tmp_path):
         assert main(["mis", "--graph", str(tmp_path / "nope.txt")]) == 2
 
@@ -265,14 +286,19 @@ class TestMisCommand:
             main(["mis", "--graph", str(path), "--no-verify"])
         assert exc.value.code == 2
 
-    def test_fallback_above_guard_exit_two(self, tmp_path, capsys, monkeypatch):
-        # certify does not enumerate above n = 20, so the fallback does and
-        # hits the dimension guard.
+    def test_fallback_above_guard_uses_branch_and_bound(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # certify does not enumerate above n = 20, so the answer comes from
+        # branch-and-bound: the path on 21 vertices has a maximum
+        # independent set of 11.
         uncertified = SimpleNamespace(
             certified=False, brute_force_verified=None, brute_force_optima=None
         )
         monkeypatch.setattr(cli, "certify", lambda *args, **kwargs: uncertified)
         path = tmp_path / "p21.txt"
         path.write_text("p 21\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 21)))
-        assert main(["mis", "--graph", str(path)]) == 2
-        assert "guard" in capsys.readouterr().err
+        assert main(["mis", "--graph", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["source"] == "branch_and_bound"
+        assert doc["independent_set"] == list(range(1, 22, 2))

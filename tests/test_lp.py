@@ -1,16 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wlpcert import (
     LinearProgram,
     Status,
+    Weights,
+    eta_j,
+    goodness,
     optimal_face_range,
+    random_instance,
     solve,
     solve_weighted_lp,
+    to_standard_form,
     weighted_lp,
 )
 
-from _oracles import enumerate_lp_minimum
+from wlpcert.lp import INF
+
+from _oracles import enumerate_lp_minimum, reference_solve
+from conftest import cycle_instance
 
 
 def random_lp(seed):
@@ -101,14 +111,15 @@ class TestOptimalFace:
     def test_unique_vertex_has_zero_width(self, sf1, ones3):
         lp = weighted_lp(sf1, ones3)
         sol = solve(lp)
-        for var in range(3):
-            lo, hi = optimal_face_range(lp, sol.value, var)
+        ranges = optimal_face_range(lp, sol.value, range(3))
+        assert len(ranges) == 3
+        for lo, hi in ranges:
             assert hi - lo <= 1e-7
 
     def test_example2_x1_has_positive_width(self, sf2, ones3):
         lp = weighted_lp(sf2, ones3)
         sol = solve(lp)
-        lo, hi = optimal_face_range(lp, sol.value, 0)
+        [(lo, hi)] = optimal_face_range(lp, sol.value, [0])
         assert hi - lo > 1e-6
         # optimal face is x1 + x2 = 1.5, x3 = 0 with x2 in [0.5, 1]
         assert lo == pytest.approx(0.5, abs=1e-8)
@@ -122,7 +133,95 @@ class TestOptimalFace:
             upper=np.array([1.0, 1.0]),
         )
         sol = solve(lp)
-        for var in range(2):
-            lo, hi = optimal_face_range(lp, sol.value, var)
+        for lo, hi in optimal_face_range(lp, sol.value, range(2)):
             assert lo == pytest.approx(0.0, abs=1e-9)
             assert hi == pytest.approx(1.0, abs=1e-9)
+
+
+def _fingerprint(sol):
+    x = None if sol.x is None else (sol.x + 0.0).tobytes()
+    return (
+        sol.status, sol.iterations, sol.basis, repr(sol.value), x, repr(sol.residual)
+    )
+
+
+@pytest.fixture
+def certificate_lps(ex1, ex2, ex3, monkeypatch):
+    """The weighted LP and every eta_j LP at beta = 1/2 of examples 1-3
+    and the 9-cycle, at unit weights."""
+    lps = []
+
+    def record(lp):
+        lps.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(goodness, "solve", record)
+    for inst in (ex1, ex2, ex3, cycle_instance(9)):
+        sf = to_standard_form(inst)
+        c = Weights(np.ones(inst.n))
+        lps.append(weighted_lp(sf, c))
+        for j in range(inst.n):
+            eta_j(sf, c, 0.5, j)
+    return lps
+
+
+class TestPivotIdentity:
+    """The vectorised simplex takes exactly the reference row loop's pivots."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_lp(self, seed):
+        lp = random_lp(seed)
+        assert _fingerprint(solve(lp)) == _fingerprint(reference_solve(lp))
+
+    def test_certificate_lps(self, certificate_lps):
+        assert len(certificate_lps) == 4 + 3 + 3 + 3 + 9
+        for lp in certificate_lps:
+            assert _fingerprint(solve(lp)) == _fingerprint(reference_solve(lp))
+
+    @pytest.mark.parametrize("max_iters", range(1, 6))
+    def test_iteration_budgets(self, max_iters, certificate_lps):
+        for lp in certificate_lps + [random_lp(seed) for seed in range(40)]:
+            assert _fingerprint(solve(lp, max_iters)) == _fingerprint(
+                reference_solve(lp, max_iters)
+            )
+
+
+class TestFaceRangeMatchesProbes:
+    """Each face range equals the two standalone solves it stands for."""
+
+    def check(self, lp):
+        sol = solve(lp)
+        pinned = replace(
+            lp,
+            eq_matrix=np.vstack([lp.eq_matrix, lp.objective[None, :]]),
+            eq_rhs=np.concatenate([lp.eq_rhs, [sol.value]]),
+        )
+        ranges = optimal_face_range(lp, sol.value, range(lp.nvars))
+        assert len(ranges) == lp.nvars
+        for var, (lo, hi) in enumerate(ranges):
+            e = np.zeros(lp.nvars)
+            e[var] = 1.0
+            lo_sol = solve(replace(pinned, objective=e))
+            hi_sol = solve(replace(pinned, objective=-e))
+            expected_lo = -INF if lo_sol.status is Status.UNBOUNDED else lo_sol.value
+            expected_hi = INF if hi_sol.status is Status.UNBOUNDED else -hi_sol.value
+            assert repr((lo, hi)) == repr((expected_lo, expected_hi))
+
+    def test_examples_and_cycle(self, ex1, ex2, ex3):
+        for inst in (ex1, ex2, ex3, cycle_instance(9)):
+            self.check(weighted_lp(to_standard_form(inst), Weights(np.ones(inst.n))))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_instances(self, seed):
+        inst = random_instance(4, 6, seed)
+        self.check(weighted_lp(to_standard_form(inst), Weights(np.ones(inst.n))))
+
+    def test_unbounded_direction(self):
+        # x0 - x1 = 0 with a zero objective: both variables are free upward.
+        lp = LinearProgram(
+            objective=np.zeros(2),
+            eq_matrix=np.array([[1.0, -1.0]]),
+            eq_rhs=np.array([0.0]),
+        )
+        self.check(lp)
+        assert optimal_face_range(lp, 0.0, range(2)) == [(0.0, INF), (0.0, INF)]
