@@ -31,7 +31,6 @@ from .goodness import (
     eta_1K,
     eta_j,
     gamma_hat_closed_form,
-    gamma_hat_exact,
     s_star,
     sufficient_verdict,
 )

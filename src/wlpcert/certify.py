@@ -3,7 +3,8 @@
 Solves the weighted relaxation, classifies the optimal face, reweights
 the objective when the optimum is not unique, certifies exactness via
 the s * eta1 threshold test, recovers the binary optimum by ceiling,
-and optionally cross-checks against exhaustive enumeration.
+and optionally checks a certified recovery against the 0-1 optimum
+found by LP branch-and-bound.
 """
 
 from __future__ import annotations
@@ -52,14 +53,12 @@ class CaseKind(Enum):
 class CertifyConfig:
     beta_override: float | None = None
     max_weight_iterations: int = 10
-    unique_tol: float = UNIQUE_TOL
-    brute_force_verify: bool = True  # applies only when n <= 20
+    # Check a certified recovery with branch_and_bound_ip.
+    brute_force_verify: bool = True
 
     def __post_init__(self):
         if self.max_weight_iterations < 1:
             raise ValueError("max_weight_iterations must be >= 1")
-        if self.unique_tol < 0:
-            raise ValueError("unique_tol must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +72,16 @@ class Certificate:
     brute_force_verified: bool | None
     discrepancies: tuple
     brute_force_value: float | None = None
-    brute_force_optima: frozenset | None = None
+    # The check's 0-1 optimum; None when no check ran.
+    brute_force_optimum: tuple | None = None
 
     @property
     def final_case(self):
-        return self.iterations[-1][2] if self.iterations else None
+        return self.iterations[-1][2]
 
     @property
     def final_report(self):
-        return self.iterations[-1][1] if self.iterations else None
+        return self.iterations[-1][1]
 
 
 def weighted_lp(sf: StandardForm, c: Weights) -> LinearProgram:
@@ -102,12 +102,7 @@ def solve_weighted_lp(sf: StandardForm, c: Weights) -> LpSolution:
     return solve(weighted_lp(sf, c))
 
 
-def classify_case(
-    sf: StandardForm,
-    c: Weights,
-    sol: LpSolution,
-    unique_tol: float = UNIQUE_TOL,
-) -> CaseKind:
+def classify_case(sf: StandardForm, c: Weights, sol: LpSolution) -> CaseKind:
     """Uniqueness and support-structure classification of the optimal face.
 
     Only the x-part is probed: y is determined by x through the
@@ -126,41 +121,34 @@ def classify_case(
             hi_support.add(j)
         if lo > ZERO_TOL:
             lo_support.add(j)
-    if width <= unique_tol:
+    if width <= UNIQUE_TOL:
         return CaseKind.UNIQUE_OPTIMUM
     if hi_support == lo_support:
         return CaseKind.MULTIPLE_SAME_SPARSITY
     return CaseKind.MULTIPLE_DIFFERENT_SPARSITY
 
 
-def adjust_weights(x_star, beta_bar_value: float) -> Weights:
+def adjust_weights(x_star) -> Weights:
     """Reweight so larger relaxation components get smaller weights.
 
-    The largest component receives c_lo = min(beta_bar, 1), the smallest
-    c_hi = min(1.25 * beta_bar, 1); c_lo is bumped down 10% if clamping
-    collapsed the interval. Intermediate components are evenly spaced by
-    rank. Ties break toward the lowest index. The weights are then divided
-    by their maximum: the certificate does not depend on the scale of c,
-    and max c = 1 keeps every pass clear of the absolute LP tolerances.
+    Weights are evenly spaced by rank, from 0.8 for the largest component
+    to 1.0 for the smallest; ties break toward the lowest index. The
+    certificate does not depend on the scale of c, and max c = 1 keeps
+    every pass clear of the absolute LP tolerances.
     """
     x = np.asarray(x_star, dtype=float).reshape(-1)
     n = x.size
-    c_lo = min(beta_bar_value, 1.0)
-    c_hi = min(1.25 * beta_bar_value, 1.0)
-    if c_hi <= c_lo + 1e-12:
-        c_lo = 0.9 * c_lo
     order = sorted(range(n), key=lambda i: (-x[i], i))
     weights = np.empty(n)
     for rank, idx in enumerate(order):
-        t = rank / (n - 1) if n > 1 else 0.0
-        weights[idx] = c_lo + t * (c_hi - c_lo)
-    weights = np.clip(weights, 1e-12, 1.0)
+        weights[idx] = 1.0 + 0.25 * (rank / (n - 1) if n > 1 else 0.0)
     return Weights(c=weights / weights.max())
 
 
 def brute_force_ip(inst: ZeroOneInstance) -> tuple:
     """Exhaustive 0-1 minimum; (value, set-of-optima), (+inf, empty set)
-    when infeasible. Guarded at n <= 20.
+    when infeasible. Guarded at n <= 20. The reference for
+    branch_and_bound_ip, which certify uses.
 
     Code k encodes x_i = bit i of k. The 2^n codes are walked in blocks
     of BRUTE_FORCE_BLOCK, so memory is bounded by the block, not by 2^n.
@@ -274,6 +262,8 @@ def certify(
     unique, its support count is within the budget s_star, and
     s_star * eta1 clears the threshold strictly. Otherwise the weights
     are adjusted and the loop retries, up to max_weight_iterations.
+    With brute_force_verify, a certified recovery is then checked
+    against branch_and_bound_ip, and a refuted one is not certified.
     """
     sf = to_standard_form(inst)
     n = inst.n
@@ -308,12 +298,12 @@ def certify(
             break
         x_part = sol.x[: n]
         s_obs = int(np.count_nonzero(x_part > ZERO_TOL))
-        case = classify_case(sf, c, sol, unique_tol=config.unique_tol)
+        case = classify_case(sf, c, sol)
         iterations.append((c, report, case))
         if ok and case is CaseKind.UNIQUE_OPTIMUM and s_obs <= report.s_star:
             certified = True
             break
-        c = adjust_weights(x_part, bb)
+        c = adjust_weights(x_part)
     else:
         discrepancies.append("weight-adjustment iteration budget exhausted")
 
@@ -330,25 +320,21 @@ def certify(
 
     bf_verified = None
     bf_value = None
-    optima = None
-    if config.brute_force_verify and recovered is not None:
-        if n <= BRUTE_FORCE_GUARD:
-            bf_value, optima = brute_force_ip(inst)
-        elif certified:
-            bf_value, _ = branch_and_bound_ip(inst)
-        if certified:
-            bf_verified = int(recovered.sum()) == bf_value and bool(
-                np.all(inst.A @ recovered >= inst.b - ZERO_TOL)
+    optimum = None
+    if config.brute_force_verify and certified:
+        bf_value, optimum = branch_and_bound_ip(inst)
+        bf_verified = int(recovered.sum()) == bf_value and bool(
+            np.all(inst.A @ recovered >= inst.b - ZERO_TOL)
+        )
+        if not bf_verified:
+            certified = False
+            discrepancies.append(
+                f"certificate refuted: the recovery has {int(recovered.sum())} "
+                f"ones, the 0-1 optimum is {bf_value}"
             )
-            if not bf_verified:
-                certified = False
-                discrepancies.append(
-                    f"certificate refuted: the recovery has {int(recovered.sum())} "
-                    f"ones, the 0-1 optimum is {bf_value}"
-                )
 
     return Certificate(
-        final_weights=iterations[-1][0] if iterations else c,
+        final_weights=iterations[-1][0],
         iterations=tuple(iterations),
         lp_solution=sol,
         s_observed=s_observed,
@@ -357,5 +343,5 @@ def certify(
         brute_force_verified=bf_verified,
         discrepancies=tuple(discrepancies),
         brute_force_value=bf_value,
-        brute_force_optima=optima,
+        brute_force_optimum=optimum,
     )

@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: certify, eta, gamma-hat, brute-force, gen, mis. Every
+Subcommands: certify, eta, brute-force, gen, mis. Every
 command prints a human-readable summary and, with --json, a machine-
 readable report document. Exit codes: 0 success (certify: certified and
 verified), 1 not certified, 2 input error, 3 internal LP failure.
@@ -22,12 +22,7 @@ from .certify import (
     brute_force_ip,
     certify,
 )
-from .goodness import (
-    beta_bar,
-    gamma_hat_closed_form,
-    gamma_hat_exact,
-    sufficient_verdict,
-)
+from .goodness import beta_bar, sufficient_verdict
 from .instance import (
     InstanceError,
     ParseError,
@@ -41,7 +36,7 @@ from .instance import (
     random_instance,
     to_standard_form,
 )
-from .lp import UNIQUE_TOL, LpError
+from .lp import LpError
 
 SCHEMA_VERSION = "1"
 
@@ -98,16 +93,14 @@ def _report_doc(inst, cert, timings) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": _instance_doc(inst),
-        "beta_bar": _sig(report.beta_bar) if report else None,
-        "beta_used": _sig(report.beta_used) if report else None,
-        "eta_per_column": [_sig(v) for v in report.eta_per_column]
-        if report
-        else [],
-        "eta1": _sig(report.eta1) if report else None,
-        "s_star": report.s_star if report else None,
-        "eta_s_bound": _sig(report.eta_s_bound) if report else None,
-        "gamma_hat": _sig(report.gamma_hat) if report else None,
-        "threshold": _sig(report.threshold) if report else None,
+        "beta_bar": _sig(report.beta_bar),
+        "beta_used": _sig(report.beta_used),
+        "eta_per_column": [_sig(v) for v in report.eta_per_column],
+        "eta1": _sig(report.eta1),
+        "s_star": report.s_star,
+        "eta_s_bound": _sig(report.eta_s_bound),
+        "gamma_hat": _sig(report.gamma_hat),
+        "threshold": _sig(report.threshold),
         "certified": cert.certified,
         "case": cert.final_case.value if cert.final_case else None,
         "weights": [_sig(float(v)) for v in cert.final_weights.c],
@@ -127,9 +120,6 @@ def _report_doc(inst, cert, timings) -> dict:
                 if cert.brute_force_value is not None
                 else None
             ),
-            "optima_count": len(cert.brute_force_optima)
-            if cert.brute_force_optima is not None
-            else None,
             "verified": cert.brute_force_verified,
         },
         "iterations": [
@@ -151,11 +141,9 @@ def _report_doc(inst, cert, timings) -> dict:
 
 
 def _config_from(args) -> CertifyConfig:
-    tol = getattr(args, "tol", None)
     return CertifyConfig(
         beta_override=args.beta,
         max_weight_iterations=args.max_iters,
-        unique_tol=UNIQUE_TOL if tol is None else tol,
         brute_force_verify=not getattr(args, "no_verify", False),
     )
 
@@ -194,6 +182,7 @@ def cmd_eta(args) -> int:
     timings = {"eta": (time.perf_counter() - t0) * 1000.0}
     etas = [_sig(v) for v in report.eta_per_column]
     eta1 = _sig(report.eta1)
+    gamma_hat = _sig(report.gamma_hat)
     threshold = _sig(report.threshold)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -203,6 +192,7 @@ def cmd_eta(args) -> int:
         "eta_per_column": etas,
         "eta1": eta1,
         "s_star": report.s_star,
+        "gamma_hat": gamma_hat,
         "threshold": threshold,
         "timings_ms": {k: _sig(v) for k, v in timings.items()},
     }
@@ -210,39 +200,9 @@ def cmd_eta(args) -> int:
         f"beta_bar: {_sig(bb)}  beta_used: {_sig(beta)}",
         f"eta_per_column: {etas}",
         f"eta1: {eta1}  s_star: {report.s_star}  threshold: {threshold}",
+        f"gamma_hat: {gamma_hat}",
     ]
     _emit(doc, args.json, lines)
-    return 0
-
-
-def cmd_gamma_hat(args) -> int:
-    inst, weights = _load_instance(args)
-    sf = to_standard_form(inst)
-    c = weights if weights is not None else Weights(c=np.ones(inst.n))
-    beta = args.beta if args.beta is not None else beta_bar(sf, c)
-    s = args.s if args.s is not None else 1
-    t0 = time.perf_counter()
-    exact = gamma_hat_exact(sf, c, beta, s)
-    closed = gamma_hat_closed_form(sf, c, beta)
-    timings = {"gamma_hat": (time.perf_counter() - t0) * 1000.0}
-    if s >= 1 and abs(exact - closed) > 1e-8:
-        raise SystemExit2(
-            f"gamma-hat disagreement: exact {exact!r} vs closed form {closed!r}"
-        )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "instance": _instance_doc(inst),
-        "beta_used": _sig(beta),
-        "s": s,
-        "gamma_hat_exact": _sig(exact),
-        "gamma_hat_closed_form": _sig(closed),
-        "timings_ms": {k: _sig(v) for k, v in timings.items()},
-    }
-    _emit(
-        doc,
-        args.json,
-        [f"gamma_hat: exact={_sig(exact)} closed_form={_sig(closed)}"],
-    )
     return 0
 
 
@@ -287,13 +247,13 @@ def cmd_mis(args) -> int:
     cert = certify(inst, _config_from(args))
     if cert.certified:
         x_tilde, source = cert.recovered, "certificate"
-    elif cert.brute_force_optima is not None:
-        # Certification is sufficient-only; the answer then comes from the
-        # optima certify enumerated (n <= 20), else from branch-and-bound.
-        x_tilde, source = sorted(cert.brute_force_optima)[0], "brute_force"
     else:
-        # The all-ones cover is always feasible, so an optimum exists.
-        _, x_tilde = branch_and_bound_ip(inst)
+        # Certification is sufficient-only; the answer then comes from
+        # branch-and-bound, run by certify's check when it refuted the
+        # certificate. The all-ones cover is feasible, so an optimum exists.
+        x_tilde = cert.brute_force_optimum
+        if x_tilde is None:
+            _, x_tilde = branch_and_bound_ip(inst)
         source = "branch_and_bound"
     timings = {"mis": (time.perf_counter() - t0) * 1000.0}
     indicator = mis_recover(x_tilde, ctx)
@@ -340,18 +300,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the full adjust-and-certify loop")
     common(p)
     p.add_argument("--max-iters", type=int, default=10)
-    p.add_argument("--tol", type=float, default=None, help="uniqueness tolerance")
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("eta", help="per-column residual bounds and s_star")
     common(p)
     p.set_defaults(func=cmd_eta)
-
-    p = sub.add_parser("gamma-hat", help="exact and closed-form gamma-hat")
-    common(p)
-    p.add_argument("--s", type=int, default=None)
-    p.set_defaults(func=cmd_gamma_hat)
 
     p = sub.add_parser("brute-force", help="exhaustive 0-1 optimum")
     common(p, weighted=False)

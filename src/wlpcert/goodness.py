@@ -2,15 +2,14 @@
 
 Computes the dual-radius default beta_bar, the n per-column residual
 bounds eta^j and their maximum eta1, the sparsity budget s_star, the
-relaxed goodness constant gamma_hat (exact subset enumeration and its
-closed form), and the sufficiency verdict s * eta1 < (1/2) min_i c_i.
+relaxed goodness constant gamma_hat (in closed form), and the
+sufficiency verdict s * eta1 < (1/2) min_i c_i.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .lp import INF, LinearProgram, LpError, Status, solve
 
 # Strict-inequality guard band for threshold comparisons.
 STRICT_GUARD = 1e-10
-ENUM_GUARD = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,62 +104,6 @@ def _s_star_from(eta1: float, min_c: float, n: int) -> int:
     if eta1 <= ZERO_TOL:
         return n
     return max(0, min(n, int(math.floor(threshold / eta1 + ZERO_TOL))))
-
-
-def _inner_gamma_lp(sf: StandardForm, c: Weights, beta: float, support) -> float:
-    """max sum_{i in support} c_i x_i - beta ||A1 x||_1 over the unit
-    simplex, via the epigraph form of the 1-norm term."""
-    n = sf.n
-    rows = sf.A1.shape[0]
-    sel = np.zeros(n)
-    sel[list(support)] = 1.0
-    if math.isinf(beta):
-        # Penalty becomes the hard constraint A1 x = 0.
-        obj = np.concatenate([-(sel * c.c)])
-        lp = LinearProgram(
-            objective=obj,
-            eq_matrix=sf.A1,
-            eq_rhs=np.zeros(rows),
-            ineq_matrix=np.ones((1, n)),
-            ineq_rhs=np.array([1.0]),
-        )
-    else:
-        # Variables (x, r) with r >= |A1 x| coordinatewise.
-        obj = np.concatenate([-(sel * c.c), beta * np.ones(rows)])
-        ineq = np.vstack(
-            [
-                np.hstack([sf.A1, -np.eye(rows)]),
-                np.hstack([-sf.A1, -np.eye(rows)]),
-                np.concatenate([np.ones(n), np.zeros(rows)])[None, :],
-            ]
-        )
-        rhs = np.concatenate([np.zeros(2 * rows), [1.0]])
-        lp = LinearProgram(objective=obj, ineq_matrix=ineq, ineq_rhs=rhs)
-    sol = solve(lp)
-    if sol.status is not Status.OPTIMAL:
-        raise LpError(f"inner subproblem ended with status {sol.status.value}")
-    return -float(sol.value)
-
-
-def gamma_hat_exact(sf: StandardForm, c: Weights, beta: float, s: int) -> float:
-    """Relaxed goodness constant by enumerating binary support patterns.
-
-    Over the box-capped simplex of support selectors the objective is
-    linear with nonnegative coefficients, so binary selectors with
-    exactly min(s, n) ones attain the maximum.
-    """
-    n = sf.n
-    if not 0 <= s <= n:
-        raise ValueError("s out of range")
-    if s == 0:
-        return 0.0
-    k = min(s, n)
-    if math.comb(n, k) > ENUM_GUARD:
-        raise ValueError("support enumeration guard exceeded")
-    best = 0.0
-    for support in combinations(range(n), k):
-        best = max(best, _inner_gamma_lp(sf, c, beta, support))
-    return best
 
 
 def gamma_hat_closed_form(sf: StandardForm, c: Weights, beta: float) -> float:

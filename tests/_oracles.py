@@ -5,24 +5,32 @@ LP minima come from enumerating candidate vertices as solutions of n
 active constraints chosen from the stacked constraint rows.
 `reference_solve` is the row-by-row two-phase simplex that the
 vectorised `wlpcert.lp.solve` must reproduce pivot for pivot.
+`gamma_hat_exact` re-derives `wlpcert.gamma_hat_closed_form` by one
+simplex LP per support pattern.
 """
 
+import math
 from itertools import combinations, islice
 
 import numpy as np
 
+from wlpcert.instance import StandardForm, Weights
 from wlpcert.lp import (
     COST_TOL,
     INF,
     PHASE1_TOL,
     PIVOT_TOL,
+    LinearProgram,
+    LpError,
     LpSolution,
     Status,
     _residual,
     _standardize,
+    solve,
 )
 
 TOL = 1e-9
+ENUM_GUARD = 10**6
 # Candidate vertices solved per np.linalg.solve call.
 CHUNK = 4096
 
@@ -221,3 +229,59 @@ def reference_solve(lp, max_iters=None):
         _residual(lp, x),
         iters,
     )
+
+
+def _inner_gamma_lp(sf: StandardForm, c: Weights, beta: float, support) -> float:
+    """max sum_{i in support} c_i x_i - beta ||A1 x||_1 over the unit
+    simplex, via the epigraph form of the 1-norm term."""
+    n = sf.n
+    rows = sf.A1.shape[0]
+    sel = np.zeros(n)
+    sel[list(support)] = 1.0
+    if math.isinf(beta):
+        # Penalty becomes the hard constraint A1 x = 0.
+        obj = np.concatenate([-(sel * c.c)])
+        lp = LinearProgram(
+            objective=obj,
+            eq_matrix=sf.A1,
+            eq_rhs=np.zeros(rows),
+            ineq_matrix=np.ones((1, n)),
+            ineq_rhs=np.array([1.0]),
+        )
+    else:
+        # Variables (x, r) with r >= |A1 x| coordinatewise.
+        obj = np.concatenate([-(sel * c.c), beta * np.ones(rows)])
+        ineq = np.vstack(
+            [
+                np.hstack([sf.A1, -np.eye(rows)]),
+                np.hstack([-sf.A1, -np.eye(rows)]),
+                np.concatenate([np.ones(n), np.zeros(rows)])[None, :],
+            ]
+        )
+        rhs = np.concatenate([np.zeros(2 * rows), [1.0]])
+        lp = LinearProgram(objective=obj, ineq_matrix=ineq, ineq_rhs=rhs)
+    sol = solve(lp)
+    if sol.status is not Status.OPTIMAL:
+        raise LpError(f"inner subproblem ended with status {sol.status.value}")
+    return -float(sol.value)
+
+
+def gamma_hat_exact(sf: StandardForm, c: Weights, beta: float, s: int) -> float:
+    """Relaxed goodness constant by enumerating binary support patterns.
+
+    Over the box-capped simplex of support selectors the objective is
+    linear with nonnegative coefficients, so binary selectors with
+    exactly min(s, n) ones attain the maximum.
+    """
+    n = sf.n
+    if not 0 <= s <= n:
+        raise ValueError("s out of range")
+    if s == 0:
+        return 0.0
+    k = min(s, n)
+    if math.comb(n, k) > ENUM_GUARD:
+        raise ValueError("support enumeration guard exceeded")
+    best = 0.0
+    for support in combinations(range(n), k):
+        best = max(best, _inner_gamma_lp(sf, c, beta, support))
+    return best

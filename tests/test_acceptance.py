@@ -22,7 +22,6 @@ from wlpcert import (
     eta_1K,
     from_independent_set,
     gamma_hat_closed_form,
-    gamma_hat_exact,
     mis_recover,
     random_instance,
     s_star,
@@ -33,7 +32,11 @@ from wlpcert import (
     verify_certificate,
 )
 
-from _oracles import enumerate_binary_minimum, enumerate_lp_minimum
+from _oracles import (
+    enumerate_binary_minimum,
+    enumerate_lp_minimum,
+    gamma_hat_exact,
+)
 
 
 class TestAcceptance:

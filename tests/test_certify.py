@@ -72,22 +72,19 @@ class TestClassifyCase:
 
 class TestAdjustWeights:
     def test_even_spacing(self):
-        # [0.5, 0.5625, 0.625] divided by its maximum
-        w = adjust_weights(np.array([1.0, 0.5, 0.0]), 0.5)
+        w = adjust_weights(np.array([1.0, 0.5, 0.0]))
         np.testing.assert_allclose(w.c, [0.8, 0.9, 1.0])
 
     def test_largest_component_gets_smallest_weight(self):
-        w = adjust_weights(np.array([1.0, 0.5, 0.0]), 0.5)
+        w = adjust_weights(np.array([1.0, 0.5, 0.0]))
         assert w.c[0] < w.c[1] < w.c[2]
 
     def test_all_equal_components_tie_break_by_index(self):
-        w = adjust_weights(np.array([0.5, 0.5, 0.5]), 0.5)
+        w = adjust_weights(np.array([0.5, 0.5, 0.5]))
         np.testing.assert_allclose(w.c, [0.8, 0.9, 1.0])
 
-    def test_clamped_interval_bumps_lower(self):
-        w = adjust_weights(np.array([1.0, 0.0]), 1.2)
-        assert w.c[0] == pytest.approx(0.9)
-        assert w.c[1] == pytest.approx(1.0)
+    def test_single_component(self):
+        np.testing.assert_array_equal(adjust_weights(np.array([0.3])).c, [1.0])
 
 
 class TestBruteForce:
@@ -211,6 +208,18 @@ class TestCertify:
         assert not cert.certified
         assert any("budget" in note for note in cert.discrepancies)
 
+    def test_uncertified_run_runs_no_exact_check(self, ex3, monkeypatch):
+        def no_exact_check(inst):
+            raise AssertionError("exact check ran on an uncertified run")
+
+        module = importlib.import_module("wlpcert.certify")
+        monkeypatch.setattr(module, "brute_force_ip", no_exact_check)
+        monkeypatch.setattr(module, "branch_and_bound_ip", no_exact_check)
+        cert = certify(ex3, CertifyConfig(max_weight_iterations=1))
+        assert not cert.certified
+        assert cert.brute_force_value is None
+        assert cert.brute_force_optimum is None
+
     def test_recovered_counts_lp_support(self, ex1):
         cert = certify(ex1, CertifyConfig(beta_override=0.5625))
         x = cert.lp_solution.x[:3]
@@ -267,21 +276,40 @@ class TestRefutedCertificate:
 
     @pytest.mark.parametrize("n, cover", [(9, 5), (15, 8), (21, 11)])
     def test_odd_cycles(self, n, cover):
-        # The all-1/2 optimum passes the eta test and rounds up to all ones;
-        # C21 is checked by branch-and-bound, the others by enumeration.
-        cert = certify(cycle_instance(n))
+        # The all-1/2 optimum passes the eta test and rounds up to all ones.
+        inst = cycle_instance(n)
+        cert = certify(inst)
         assert not cert.certified
         assert cert.brute_force_verified is False
         assert cert.brute_force_value == cover
-        assert (cert.brute_force_optima is None) == (n > 20)
+        x = np.array(cert.brute_force_optimum)
+        assert x.sum() == cover and np.all(inst.A @ x >= inst.b)
+
+
+def _seeded_instance(seed):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+    return random_instance(m, n, seed=5000 + seed)
+
+
+# Seeded instances with n <= 16, then random covers with n = 17..20 and
+# G(20, p) graphs, the largest inputs enumeration can check.
+BRANCH_CASES = (
+    [pytest.param(_seeded_instance(seed), id=str(seed)) for seed in range(30)]
+    + [
+        pytest.param(random_instance(12, n, seed=6000 + n), id=f"n{n}")
+        for n in range(17, 21)
+    ]
+    + [
+        pytest.param(random_graph_instance(20, 1, density=p), id=f"G(20, {p})")
+        for p in (0.1, 0.3, 0.5)
+    ]
+)
 
 
 class TestBranchAndBound:
-    @pytest.mark.parametrize("seed", range(30))
-    def test_matches_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 17))
-        inst = random_instance(m, n, seed=5000 + seed)
+    @pytest.mark.parametrize("inst", BRANCH_CASES)
+    def test_matches_brute_force(self, inst):
         value, point = branch_and_bound_ip(inst)
         bf_value, optima = brute_force_ip(inst)
         assert value == bf_value

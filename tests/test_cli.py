@@ -1,11 +1,20 @@
+import importlib
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from wlpcert import LpError, cli, format_instance, random_instance
+from wlpcert import (
+    LpError,
+    branch_and_bound_ip,
+    cli,
+    format_instance,
+    random_instance,
+)
 from wlpcert.cli import main
+
+CERTIFY_MODULE = importlib.import_module("wlpcert.certify")
 
 from conftest import EX1_TEXT, REFUTED_INSTANCES
 
@@ -86,16 +95,10 @@ class TestCertifyCommand:
         assert code == 2
         assert "line" in capsys.readouterr().err
 
-    def test_tol_zero_is_kept(self, ex1_file):
-        args = cli._build_parser().parse_args(
-            ["certify", "--input", ex1_file, "--tol", "0"]
-        )
-        assert cli._config_from(args).unique_tol == 0.0
-
-    def test_negative_tol_exit_two(self, ex1_file, capsys):
-        code = main(["certify", "--input", ex1_file, "--tol", "-1"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+    def test_tol_rejected(self, ex1_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--input", ex1_file, "--tol", "0"])
+        assert exc.value.code == 2
 
     def test_lp_failure_exit_three(self, ex1_file, capsys, monkeypatch):
         def failing_certify(*args, **kwargs):
@@ -150,7 +153,6 @@ class TestCertifyCommand:
         assert doc["eta1"] == pytest.approx(0.21875, abs=1e-9)
         np.testing.assert_allclose(doc["lp"]["x"], [0, 0.5, 0.5], atol=1e-8)
         assert doc["brute_force"]["value"] == 2
-        assert doc["brute_force"]["optima_count"] == 3
         assert doc["brute_force"]["verified"] is True
 
     @pytest.mark.parametrize("shape", REFUTED_INSTANCES)
@@ -186,18 +188,21 @@ class TestEtaCommand:
         assert doc["beta_used"] == doc["beta_bar"] == pytest.approx(0.5)
         assert doc["eta1"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_gamma_hat(self, ex1_file, capsys):
+        # max(0, max_j c_j - beta ||A1 e_j||_1) = max(0, 1 - 0.25 * 3)
+        main(["eta", "--input", ex1_file, "--beta", "0.25", "--json"])
+        assert json.loads(capsys.readouterr().out)["gamma_hat"] == pytest.approx(
+            0.25
+        )
+        main(["eta", "--input", ex1_file, "--beta", "0.25"])
+        assert "gamma_hat: 0.25" in capsys.readouterr().out
+
 
 class TestGammaHatCommand:
-    def test_exact_matches_closed_form(self, ex1_file, capsys):
-        code = main(
-            ["gamma-hat", "--input", ex1_file, "--s", "2", "--json"]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["gamma_hat_exact"] == pytest.approx(
-            doc["gamma_hat_closed_form"], abs=1e-8
-        )
-        assert doc["s"] == 2
+    def test_command_removed(self, ex1_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma-hat", "--input", ex1_file])
+        assert exc.value.code == 2
 
 
 class TestBruteForceCommand:
@@ -250,23 +255,33 @@ class TestMisCommand:
         assert doc["independent_set"] == [1, 3]
 
     def test_triangle(self, tmp_path, capsys, monkeypatch):
-        # K3 is not certified; the answer comes from the optima that
-        # certify already enumerated, without a second enumeration.
-        def no_second_enumeration(inst):
-            raise AssertionError("brute_force_ip called again")
+        # K3 is not certified; the answer comes from branch-and-bound,
+        # never from enumeration.
+        def no_enumeration(inst):
+            raise AssertionError("brute_force_ip called")
 
-        monkeypatch.setattr(cli, "brute_force_ip", no_second_enumeration)
+        monkeypatch.setattr(cli, "brute_force_ip", no_enumeration)
+        monkeypatch.setattr(CERTIFY_MODULE, "brute_force_ip", no_enumeration)
         path = tmp_path / "k3.txt"
         path.write_text(K3_GRAPH)
         code = main(["mis", "--graph", str(path), "--json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["size"] == 1
-        assert doc["source"] == "brute_force"
+        assert doc["source"] == "branch_and_bound"
 
-    def test_odd_cycle_above_guard(self, tmp_path, capsys):
-        # C21's certificate is refuted by branch-and-bound, which then
-        # gives the answer: a maximum independent set of 10.
+    def test_odd_cycle_above_guard(self, tmp_path, capsys, monkeypatch):
+        # C21's certificate is refuted by branch-and-bound, whose optimum
+        # then gives the answer, a maximum independent set of 10, without
+        # a second search.
+        calls = []
+
+        def counted(inst):
+            calls.append(inst.n)
+            return branch_and_bound_ip(inst)
+
+        monkeypatch.setattr(cli, "branch_and_bound_ip", counted)
+        monkeypatch.setattr(CERTIFY_MODULE, "branch_and_bound_ip", counted)
         path = tmp_path / "c21.txt"
         edges = "".join(f"e {i} {i % 21 + 1}\n" for i in range(1, 22))
         path.write_text("p 21\n" + edges)
@@ -275,6 +290,7 @@ class TestMisCommand:
         assert doc["certified"] is False
         assert doc["source"] == "branch_and_bound"
         assert doc["size"] == 10
+        assert calls == [21]
 
     def test_missing_graph_exit_two(self, tmp_path):
         assert main(["mis", "--graph", str(tmp_path / "nope.txt")]) == 2
@@ -289,11 +305,11 @@ class TestMisCommand:
     def test_fallback_above_guard_uses_branch_and_bound(
         self, tmp_path, capsys, monkeypatch
     ):
-        # certify does not enumerate above n = 20, so the answer comes from
-        # branch-and-bound: the path on 21 vertices has a maximum
-        # independent set of 11.
+        # An uncertified run carries no check's optimum, so the answer
+        # comes from branch-and-bound: the path on 21 vertices has a
+        # maximum independent set of 11.
         uncertified = SimpleNamespace(
-            certified=False, brute_force_verified=None, brute_force_optima=None
+            certified=False, brute_force_verified=None, brute_force_optimum=None
         )
         monkeypatch.setattr(cli, "certify", lambda *args, **kwargs: uncertified)
         path = tmp_path / "p21.txt"

@@ -11,12 +11,13 @@ from wlpcert import (
     eta_j,
     from_independent_set,
     gamma_hat_closed_form,
-    gamma_hat_exact,
     random_instance,
     s_star,
     sufficient_verdict,
     to_standard_form,
 )
+
+from _oracles import gamma_hat_exact
 
 
 class TestBetaBar:
