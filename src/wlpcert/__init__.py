@@ -38,6 +38,8 @@ from .certify import (
     CaseKind,
     Certificate,
     CertifyConfig,
+    Pass,
+    PassReason,
     adjust_weights,
     branch_and_bound_ip,
     brute_force_ip,

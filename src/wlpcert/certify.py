@@ -1,8 +1,8 @@
 """Adjust-and-certify driver.
 
 Solves the weighted relaxation, classifies the optimal face, reweights
-the objective when the optimum is not unique, certifies exactness via
-the s * eta1 threshold test, recovers the binary optimum by ceiling,
+the objective when the optimum is not unique, certifies a unique optimum
+via the s * eta1 threshold test, recovers the binary optimum by ceiling,
 and optionally checks a certified recovery against the 0-1 optimum
 found by LP branch-and-bound.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .instance import (
     ceil_recover,
     to_standard_form,
 )
-from .goodness import beta_bar, sufficient_verdict
+from .goodness import GoodnessReport, beta_bar, sufficient_verdict
 from .lp import (
     UNIQUE_TOL,
     LinearProgram,
@@ -49,6 +50,26 @@ class CaseKind(Enum):
     MULTIPLE_DIFFERENT_SPARSITY = "multiple_different_sparsity"
 
 
+class PassReason(Enum):
+    """Why a pass of certify ended as it did."""
+
+    LP_STATUS = "lp_status"  # the weighted LP did not reach an optimum
+    NON_UNIQUE = "non_unique"
+    SUPPORT_GT_S_STAR = "support_gt_s_star"
+    BOUND_NOT_STRICT = "bound_not_strict"
+    CERTIFIED = "certified"
+    REFUTED = "refuted"  # the exact check refuted the pass's certificate
+
+
+class Pass(NamedTuple):
+    weights: Weights
+    # None when the verdict did not run (LP failure or a non-unique
+    # optimum); a stopped verdict lists only the columns it solved.
+    report: GoodnessReport | None
+    case: CaseKind | None
+    reason: PassReason
+
+
 @dataclass(frozen=True)
 class CertifyConfig:
     beta_override: float | None = None
@@ -64,7 +85,7 @@ class CertifyConfig:
 @dataclass(frozen=True, eq=False)
 class Certificate:
     final_weights: Weights
-    iterations: tuple  # (Weights, GoodnessReport, CaseKind) per pass
+    iterations: tuple  # one Pass per weight-adjustment pass
     lp_solution: LpSolution | None
     s_observed: int
     certified: bool
@@ -77,11 +98,11 @@ class Certificate:
 
     @property
     def final_case(self):
-        return self.iterations[-1][2]
+        return self.iterations[-1].case
 
     @property
     def final_report(self):
-        return self.iterations[-1][1]
+        return self.iterations[-1].report
 
 
 def weighted_lp(sf: StandardForm, c: Weights) -> LinearProgram:
@@ -257,11 +278,12 @@ def certify(
 ) -> Certificate:
     """Run the adjust-and-certify loop.
 
-    Each pass computes the threshold report at the current weights,
-    solves the weighted relaxation, and certifies when the optimum is
-    unique, its support count is within the budget s_star, and
-    s_star * eta1 clears the threshold strictly. Otherwise the weights
-    are adjusted and the loop retries, up to max_weight_iterations.
+    Each pass solves the weighted relaxation and classifies its optimal
+    face. Only a unique optimum reaches the verdict, which certifies when
+    the support count is within the budget s_star and s_star * eta1
+    clears the threshold strictly; it stops solving eta_j as soon as
+    s_star falls below the support count. Otherwise the weights are
+    adjusted and the loop retries, up to max_weight_iterations.
     With brute_force_verify, a certified recovery is then checked
     against branch_and_bound_ip, and a refuted one is not certified.
     """
@@ -274,34 +296,42 @@ def certify(
     sol = None
     x_part = np.zeros(n)
 
-    for it in range(config.max_weight_iterations):
+    if config.beta_override is not None:
         bb = beta_bar(sf, c)
-        beta_used = (
-            config.beta_override if config.beta_override is not None else bb
-        )
-        if (
-            config.beta_override is not None
-            and it == 0
-            and abs(config.beta_override - bb) > ZERO_TOL
-        ):
+        if abs(config.beta_override - bb) > ZERO_TOL:
             discrepancies.append(
                 f"beta override {config.beta_override:g} differs from "
                 f"column-norm default {bb:g}"
             )
-        ok, report = sufficient_verdict(sf, c, beta_used, beta_default=bb)
+    for _ in range(config.max_weight_iterations):
         sol = solve_weighted_lp(sf, c)
         if sol.status is not Status.OPTIMAL:
             discrepancies.append(
                 f"weighted relaxation ended with status {sol.status.value}"
             )
-            iterations.append((c, report, None))
+            iterations.append(Pass(c, None, None, PassReason.LP_STATUS))
             break
         x_part = sol.x[: n]
         s_obs = int(np.count_nonzero(x_part > ZERO_TOL))
         case = classify_case(sf, c, sol)
-        iterations.append((c, report, case))
-        if ok and case is CaseKind.UNIQUE_OPTIMUM and s_obs <= report.s_star:
-            certified = True
+        report = None
+        reason = PassReason.NON_UNIQUE
+        if case is CaseKind.UNIQUE_OPTIMUM:
+            bb = beta_bar(sf, c)
+            beta_used = (
+                config.beta_override if config.beta_override is not None else bb
+            )
+            certified, report = sufficient_verdict(
+                sf, c, beta_used, beta_default=bb, s_observed=s_obs
+            )
+            if certified:
+                reason = PassReason.CERTIFIED
+            elif report.s_star < s_obs:
+                reason = PassReason.SUPPORT_GT_S_STAR
+            else:
+                reason = PassReason.BOUND_NOT_STRICT
+        iterations.append(Pass(c, report, case, reason))
+        if certified:
             break
         c = adjust_weights(x_part)
     else:
@@ -328,13 +358,14 @@ def certify(
         )
         if not bf_verified:
             certified = False
+            iterations[-1] = iterations[-1]._replace(reason=PassReason.REFUTED)
             discrepancies.append(
                 f"certificate refuted: the recovery has {int(recovered.sum())} "
                 f"ones, the 0-1 optimum is {bf_value}"
             )
 
     return Certificate(
-        final_weights=iterations[-1][0],
+        final_weights=iterations[-1].weights,
         iterations=tuple(iterations),
         lp_solution=sol,
         s_observed=s_observed,

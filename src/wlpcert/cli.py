@@ -86,21 +86,36 @@ def _instance_doc(inst: ZeroOneInstance) -> dict:
     return {"m": inst.m, "n": inst.n, "digest": inst.digest()}
 
 
+def _verdict_doc(report, names) -> dict:
+    """The named fields of a pass's GoodnessReport; all None when the
+    pass ran no verdict."""
+    if report is None:
+        return dict.fromkeys(names)
+    doc = {name: _sig(getattr(report, name)) for name in names}
+    if "eta_per_column" in doc:
+        doc["eta_per_column"] = [_sig(v) for v in report.eta_per_column]
+    return doc
+
+
 def _report_doc(inst, cert, timings) -> dict:
-    report = cert.final_report
     sol = cert.lp_solution
     n = inst.n
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": _instance_doc(inst),
-        "beta_bar": _sig(report.beta_bar),
-        "beta_used": _sig(report.beta_used),
-        "eta_per_column": [_sig(v) for v in report.eta_per_column],
-        "eta1": _sig(report.eta1),
-        "s_star": report.s_star,
-        "eta_s_bound": _sig(report.eta_s_bound),
-        "gamma_hat": _sig(report.gamma_hat),
-        "threshold": _sig(report.threshold),
+        **_verdict_doc(
+            cert.final_report,
+            (
+                "beta_bar",
+                "beta_used",
+                "eta_per_column",
+                "eta1",
+                "s_star",
+                "eta_s_bound",
+                "gamma_hat",
+                "threshold",
+            ),
+        ),
         "certified": cert.certified,
         "case": cert.final_case.value if cert.final_case else None,
         "weights": [_sig(float(v)) for v in cert.final_weights.c],
@@ -124,15 +139,15 @@ def _report_doc(inst, cert, timings) -> dict:
         },
         "iterations": [
             {
-                "weights": [_sig(float(v)) for v in w.c],
-                "eta1": _sig(rep.eta1),
-                "s_star": rep.s_star,
-                "eta_s_bound": _sig(rep.eta_s_bound),
-                "threshold": _sig(rep.threshold),
-                "certified": rep.certified,
-                "case": case.value if case else None,
+                "weights": [_sig(float(v)) for v in p.weights.c],
+                **_verdict_doc(
+                    p.report,
+                    ("eta1", "s_star", "eta_s_bound", "threshold", "certified"),
+                ),
+                "case": p.case.value if p.case else None,
+                "reason": p.reason.value,
             }
-            for (w, rep, case) in cert.iterations
+            for p in cert.iterations
         ],
         "discrepancies": list(cert.discrepancies),
         "timings_ms": {k: _sig(v) for k, v in timings.items()},
@@ -157,7 +172,7 @@ def cmd_certify(args) -> int:
     lines = [
         f"instance: m={inst.m} n={inst.n}",
         f"certified: {cert.certified}",
-        f"case: {doc['case']}",
+        f"case: {doc['case']}  reason: {doc['iterations'][-1]['reason']}",
         f"eta1: {doc['eta1']}  s_star: {doc['s_star']}  "
         f"bound: {doc['eta_s_bound']}  threshold: {doc['threshold']}",
         f"weights: {doc['weights']}",

@@ -87,7 +87,9 @@ def eta_j(sf: StandardForm, c: Weights, beta: float, col: int) -> tuple:
     target = np.zeros(n)
     target[col] = cj
     q = np.concatenate([u, np.clip(target - At @ u, -beta, 0.0)])
-    return sol.value, DualWitness(q=q, achieved_residual=sol.value)
+    # A minimum of an inf-norm is >= 0; round-off can leave it just below.
+    value = max(0.0, sol.value)
+    return value, DualWitness(q=q, achieved_residual=value)
 
 
 def eta_1K(sf: StandardForm, c: Weights, beta: float) -> float:
@@ -121,26 +123,37 @@ def sufficient_verdict(
     beta: float,
     s: int | None = None,
     beta_default: float | None = None,
+    s_observed: int = 0,
 ) -> tuple:
-    """Certification verdict s * eta1 < (1/2) min c, with a full report.
+    """Certification verdict s * eta1 < (1/2) min c and s_star >= s_observed,
+    with a report.
 
     When s is None the budget s_star is used. beta_default, when given,
     is recorded as the report's beta_bar (callers that override beta
     still report the default-rule value).
+
+    eta_j is solved in column order, stopping after the first column
+    whose eta_j alone gives s_star < s_observed: eta1 >= eta_j and s_star
+    does not grow with eta1, so the verdict is False whatever the other
+    columns hold. A stopped report lists only the columns solved; its
+    eta1 is a lower bound and its s_star an upper bound. With the default
+    s_observed = 0 every column is solved.
     """
+    min_c = float(np.min(c.c))
     etas = []
     witnesses = []
     for j in range(sf.n):
         value, witness = eta_j(sf, c, beta, j)
         etas.append(value)
         witnesses.append(witness)
+        if _s_star_from(value, min_c, sf.n) < s_observed:
+            break
     eta1 = max(etas)
-    min_c = float(np.min(c.c))
     threshold = 0.5 * min_c
     star = _s_star_from(eta1, min_c, sf.n)
     s_used = star if s is None else s
     bound = s_used * eta1
-    certified = bound < threshold - STRICT_GUARD
+    certified = bound < threshold - STRICT_GUARD and star >= s_observed
     report = GoodnessReport(
         beta_bar=beta if beta_default is None else beta_default,
         beta_used=beta,

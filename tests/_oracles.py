@@ -6,7 +6,8 @@ active constraints chosen from the stacked constraint rows.
 `reference_solve` is the row-by-row two-phase simplex that the
 vectorised `wlpcert.lp.solve` must reproduce pivot for pivot.
 `gamma_hat_exact` re-derives `wlpcert.gamma_hat_closed_form` by one
-simplex LP per support pattern.
+simplex LP per support pattern. `eager_certify` runs the certify loop in
+its earlier order, with the full verdict on every pass.
 """
 
 import math
@@ -14,7 +15,21 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from wlpcert.instance import StandardForm, Weights
+from wlpcert.certify import (
+    CaseKind,
+    adjust_weights,
+    branch_and_bound_ip,
+    classify_case,
+    solve_weighted_lp,
+)
+from wlpcert.goodness import beta_bar, sufficient_verdict
+from wlpcert.instance import (
+    ZERO_TOL,
+    StandardForm,
+    Weights,
+    ceil_recover,
+    to_standard_form,
+)
 from wlpcert.lp import (
     COST_TOL,
     INF,
@@ -285,3 +300,39 @@ def gamma_hat_exact(sf: StandardForm, c: Weights, beta: float, s: int) -> float:
     for support in combinations(range(n), k):
         best = max(best, _inner_gamma_lp(sf, c, beta, support))
     return best
+
+
+def eager_certify(inst, max_weight_iterations=10):
+    """certify at the default config, in its earlier pass order: the full
+    verdict (every eta_j) first, then the weighted LP and its face.
+    Returns (certified, passes, recovered, case per pass,
+    brute_force_value)."""
+    sf = to_standard_form(inst)
+    c = Weights(np.ones(inst.n))
+    cases = []
+    certified = False
+    for _ in range(max_weight_iterations):
+        ok, report = sufficient_verdict(sf, c, beta_bar(sf, c))
+        sol = solve_weighted_lp(sf, c)
+        if sol.status is not Status.OPTIMAL:
+            cases.append(None)
+            break
+        x = sol.x[: inst.n]
+        case = classify_case(sf, c, sol)
+        cases.append(case)
+        support = int(np.count_nonzero(x > ZERO_TOL))
+        if ok and case is CaseKind.UNIQUE_OPTIMUM and support <= report.s_star:
+            certified = True
+            break
+        c = adjust_weights(x)
+    recovered = None
+    if sol.status is Status.OPTIMAL:
+        recovered = ceil_recover(np.clip(x, 0.0, 1.0))
+    value = None
+    if certified:
+        value, _ = branch_and_bound_ip(inst)
+        certified = int(recovered.sum()) == value and bool(
+            np.all(inst.A @ recovered >= inst.b - ZERO_TOL)
+        )
+    recovered = None if recovered is None else [int(v) for v in recovered]
+    return certified, len(cases), recovered, cases, value

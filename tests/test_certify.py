@@ -10,6 +10,7 @@ from wlpcert import (
     CaseKind,
     CertifyConfig,
     LpError,
+    PassReason,
     Weights,
     ZeroOneInstance,
     adjust_weights,
@@ -24,7 +25,7 @@ from wlpcert import (
 )
 from wlpcert.certify import BRUTE_FORCE_BLOCK
 
-from _oracles import enumerate_binary_minimum
+from _oracles import eager_certify, enumerate_binary_minimum
 from conftest import REFUTED_INSTANCES, cycle_instance
 
 
@@ -224,6 +225,90 @@ class TestCertify:
         cert = certify(ex1, CertifyConfig(beta_override=0.5625))
         x = cert.lp_solution.x[:3]
         assert cert.recovered.sum() == np.count_nonzero(x > 1e-9)
+
+
+class TestLazyVerdict:
+    def test_eta_j_calls_per_pass(self, monkeypatch):
+        # Pass 1 has a non-unique optimum and solves no eta_j; on passes 2
+        # and 3 the first column already gives s_star below the support.
+        goodness = importlib.import_module("wlpcert.goodness")
+        module = importlib.import_module("wlpcert.certify")
+        eta_j, solve_weighted_lp = goodness.eta_j, module.solve_weighted_lp
+        calls = []
+
+        def next_pass(sf, c):
+            calls.append(0)
+            return solve_weighted_lp(sf, c)
+
+        def counted(*args):
+            calls[-1] += 1
+            return eta_j(*args)
+
+        monkeypatch.setattr(module, "solve_weighted_lp", next_pass)
+        monkeypatch.setattr(goodness, "eta_j", counted)
+        cert = certify(
+            random_instance(20, 32, 1), CertifyConfig(max_weight_iterations=3)
+        )
+        assert calls == [0, 1, 1]
+        first, *rest = cert.iterations
+        assert first.report is None and first.reason is PassReason.NON_UNIQUE
+        for p in rest:
+            assert len(p.report.eta_per_column) == 1
+            assert p.report.s_star < cert.s_observed
+            assert not p.report.certified
+            assert p.reason is PassReason.SUPPORT_GT_S_STAR
+
+    @pytest.mark.parametrize(
+        "m, n, seed",
+        [(m, n, 7000 + 10 * m + n) for m in range(1, 7) for n in range(1, 7)]
+        + [(8, 12, 1), (8, 12, 2), (10, 16, 1), (4, 2, 344997561)]
+        + list(REFUTED_INSTANCES),
+    )
+    def test_matches_eager_order(self, m, n, seed):
+        inst = random_instance(m, n, seed)
+        cert = certify(inst)
+        recovered = None if cert.recovered is None else cert.recovered.tolist()
+        assert eager_certify(inst) == (
+            cert.certified,
+            len(cert.iterations),
+            recovered,
+            [p.case for p in cert.iterations],
+            cert.brute_force_value,
+        )
+
+
+class TestPassReason:
+    def reasons(self, cert):
+        return [p.reason for p in cert.iterations]
+
+    def test_certified(self, ex1):
+        cert = certify(ex1, CertifyConfig(beta_override=0.5625))
+        assert self.reasons(cert) == [PassReason.CERTIFIED]
+
+    def test_bound_not_strict_then_certified(self):
+        # Pass 1: s_star * eta1 equals the threshold.
+        cert = certify(random_instance(4, 2, 344997561))
+        first = cert.iterations[0].report
+        assert first.eta_s_bound == pytest.approx(first.threshold)
+        assert self.reasons(cert) == [
+            PassReason.BOUND_NOT_STRICT,
+            PassReason.CERTIFIED,
+        ]
+
+    def test_non_unique(self, ex3):
+        cert = certify(ex3, CertifyConfig(max_weight_iterations=1))
+        assert self.reasons(cert) == [PassReason.NON_UNIQUE]
+        assert cert.final_report is None
+
+    def test_refuted(self):
+        cert = certify(random_instance(*REFUTED_INSTANCES[0]))
+        assert self.reasons(cert)[-1] is PassReason.REFUTED
+        assert cert.final_report.certified
+
+    def test_lp_status(self):
+        cert = certify(ZeroOneInstance(A=np.array([[1.0]]), b=np.array([2.0])))
+        assert self.reasons(cert) == [PassReason.LP_STATUS]
+        assert cert.final_report is None and cert.recovered is None
 
 
 class TestVerifyCertificate:

@@ -69,6 +69,30 @@ class TestCertifyCommand:
         assert code == 1
         assert "certified: False" in capsys.readouterr().out
 
+    def test_json_non_unique_final_pass(self, ex2_file, capsys):
+        code = main(
+            ["certify", "--input", ex2_file, "--max-iters", "1", "--json"]
+        )
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        for key in (
+            "beta_bar",
+            "beta_used",
+            "eta_per_column",
+            "eta1",
+            "s_star",
+            "eta_s_bound",
+            "gamma_hat",
+            "threshold",
+        ):
+            assert doc[key] is None, key
+        assert doc["certified"] is False
+        [entry] = doc["iterations"]
+        assert entry["reason"] == "non_unique"
+        assert entry["case"] == "multiple_same_sparsity"
+        for key in ("eta1", "s_star", "eta_s_bound", "threshold", "certified"):
+            assert entry[key] is None, key
+
     def test_weights_flag_certifies_example2(self, ex2_file):
         code = main(
             [

@@ -248,6 +248,48 @@ class TestSufficientVerdict:
         assert report.eta_s_bound == pytest.approx(0.2, abs=1e-8)
         assert report.threshold == pytest.approx(0.25)
 
+    def test_stops_at_first_decisive_column(self, sf1, ones3):
+        # eta_0 = 0.21875 alone gives s_star = floor(0.5 / 0.21875) = 2 < 3.
+        certified, report = sufficient_verdict(sf1, ones3, 0.5625, s_observed=3)
+        assert not certified and not report.certified
+        assert report.eta_per_column == pytest.approx((0.21875,), abs=1e-8)
+        assert len(report.witnesses) == 1
+        assert report.s_star == 2
+
+    def test_support_within_s_star_solves_every_column(self, sf1, ones3):
+        certified, report = sufficient_verdict(sf1, ones3, 0.5625, s_observed=2)
+        assert certified
+        assert len(report.eta_per_column) == 3
+
+    @pytest.mark.parametrize("example", ["sf1", "sf2", "sf3"])
+    def test_default_is_the_full_report(self, example, ones3, request):
+        sf = request.getfixturevalue(example)
+        beta = beta_bar(sf, ones3)
+        solved = [eta_j(sf, ones3, beta, j) for j in range(sf.n)]
+        etas = tuple(value for value, _ in solved)
+        star = s_star(sf, ones3, beta)
+        expected = dict(
+            beta_bar=beta,
+            beta_used=beta,
+            eta_per_column=etas,
+            eta1=max(etas),
+            s_star=star,
+            eta_s_bound=star * max(etas),
+            gamma_hat=gamma_hat_closed_form(sf, ones3, beta),
+            threshold=0.5,
+            certified=star * max(etas) < 0.5 - 1e-10,
+        )
+        for certified, report in (
+            sufficient_verdict(sf, ones3, beta),
+            sufficient_verdict(sf, ones3, beta, s_observed=0),
+        ):
+            assert certified == expected["certified"]
+            for name, value in expected.items():
+                assert getattr(report, name) == value, name
+            for witness, (_, reference) in zip(report.witnesses, solved, strict=True):
+                np.testing.assert_array_equal(witness.q, reference.q)
+                assert witness.achieved_residual == reference.achieved_residual
+
     def test_witness_invariants(self, sf1, ones3):
         _, report = sufficient_verdict(sf1, ones3, 0.5625)
         m = sf1.m
