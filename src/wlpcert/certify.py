@@ -80,6 +80,8 @@ class CertifyConfig:
     def __post_init__(self):
         if self.max_weight_iterations < 1:
             raise ValueError("max_weight_iterations must be >= 1")
+        if self.beta_override is not None and not self.beta_override > 0:
+            raise ValueError("beta override must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +126,7 @@ def solve_weighted_lp(sf: StandardForm, c: Weights) -> LpSolution:
 
 
 def classify_case(sf: StandardForm, c: Weights, sol: LpSolution) -> CaseKind:
-    """Uniqueness and support-structure classification of the optimal face.
+    """Uniqueness and support-structure classification of sol's optimal face.
 
     Only the x-part is probed: y is determined by x through the
     invertible slack block, so the joint optimum is unique iff the
@@ -132,11 +134,10 @@ def classify_case(sf: StandardForm, c: Weights, sol: LpSolution) -> CaseKind:
     positive support with the possibly-positive support, which is a
     heuristic for faces of dimension > 1.
     """
-    lp = weighted_lp(sf, c)
     hi_support = set()
     lo_support = set()
     width = 0.0
-    for j, (lo, hi) in enumerate(optimal_face_range(lp, sol.value, range(sf.n))):
+    for j, (lo, hi) in enumerate(optimal_face_range(sol, range(sf.n))):
         width = max(width, hi - lo)
         if hi > ZERO_TOL:
             hi_support.add(j)
@@ -293,8 +294,6 @@ def certify(
     discrepancies = []
     iterations = []
     certified = False
-    sol = None
-    x_part = np.zeros(n)
 
     if config.beta_override is not None:
         bb = beta_bar(sf, c)
@@ -312,7 +311,7 @@ def certify(
             iterations.append(Pass(c, None, None, PassReason.LP_STATUS))
             break
         x_part = sol.x[: n]
-        s_obs = int(np.count_nonzero(x_part > ZERO_TOL))
+        s_observed = int(np.count_nonzero(x_part > ZERO_TOL))
         case = classify_case(sf, c, sol)
         report = None
         reason = PassReason.NON_UNIQUE
@@ -322,11 +321,11 @@ def certify(
                 config.beta_override if config.beta_override is not None else bb
             )
             certified, report = sufficient_verdict(
-                sf, c, beta_used, beta_default=bb, s_observed=s_obs
+                sf, c, beta_used, beta_default=bb, s_observed=s_observed
             )
             if certified:
                 reason = PassReason.CERTIFIED
-            elif report.s_star < s_obs:
+            elif report.s_star < s_observed:
                 reason = PassReason.SUPPORT_GT_S_STAR
             else:
                 reason = PassReason.BOUND_NOT_STRICT
@@ -337,16 +336,10 @@ def certify(
     else:
         discrepancies.append("weight-adjustment iteration budget exhausted")
 
-    s_observed = (
-        int(np.count_nonzero(x_part > ZERO_TOL))
-        if sol is not None and sol.status is Status.OPTIMAL
-        else 0
-    )
-    recovered = (
-        ceil_recover(np.clip(x_part, 0.0, 1.0))
-        if sol is not None and sol.status is Status.OPTIMAL
-        else None
-    )
+    if sol.status is Status.OPTIMAL:
+        recovered = ceil_recover(np.clip(x_part, 0.0, 1.0))
+    else:
+        s_observed, recovered = 0, None
 
     bf_verified = None
     bf_value = None

@@ -64,7 +64,7 @@ def eta_j(sf: StandardForm, c: Weights, beta: float, col: int) -> tuple:
     m, n = sf.m, sf.n
     if not 0 <= col < n:
         raise ValueError(f"column index {col} out of range")
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("box bound must be positive")
     At = sf.A1[:m].T
     cj = float(c.c[col])

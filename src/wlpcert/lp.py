@@ -7,7 +7,7 @@ deterministic) and optimal-face probing for uniqueness analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -93,6 +93,9 @@ class LpSolution:
     basis: tuple
     residual: float
     iterations: int = 0
+    # (tableau, basis, cost) of the optimal basis that `solve` ended on,
+    # read by `optimal_face_range`; None unless the status is OPTIMAL.
+    _optimum: tuple | None = field(default=None, repr=False)
 
 
 def _standardize(lp: LinearProgram):
@@ -224,6 +227,7 @@ def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
         tuple(sorted(basis.tolist())),
         _residual(lp, x),
         iters,
+        (T, basis, c),
     )
 
 
@@ -239,37 +243,39 @@ def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     return res
 
 
-def optimal_face_range(lp: LinearProgram, opt_value: float, variables) -> list:
+def optimal_face_range(sol: LpSolution, variables) -> list:
     """Range (lo, hi) of each given variable over the optimal solutions.
 
-    Minimizes and maximizes each variable with the objective pinned to
-    opt_value as an extra equality row. Phase 1 does not read the
-    objective, so it runs once; each probe runs phase 2 on a copy of its
-    tableau, exactly as `solve` would on the probe's LP.
+    At the optimal basis that `solve` ended on every reduced cost d is
+    >= 0 and a feasible z costs value + d @ z, so the optimal face is the
+    feasible set with z_k = 0 wherever d_k > COST_TOL (basic columns have
+    d = 0). Each probe minimizes or maximizes its variable by phase 2 on a
+    copy of the tableau restricted to the kept columns, starting from the
+    optimum. A variable whose column is dropped has range (0, 0). sol is
+    not modified.
     """
-    pinned = replace(
-        lp,
-        eq_matrix=np.vstack([lp.eq_matrix, lp.objective[None, :]]),
-        eq_rhs=np.concatenate([lp.eq_rhs, [opt_value]]),
-    )
-    A, b, _ = _standardize(pinned)
-    max_iters = _iteration_budget(A)
-    status, it1, T, basis = _phase1(A, b, max_iters)
-    if status is not Status.OPTIMAL:
-        raise LpError(f"face probe ended with status {status.value}")
-    slack_costs = np.zeros(A.shape[1] - lp.nvars)
+    if sol._optimum is None:
+        raise ValueError(f"no optimal face: the LP status is {sol.status.value}")
+    T, basis, cost = sol._optimum
+    reduced = cost - cost[basis] @ T[:, :-1]
+    reduced[basis] = 0.0
+    keep = reduced <= COST_TOL
+    face = T[:, np.append(keep, True)]
+    position = keep.cumsum() - 1
+    face_basis = position[basis]
+    max_iters = _iteration_budget(face[:, :-1])
     ranges = []
     for var in variables:
-        e = np.zeros(lp.nvars)
-        e[var] = 1.0
+        if not keep[var]:
+            ranges.append((0.0, 0.0))
+            continue
+        e = np.zeros(face.shape[1] - 1)
+        e[position[var]] = 1.0
         ends = []
         for obj in (e, -e):
-            status, _, z = _phase2(
-                T.copy(), basis.copy(), np.concatenate([obj, slack_costs]),
-                max_iters - it1,
-            )
+            status, _, z = _phase2(face.copy(), face_basis.copy(), obj, max_iters)
             if status is Status.OPTIMAL:
-                ends.append(float(obj @ z[: lp.nvars]))
+                ends.append(float(obj @ z))
             elif status is Status.UNBOUNDED:
                 ends.append(-INF)
             else:

@@ -5,12 +5,15 @@ LP minima come from enumerating candidate vertices as solutions of n
 active constraints chosen from the stacked constraint rows.
 `reference_solve` is the row-by-row two-phase simplex that the
 vectorised `wlpcert.lp.solve` must reproduce pivot for pivot.
+`reference_face_range` probes the optimal face on the LP with its
+objective pinned to the optimal value, from a fresh phase 1.
 `gamma_hat_exact` re-derives `wlpcert.gamma_hat_closed_form` by one
 simplex LP per support pattern. `eager_certify` runs the certify loop in
 its earlier order, with the full verdict on every pass.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations, islice
 
 import numpy as np
@@ -19,8 +22,8 @@ from wlpcert.certify import (
     CaseKind,
     adjust_weights,
     branch_and_bound_ip,
-    classify_case,
     solve_weighted_lp,
+    weighted_lp,
 )
 from wlpcert.goodness import beta_bar, sufficient_verdict
 from wlpcert.instance import (
@@ -35,10 +38,14 @@ from wlpcert.lp import (
     INF,
     PHASE1_TOL,
     PIVOT_TOL,
+    UNIQUE_TOL,
     LinearProgram,
     LpError,
     LpSolution,
     Status,
+    _iteration_budget,
+    _phase1,
+    _phase2,
     _residual,
     _standardize,
     solve,
@@ -246,6 +253,55 @@ def reference_solve(lp, max_iters=None):
     )
 
 
+def reference_face_range(lp: LinearProgram, opt_value: float, variables) -> list:
+    """Range (lo, hi) of each given variable over the optimal solutions.
+
+    Minimizes and maximizes each variable with the objective pinned to
+    opt_value as an extra equality row. Phase 1 does not read the
+    objective, so it runs once; each probe runs phase 2 on a copy of its
+    tableau, exactly as `solve` would on the probe's LP.
+    """
+    pinned = replace(
+        lp,
+        eq_matrix=np.vstack([lp.eq_matrix, lp.objective[None, :]]),
+        eq_rhs=np.concatenate([lp.eq_rhs, [opt_value]]),
+    )
+    A, b, _ = _standardize(pinned)
+    max_iters = _iteration_budget(A)
+    status, it1, T, basis = _phase1(A, b, max_iters)
+    if status is not Status.OPTIMAL:
+        raise LpError(f"face probe ended with status {status.value}")
+    slack_costs = np.zeros(A.shape[1] - lp.nvars)
+    ranges = []
+    for var in variables:
+        e = np.zeros(lp.nvars)
+        e[var] = 1.0
+        ends = []
+        for obj in (e, -e):
+            status, _, z = _phase2(
+                T.copy(), basis.copy(), np.concatenate([obj, slack_costs]),
+                max_iters - it1,
+            )
+            if status is Status.OPTIMAL:
+                ends.append(float(obj @ z[: lp.nvars]))
+            elif status is Status.UNBOUNDED:
+                ends.append(-INF)
+            else:
+                raise LpError(f"face probe ended with status {status.value}")
+        ranges.append((ends[0], -ends[1]))
+    return ranges
+
+
+def reference_case(sf: StandardForm, c: Weights, sol: LpSolution) -> CaseKind:
+    """`wlpcert.classify_case` on the face ranges of reference_face_range."""
+    ranges = reference_face_range(weighted_lp(sf, c), sol.value, range(sf.n))
+    if max(hi - lo for lo, hi in ranges) <= UNIQUE_TOL:
+        return CaseKind.UNIQUE_OPTIMUM
+    if all((hi > ZERO_TOL) == (lo > ZERO_TOL) for lo, hi in ranges):
+        return CaseKind.MULTIPLE_SAME_SPARSITY
+    return CaseKind.MULTIPLE_DIFFERENT_SPARSITY
+
+
 def _inner_gamma_lp(sf: StandardForm, c: Weights, beta: float, support) -> float:
     """max sum_{i in support} c_i x_i - beta ||A1 x||_1 over the unit
     simplex, via the epigraph form of the 1-norm term."""
@@ -304,7 +360,8 @@ def gamma_hat_exact(sf: StandardForm, c: Weights, beta: float, s: int) -> float:
 
 def eager_certify(inst, max_weight_iterations=10):
     """certify at the default config, in its earlier pass order: the full
-    verdict (every eta_j) first, then the weighted LP and its face.
+    verdict (every eta_j) first, then the weighted LP and its face, read
+    by reference_case.
     Returns (certified, passes, recovered, case per pass,
     brute_force_value)."""
     sf = to_standard_form(inst)
@@ -318,7 +375,7 @@ def eager_certify(inst, max_weight_iterations=10):
             cases.append(None)
             break
         x = sol.x[: inst.n]
-        case = classify_case(sf, c, sol)
+        case = reference_case(sf, c, sol)
         cases.append(case)
         support = int(np.count_nonzero(x > ZERO_TOL))
         if ok and case is CaseKind.UNIQUE_OPTIMUM and support <= report.s_star:

@@ -187,6 +187,14 @@ class TestCertify:
         assert cert.brute_force_verified
         assert cert.s_observed == 1
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_config_rejects_non_positive_beta(self, beta):
+        with pytest.raises(ValueError, match="beta override must be positive"):
+            CertifyConfig(beta_override=beta)
+
+    def test_config_accepts_infinite_beta(self):
+        assert CertifyConfig(beta_override=math.inf).beta_override == math.inf
+
     def test_example2_default_weights_adjusts_then_certifies(self, ex2):
         cert = certify(ex2, CertifyConfig())
         assert len(cert.iterations) >= 1

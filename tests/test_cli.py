@@ -134,6 +134,16 @@ class TestCertifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("beta", ["-1", "0", "nan"])
+    def test_bad_beta_exit_two(self, beta, ex2_file, capsys):
+        # One non-unique pass on example 2 runs no verdict, so only the
+        # config check can reject the override.
+        code = main(
+            ["certify", "--input", ex2_file, "--beta", beta, "--max-iters", "1"]
+        )
+        assert code == 2
+        assert "beta override must be positive" in capsys.readouterr().err
+
     def test_bad_weights_list_exit_two(self, ex1_file):
         assert main(["certify", "--input", ex1_file, "--weights", "0.5"]) == 2
         assert (
@@ -211,6 +221,10 @@ class TestEtaCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["beta_used"] == doc["beta_bar"] == pytest.approx(0.5)
         assert doc["eta1"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_nan_beta_exit_two(self, ex1_file, capsys):
+        assert main(["eta", "--input", ex1_file, "--beta", "nan"]) == 2
+        assert "box bound must be positive" in capsys.readouterr().err
 
     def test_gamma_hat(self, ex1_file, capsys):
         # max(0, max_j c_j - beta ||A1 e_j||_1) = max(0, 1 - 0.25 * 3)

@@ -5,6 +5,7 @@ import pytest
 
 from wlpcert import (
     LinearProgram,
+    LpError,
     Status,
     Weights,
     eta_j,
@@ -17,9 +18,9 @@ from wlpcert import (
     weighted_lp,
 )
 
-from wlpcert.lp import INF
+from wlpcert.lp import COST_TOL, INF
 
-from _oracles import enumerate_lp_minimum, reference_solve
+from _oracles import enumerate_lp_minimum, reference_face_range, reference_solve
 from conftest import cycle_instance
 
 
@@ -109,17 +110,13 @@ class TestSolve:
 
 class TestOptimalFace:
     def test_unique_vertex_has_zero_width(self, sf1, ones3):
-        lp = weighted_lp(sf1, ones3)
-        sol = solve(lp)
-        ranges = optimal_face_range(lp, sol.value, range(3))
+        ranges = optimal_face_range(solve(weighted_lp(sf1, ones3)), range(3))
         assert len(ranges) == 3
         for lo, hi in ranges:
             assert hi - lo <= 1e-7
 
     def test_example2_x1_has_positive_width(self, sf2, ones3):
-        lp = weighted_lp(sf2, ones3)
-        sol = solve(lp)
-        [(lo, hi)] = optimal_face_range(lp, sol.value, [0])
+        [(lo, hi)] = optimal_face_range(solve(weighted_lp(sf2, ones3)), [0])
         assert hi - lo > 1e-6
         # optimal face is x1 + x2 = 1.5, x3 = 0 with x2 in [0.5, 1]
         assert lo == pytest.approx(0.5, abs=1e-8)
@@ -132,8 +129,7 @@ class TestOptimalFace:
             ineq_rhs=np.array([1.0]),
             upper=np.array([1.0, 1.0]),
         )
-        sol = solve(lp)
-        for lo, hi in optimal_face_range(lp, sol.value, range(2)):
+        for lo, hi in optimal_face_range(solve(lp), range(2)):
             assert lo == pytest.approx(0.0, abs=1e-9)
             assert hi == pytest.approx(1.0, abs=1e-9)
 
@@ -187,7 +183,8 @@ class TestPivotIdentity:
 
 
 class TestFaceRangeMatchesProbes:
-    """Each face range equals the two standalone solves it stands for."""
+    """Each face range is within 1e-12 of the two standalone solves of the
+    pinned-objective LP that it stands for."""
 
     def check(self, lp):
         sol = solve(lp)
@@ -196,7 +193,7 @@ class TestFaceRangeMatchesProbes:
             eq_matrix=np.vstack([lp.eq_matrix, lp.objective[None, :]]),
             eq_rhs=np.concatenate([lp.eq_rhs, [sol.value]]),
         )
-        ranges = optimal_face_range(lp, sol.value, range(lp.nvars))
+        ranges = optimal_face_range(sol, range(lp.nvars))
         assert len(ranges) == lp.nvars
         for var, (lo, hi) in enumerate(ranges):
             e = np.zeros(lp.nvars)
@@ -205,7 +202,9 @@ class TestFaceRangeMatchesProbes:
             hi_sol = solve(replace(pinned, objective=-e))
             expected_lo = -INF if lo_sol.status is Status.UNBOUNDED else lo_sol.value
             expected_hi = INF if hi_sol.status is Status.UNBOUNDED else -hi_sol.value
-            assert repr((lo, hi)) == repr((expected_lo, expected_hi))
+            np.testing.assert_allclose(
+                (lo, hi), (expected_lo, expected_hi), rtol=0, atol=1e-12
+            )
 
     def test_examples_and_cycle(self, ex1, ex2, ex3):
         for inst in (ex1, ex2, ex3, cycle_instance(9)):
@@ -224,4 +223,53 @@ class TestFaceRangeMatchesProbes:
             eq_rhs=np.array([0.0]),
         )
         self.check(lp)
-        assert optimal_face_range(lp, 0.0, range(2)) == [(0.0, INF), (0.0, INF)]
+        assert optimal_face_range(solve(lp), range(2)) == [(0.0, INF), (0.0, INF)]
+
+
+class TestFaceFromOptimalTableau:
+    """optimal_face_range reads the face off the tableau that solve ended
+    on; reference_face_range probes the pinned-objective LP instead."""
+
+    def assert_matches_reference(self, lp, sol, ranges):
+        expected = reference_face_range(lp, sol.value, range(lp.nvars))
+        np.testing.assert_allclose(ranges, expected, rtol=0, atol=1e-12)
+
+    def test_degenerate_vertex_has_zero_width(self):
+        # min x0 + x1 with x0 + x1 >= 1 and x1 <= 0: x1 is basic at 0, so
+        # the slack of x1 <= 0 has reduced cost 0 yet cannot enter above 0.
+        lp = LinearProgram(
+            objective=np.ones(2),
+            ineq_matrix=np.array([[-1.0, -1.0], [0.0, 1.0]]),
+            ineq_rhs=np.array([-1.0, 0.0]),
+        )
+        sol = solve(lp)
+        T, basis, cost = sol._optimum
+        reduced = cost - cost[basis] @ T[:, :-1]
+        assert np.setdiff1d((reduced <= COST_TOL).nonzero()[0], basis).size
+        ranges = optimal_face_range(sol, range(2))
+        assert ranges == [(1.0, 1.0), (0.0, 0.0)]
+        self.assert_matches_reference(lp, sol, ranges)
+
+    def test_repeat_call_leaves_solution_unchanged(self, sf2, ones3):
+        lp = weighted_lp(sf2, ones3)
+        sol = solve(lp)
+        before = [a.tobytes() for a in sol._optimum]
+        first = optimal_face_range(sol, range(lp.nvars))
+        assert optimal_face_range(sol, range(lp.nvars)) == first
+        assert [a.tobytes() for a in sol._optimum] == before
+        self.assert_matches_reference(lp, sol, first)
+
+    def test_non_optimal_solution_raises(self):
+        infeasible = LinearProgram(
+            objective=np.array([1.0]),
+            eq_matrix=np.array([[1.0]]),
+            eq_rhs=np.array([2.0]),
+            upper=np.array([1.0]),
+        )
+        unbounded = LinearProgram(objective=np.array([-1.0]))
+        for sol in (solve(infeasible), solve(unbounded), solve(infeasible, 1)):
+            assert sol.status is not Status.OPTIMAL
+            with pytest.raises(ValueError, match="no optimal face"):
+                optimal_face_range(sol, [0])
+        with pytest.raises(LpError, match="infeasible"):
+            reference_face_range(infeasible, 0.0, [0])

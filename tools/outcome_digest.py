@@ -1,0 +1,108 @@
+"""Hash wlpcert's outcomes on the benchmark's workload inputs.
+
+    python3 tools/outcome_digest.py --workload ladder small --seed 1 2 [--list]
+
+Run from anywhere inside a source checkout: the package is imported from
+its `src/` and the inputs are built by its `perfbench/workloads.py`. For
+each (workload, seed) the script prints one line with a sha256 prefix of
+the outcomes of every input, in input order:
+
+  ladder, small  library `certify` at the input's config: (certified,
+                 passes, recovered, case per pass, reason per pass,
+                 brute_force_value)
+  mis            `wlpcert mis --json`, run in this process through
+                 `cli.main`: (exit code, size, source)
+
+Two commits with equal digests gave the same outcome on every input.
+--list also prints each input's outcome, so that a change can be
+reported input by input.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_workloads():
+    for path in (ROOT / "perfbench", ROOT / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    return importlib.import_module("workloads")
+
+
+def certify_outcome(case) -> dict:
+    from wlpcert import LpError, certify
+
+    try:
+        cert = certify(case.instance, case.config, weights=case.weights)
+    except LpError as exc:
+        return {"error": f"LpError: {exc}"}
+    return {
+        "certified": cert.certified,
+        "passes": len(cert.iterations),
+        "recovered": None if cert.recovered is None else cert.recovered.tolist(),
+        "cases": [None if p.case is None else p.case.value for p in cert.iterations],
+        "reasons": [p.reason.value for p in cert.iterations],
+        "brute_force_value": cert.brute_force_value,
+    }
+
+
+def mis_outcome(case, workdir: Path) -> dict:
+    from wlpcert.cli import main
+
+    path = workdir / f"{case.name}.txt"
+    path.write_text(case.text(), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["mis", "--graph", str(path), "--json"])
+    doc = json.loads(out.getvalue()) if code == 0 else {}
+    return {"exit": code, "size": doc.get("size"), "source": doc.get("source")}
+
+
+def outcomes(workloads, workload: str, seed: int) -> list:
+    """(input name, outcome) for every input of the workload at the seed."""
+    cases = workloads.build(workload, seed)
+    if workload != "mis":
+        return [(case.name, certify_outcome(case)) for case in cases]
+    with tempfile.TemporaryDirectory() as tmp:
+        return [(case.name, mis_outcome(case, Path(tmp))) for case in cases]
+
+
+def digest(results: list) -> str:
+    text = json.dumps(results, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def main(argv=None) -> int:
+    workloads = _load_workloads()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--workload", nargs="+", choices=sorted(workloads.WHY), required=True
+    )
+    parser.add_argument("--seed", nargs="+", type=int, required=True)
+    parser.add_argument(
+        "--list", action="store_true", help="also print each input's outcome"
+    )
+    args = parser.parse_args(argv)
+    for workload in args.workload:
+        for seed in args.seed:
+            results = outcomes(workloads, workload, seed)
+            if args.list:
+                for name, outcome in results:
+                    print(f"  {name} {json.dumps(outcome, sort_keys=True)}")
+            print(f"{workload} seed {seed}: {digest(results)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
