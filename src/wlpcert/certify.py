@@ -80,8 +80,9 @@ class CertifyConfig:
     def __post_init__(self):
         if self.max_weight_iterations < 1:
             raise ValueError("max_weight_iterations must be >= 1")
-        if self.beta_override is not None and not self.beta_override > 0:
-            raise ValueError("beta override must be positive")
+        beta = self.beta_override
+        if beta is not None and not 0 < beta < math.inf:
+            raise ValueError("beta override must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +126,9 @@ def solve_weighted_lp(sf: StandardForm, c: Weights) -> LpSolution:
     return solve(weighted_lp(sf, c))
 
 
-def classify_case(sf: StandardForm, c: Weights, sol: LpSolution) -> CaseKind:
-    """Uniqueness and support-structure classification of sol's optimal face.
+def classify_case(sol: LpSolution, n: int) -> CaseKind:
+    """Uniqueness and support-structure classification of the optimal face
+    of sol, a solution of the weighted LP with n variables x.
 
     Only the x-part is probed: y is determined by x through the
     invertible slack block, so the joint optimum is unique iff the
@@ -137,7 +139,7 @@ def classify_case(sf: StandardForm, c: Weights, sol: LpSolution) -> CaseKind:
     hi_support = set()
     lo_support = set()
     width = 0.0
-    for j, (lo, hi) in enumerate(optimal_face_range(sol, range(sf.n))):
+    for j, (lo, hi) in enumerate(optimal_face_range(sol, range(n))):
         width = max(width, hi - lo)
         if hi > ZERO_TOL:
             hi_support.add(j)
@@ -312,7 +314,7 @@ def certify(
             break
         x_part = sol.x[: n]
         s_observed = int(np.count_nonzero(x_part > ZERO_TOL))
-        case = classify_case(sf, c, sol)
+        case = classify_case(sol, n)
         report = None
         reason = PassReason.NON_UNIQUE
         if case is CaseKind.UNIQUE_OPTIMUM:

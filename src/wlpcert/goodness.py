@@ -64,8 +64,8 @@ def eta_j(sf: StandardForm, c: Weights, beta: float, col: int) -> tuple:
     m, n = sf.m, sf.n
     if not 0 <= col < n:
         raise ValueError(f"column index {col} out of range")
-    if not beta > 0:
-        raise ValueError("box bound must be positive")
+    if not 0 < beta < INF:
+        raise ValueError("box bound must be positive and finite")
     At = sf.A1[:m].T
     cj = float(c.c[col])
     ineq = np.hstack([np.vstack([At, -At[col]]), -np.ones((n + 1, 1))])
@@ -111,8 +111,6 @@ def _s_star_from(eta1: float, min_c: float, n: int) -> int:
 def gamma_hat_closed_form(sf: StandardForm, c: Weights, beta: float) -> float:
     """max(0, max_j c_j - beta * ||A1 e_j||_1); valid because A1 >= 0 and
     x >= 0 make the 1-norm term linear. Independent of s >= 1."""
-    if math.isinf(beta):
-        return 0.0
     col_norms = np.abs(sf.A1).sum(axis=0)
     return float(max(0.0, np.max(c.c - beta * col_norms)))
 

@@ -1,7 +1,9 @@
 """Dense linear-programming core.
 
 Two-phase primal simplex with Bland's rule (lowest-index tie-breaking,
-deterministic) and optimal-face probing for uniqueness analysis.
+deterministic) and optimal-face probing for uniqueness analysis. Phase 1
+starts each inequality and bound row on its own slack and puts an
+artificial only on the equality and re-signed rows.
 """
 
 from __future__ import annotations
@@ -100,7 +102,12 @@ class LpSolution:
 
 def _standardize(lp: LinearProgram):
     """Rewrite as min c z, A z = b, z >= 0, where z is x followed by one
-    slack per inequality row and per finite upper bound."""
+    slack per inequality row and per finite upper bound.
+
+    Returns (A, b, c, start): start[i] is the column of row i's own slack
+    when that column is a unit column of A (an inequality or bound row
+    with b_i >= 0, so not re-signed), else -1.
+    """
     finite = np.isfinite(lp.upper)
     ubM = np.vstack([lp.ineq_matrix, np.eye(lp.nvars)[finite]])
     ubr = np.concatenate([lp.ineq_rhs, lp.upper[finite]])
@@ -116,7 +123,12 @@ def _standardize(lp: LinearProgram):
     A[neg] *= -1
     b[neg] *= -1
     c = np.concatenate([lp.objective, np.zeros(n_ub)])
-    return A, b, c
+    n_eq = lp.eq_matrix.shape[0]
+    start = np.concatenate(
+        [np.full(n_eq, -1), np.arange(lp.nvars, lp.nvars + n_ub)]
+    )
+    start[neg] = -1
+    return A, b, c, start
 
 
 def _pivot(T, basis, row, col):
@@ -161,17 +173,22 @@ def _iterate(T, basis, cost, max_iters):
     return Status.ITERATION_LIMIT, used
 
 
-def _phase1(A, b, max_iters):
-    """Phase 1 on A z = b, z >= 0, with an artificial on every row.
+def _phase1(A, b, start, max_iters):
+    """Phase 1 on A z = b, z >= 0. Row i starts with column start[i]
+    basic, a unit column of A; each row with start[i] < 0 gets an
+    artificial, and phase 1 minimizes the sum of the artificials.
 
     Returns (status, iterations, tableau, basis). On Status.OPTIMAL the
     tableau holds a feasible basis, without the artificial columns and
     with redundant rows dropped; otherwise tableau and basis are None.
     """
     m, N = A.shape
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = np.arange(N, N + m)
-    c1 = np.concatenate([np.zeros(N), np.ones(m)])
+    needs = start < 0
+    k = int(needs.sum())
+    T = np.hstack([A, np.eye(m)[:, needs], b[:, None]])
+    basis = start.copy()
+    basis[needs] = np.arange(N, N + k)
+    c1 = np.concatenate([np.zeros(N), np.ones(k)])
     status, used = _iterate(T, basis, c1, max_iters)
     if status is Status.ITERATION_LIMIT:
         return status, used, None, None
@@ -209,10 +226,10 @@ def _iteration_budget(A) -> int:
 
 def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
     """Two-phase simplex; deterministic for fixed input."""
-    A, b, c = _standardize(lp)
+    A, b, c, start = _standardize(lp)
     if max_iters is None:
         max_iters = _iteration_budget(A)
-    status, it1, T, basis = _phase1(A, b, max_iters)
+    status, it1, T, basis = _phase1(A, b, start, max_iters)
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, (), INF, it1)
     status, it2, z = _phase2(T, basis, c, max_iters - it1)

@@ -22,7 +22,6 @@ from wlpcert.certify import (
     CaseKind,
     adjust_weights,
     branch_and_bound_ip,
-    solve_weighted_lp,
     weighted_lp,
 )
 from wlpcert.goodness import beta_bar, sufficient_verdict
@@ -207,15 +206,25 @@ def _reference_iterate(T, basis, cost, max_iters):
 
 
 def reference_solve(lp, max_iters=None):
-    """Two-phase simplex with Bland's rule, one tableau row at a time."""
-    A, b, c = _standardize(lp)
+    """Two-phase simplex with Bland's rule, one tableau row at a time.
+
+    Phase 1 starts each row on its own slack where `_standardize` names
+    one, and on a new artificial column otherwise."""
+    A, b, c, start = _standardize(lp)
     m, N = A.shape
     if max_iters is None:
         max_iters = 50 * (m + N + m)
 
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = list(range(N, N + m))
-    c1 = np.concatenate([np.zeros(N), np.ones(m)])
+    basis = []
+    art_rows = []
+    for i in range(m):
+        if start[i] >= 0:
+            basis.append(int(start[i]))
+        else:
+            basis.append(N + len(art_rows))
+            art_rows.append(i)
+    T = np.hstack([A, np.eye(m)[:, art_rows], b[:, None]])
+    c1 = np.concatenate([np.zeros(N), np.ones(len(art_rows))])
     status, it1 = _reference_iterate(T, basis, c1, max_iters)
     if status is Status.ITERATION_LIMIT:
         return LpSolution(status, None, None, (), INF, it1)
@@ -266,9 +275,9 @@ def reference_face_range(lp: LinearProgram, opt_value: float, variables) -> list
         eq_matrix=np.vstack([lp.eq_matrix, lp.objective[None, :]]),
         eq_rhs=np.concatenate([lp.eq_rhs, [opt_value]]),
     )
-    A, b, _ = _standardize(pinned)
+    A, b, _, start = _standardize(pinned)
     max_iters = _iteration_budget(A)
-    status, it1, T, basis = _phase1(A, b, max_iters)
+    status, it1, T, basis = _phase1(A, b, start, max_iters)
     if status is not Status.OPTIMAL:
         raise LpError(f"face probe ended with status {status.value}")
     slack_costs = np.zeros(A.shape[1] - lp.nvars)
@@ -292,9 +301,11 @@ def reference_face_range(lp: LinearProgram, opt_value: float, variables) -> list
     return ranges
 
 
-def reference_case(sf: StandardForm, c: Weights, sol: LpSolution) -> CaseKind:
-    """`wlpcert.classify_case` on the face ranges of reference_face_range."""
-    ranges = reference_face_range(weighted_lp(sf, c), sol.value, range(sf.n))
+def reference_case(sol: LpSolution, n: int, lp: LinearProgram) -> CaseKind:
+    """`wlpcert.classify_case(sol, n)` on the face ranges of
+    reference_face_range, which re-solves lp, the weighted LP that sol
+    solves."""
+    ranges = reference_face_range(lp, sol.value, range(n))
     if max(hi - lo for lo, hi in ranges) <= UNIQUE_TOL:
         return CaseKind.UNIQUE_OPTIMUM
     if all((hi > ZERO_TOL) == (lo > ZERO_TOL) for lo, hi in ranges):
@@ -370,12 +381,13 @@ def eager_certify(inst, max_weight_iterations=10):
     certified = False
     for _ in range(max_weight_iterations):
         ok, report = sufficient_verdict(sf, c, beta_bar(sf, c))
-        sol = solve_weighted_lp(sf, c)
+        lp = weighted_lp(sf, c)
+        sol = solve(lp)
         if sol.status is not Status.OPTIMAL:
             cases.append(None)
             break
         x = sol.x[: inst.n]
-        case = reference_case(sf, c, sol)
+        case = reference_case(sol, inst.n, lp)
         cases.append(case)
         support = int(np.count_nonzero(x > ZERO_TOL))
         if ok and case is CaseKind.UNIQUE_OPTIMUM and support <= report.s_star:

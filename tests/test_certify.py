@@ -52,23 +52,23 @@ class TestWeightedLp:
 class TestClassifyCase:
     def test_example1_unique(self, sf1, ones3):
         sol = solve_weighted_lp(sf1, ones3)
-        assert classify_case(sf1, ones3, sol) is CaseKind.UNIQUE_OPTIMUM
+        assert classify_case(sol, sf1.n) is CaseKind.UNIQUE_OPTIMUM
 
     def test_example2_same_sparsity(self, sf2, ones3):
         sol = solve_weighted_lp(sf2, ones3)
-        assert classify_case(sf2, ones3, sol) is CaseKind.MULTIPLE_SAME_SPARSITY
+        assert classify_case(sol, sf2.n) is CaseKind.MULTIPLE_SAME_SPARSITY
 
     def test_example3_different_sparsity(self, sf3, ones3):
         sol = solve_weighted_lp(sf3, ones3)
         assert (
-            classify_case(sf3, ones3, sol)
+            classify_case(sol, sf3.n)
             is CaseKind.MULTIPLE_DIFFERENT_SPARSITY
         )
 
     def test_example2_adjusted_weights_unique(self, sf2):
         c = Weights(np.array([0.5, 0.7, 0.8]))
         sol = solve_weighted_lp(sf2, c)
-        assert classify_case(sf2, c, sol) is CaseKind.UNIQUE_OPTIMUM
+        assert classify_case(sol, sf2.n) is CaseKind.UNIQUE_OPTIMUM
 
 
 class TestAdjustWeights:
@@ -192,8 +192,11 @@ class TestCertify:
         with pytest.raises(ValueError, match="beta override must be positive"):
             CertifyConfig(beta_override=beta)
 
-    def test_config_accepts_infinite_beta(self):
-        assert CertifyConfig(beta_override=math.inf).beta_override == math.inf
+    def test_config_rejects_infinite_beta(self):
+        # An infinite box would make every eta_j LP's right-hand side
+        # infinite, every eta_j 0, and any unique optimum certified.
+        with pytest.raises(ValueError, match="positive and finite"):
+            CertifyConfig(beta_override=math.inf)
 
     def test_example2_default_weights_adjusts_then_certifies(self, ex2):
         cert = certify(ex2, CertifyConfig())

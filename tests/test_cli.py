@@ -134,7 +134,7 @@ class TestCertifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("beta", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf"])
     def test_bad_beta_exit_two(self, beta, ex2_file, capsys):
         # One non-unique pass on example 2 runs no verdict, so only the
         # config check can reject the override.
@@ -225,6 +225,10 @@ class TestEtaCommand:
     def test_nan_beta_exit_two(self, ex1_file, capsys):
         assert main(["eta", "--input", ex1_file, "--beta", "nan"]) == 2
         assert "box bound must be positive" in capsys.readouterr().err
+
+    def test_infinite_beta_exit_two(self, ex1_file, capsys):
+        assert main(["eta", "--input", ex1_file, "--beta", "inf"]) == 2
+        assert "box bound must be positive and finite" in capsys.readouterr().err
 
     def test_gamma_hat(self, ex1_file, capsys):
         # max(0, max_j c_j - beta ||A1 e_j||_1) = max(0, 1 - 0.25 * 3)
@@ -329,6 +333,12 @@ class TestMisCommand:
         assert doc["source"] == "branch_and_bound"
         assert doc["size"] == 10
         assert calls == [21]
+
+    def test_infinite_beta_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "p3.txt"
+        path.write_text(P3_GRAPH)
+        assert main(["mis", "--graph", str(path), "--beta", "inf"]) == 2
+        assert "positive and finite" in capsys.readouterr().err
 
     def test_missing_graph_exit_two(self, tmp_path):
         assert main(["mis", "--graph", str(tmp_path / "nope.txt")]) == 2

@@ -53,6 +53,11 @@ class TestEta:
         value, _ = eta_j(sf2, ones3, 0.5, 2)
         assert value == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("beta", [0.0, math.nan, math.inf])
+    def test_rejects_bad_box_bound(self, sf1, ones3, beta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            eta_j(sf1, ones3, beta, 0)
+
     def test_example1_max(self, sf1, ones3):
         assert eta_1K(sf1, ones3, 0.5625) == pytest.approx(0.21875, abs=1e-8)
 

@@ -18,7 +18,14 @@ from wlpcert import (
     weighted_lp,
 )
 
-from wlpcert.lp import COST_TOL, INF
+from wlpcert.lp import (
+    COST_TOL,
+    INF,
+    _iteration_budget,
+    _phase1,
+    _phase2,
+    _standardize,
+)
 
 from _oracles import enumerate_lp_minimum, reference_face_range, reference_solve
 from conftest import cycle_instance
@@ -180,6 +187,67 @@ class TestPivotIdentity:
             assert _fingerprint(solve(lp, max_iters)) == _fingerprint(
                 reference_solve(lp, max_iters)
             )
+
+
+def _all_artificial_solve(lp):
+    """(status, value) of the two-phase simplex with an artificial on
+    every row, whatever slacks A has."""
+    A, b, c, _ = _standardize(lp)
+    max_iters = _iteration_budget(A)
+    status, it1, T, basis = _phase1(A, b, np.full(A.shape[0], -1), max_iters)
+    if status is not Status.OPTIMAL:
+        return status, None
+    status, _, z = _phase2(T, basis, c, max_iters - it1)
+    return status, None if z is None else float(lp.objective @ z[: lp.nvars])
+
+
+class TestSlackStart:
+    """Phase 1 starts each non-re-signed inequality and bound row on its
+    own slack, and puts an artificial on every other row."""
+
+    @staticmethod
+    def assert_matches_all_artificial(lp):
+        sol = solve(lp)
+        status, value = _all_artificial_solve(lp)
+        assert sol.status is status
+        if status is Status.OPTIMAL:
+            assert sol.value == pytest.approx(value, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_lp_matches_all_artificial(self, seed):
+        self.assert_matches_all_artificial(random_lp(seed))
+
+    def test_certificate_lps_match_all_artificial(self, certificate_lps):
+        for lp in certificate_lps:
+            self.assert_matches_all_artificial(lp)
+
+    def test_eta_lp_has_one_artificial(self, certificate_lps):
+        # Every eta_j LP re-signs its row n; the weighted LP is all
+        # equality rows, so its phase 1 is the all-artificial one.
+        eta_lps = [lp for lp in certificate_lps if lp.eq_matrix.shape[0] == 0]
+        assert len(eta_lps) == 3 + 3 + 3 + 9
+        for lp in eta_lps:
+            *_, start = _standardize(lp)
+            last = lp.ineq_matrix.shape[0] - 1
+            assert (start < 0).nonzero()[0].tolist() == [last]
+        for lp in certificate_lps:
+            if lp.eq_matrix.shape[0]:
+                *_, start = _standardize(lp)
+                assert np.all(start == -1)
+
+    def test_slack_start_needs_no_phase1_pivot(self):
+        lp = LinearProgram(
+            objective=np.array([-1.0, -2.0, 0.5]),
+            ineq_matrix=np.array([[1.0, 1.0, 1.0], [2.0, -1.0, 0.0]]),
+            ineq_rhs=np.array([4.0, 0.0]),
+            upper=np.array([3.0, INF, 1.0]),
+        )
+        A, b, _, start = _standardize(lp)
+        assert np.all(start >= 0)
+        status, used, T, basis = _phase1(A, b, start, _iteration_budget(A))
+        assert status is Status.OPTIMAL and used == 0
+        np.testing.assert_array_equal(basis, start)
+        assert solve(lp).status is Status.OPTIMAL
 
 
 class TestFaceRangeMatchesProbes:
