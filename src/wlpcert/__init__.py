@@ -28,10 +28,8 @@ from .goodness import (
     DualWitness,
     GoodnessReport,
     beta_bar,
-    eta_1K,
     eta_j,
     gamma_hat_closed_form,
-    s_star,
     sufficient_verdict,
 )
 from .certify import (
@@ -45,9 +43,8 @@ from .certify import (
     brute_force_ip,
     certify,
     classify_case,
+    covering_lp,
     solve_weighted_lp,
-    verify_certificate,
-    weighted_lp,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .instance import (
-    StandardForm,
     Weights,
     ZERO_TOL,
     ZeroOneInstance,
@@ -90,7 +89,6 @@ class Certificate:
     final_weights: Weights
     iterations: tuple  # one Pass per weight-adjustment pass
     lp_solution: LpSolution | None
-    s_observed: int
     certified: bool
     recovered: np.ndarray | None
     brute_force_verified: bool | None
@@ -108,38 +106,30 @@ class Certificate:
         return self.iterations[-1].report
 
 
-def weighted_lp(sf: StandardForm, c: Weights) -> LinearProgram:
-    """min c^T x over A1 x + diag(-I_m, I_n) y = b', x >= 0, y >= 0,
-    variables (x, y)."""
-    m, n = sf.m, sf.n
-    slack = np.block(
-        [[-np.eye(m), np.zeros((m, n))], [np.zeros((n, m)), np.eye(n)]]
-    )
+def covering_lp(A, b, c) -> LinearProgram:
+    """min c^T x over A x >= b, 0 <= x <= 1: the weighted relaxation, and
+    each branch-and-bound node's LP."""
     return LinearProgram(
-        objective=np.concatenate([c.c, np.zeros(m + n)]),
-        eq_matrix=np.hstack([sf.A1, slack]),
-        eq_rhs=sf.bprime,
+        objective=c, ineq_matrix=-A, ineq_rhs=-b, upper=np.ones(len(c))
     )
 
 
-def solve_weighted_lp(sf: StandardForm, c: Weights) -> LpSolution:
-    return solve(weighted_lp(sf, c))
+def solve_weighted_lp(inst: ZeroOneInstance, c: Weights) -> LpSolution:
+    return solve(covering_lp(inst.A, inst.b, c.c))
 
 
-def classify_case(sol: LpSolution, n: int) -> CaseKind:
+def classify_case(sol: LpSolution) -> CaseKind:
     """Uniqueness and support-structure classification of the optimal face
-    of sol, a solution of the weighted LP with n variables x.
+    of sol, a solution of the weighted LP.
 
-    Only the x-part is probed: y is determined by x through the
-    invertible slack block, so the joint optimum is unique iff the
-    x-part is. The same/different-sparsity split compares the always-
-    positive support with the possibly-positive support, which is a
-    heuristic for faces of dimension > 1.
+    The same/different-sparsity split compares the always-positive
+    support with the possibly-positive support, which is a heuristic for
+    faces of dimension > 1.
     """
     hi_support = set()
     lo_support = set()
     width = 0.0
-    for j, (lo, hi) in enumerate(optimal_face_range(sol, range(n))):
+    for j, (lo, hi) in enumerate(optimal_face_range(sol, range(sol.x.size))):
         width = max(width, hi - lo)
         if hi > ZERO_TOL:
             hi_support.add(j)
@@ -229,11 +219,8 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
             if not free.size:
                 continue
             sol = solve(
-                LinearProgram(
-                    objective=np.ones(free.size),
-                    ineq_matrix=-inst.A[np.ix_(rows, free)],
-                    ineq_rhs=-rhs[rows],
-                    upper=np.ones(free.size),
+                covering_lp(
+                    inst.A[np.ix_(rows, free)], rhs[rows], np.ones(free.size)
                 )
             )
             if sol.status is Status.INFEASIBLE:
@@ -260,20 +247,6 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
     return best_value, best
 
 
-def verify_certificate(inst: ZeroOneInstance, cert: Certificate) -> bool:
-    """Recovered vector is feasible, matches the exhaustive optimum, and
-    its objective equals the support count of the relaxation optimum."""
-    if cert.recovered is None or cert.lp_solution is None:
-        return False
-    rec = np.asarray(cert.recovered)
-    if np.any(inst.A @ rec < inst.b - ZERO_TOL):
-        return False
-    value, _optima = brute_force_ip(inst)
-    if int(rec.sum()) != value:
-        return False
-    return int(rec.sum()) == cert.s_observed
-
-
 def certify(
     inst: ZeroOneInstance,
     config: CertifyConfig = CertifyConfig(),
@@ -291,8 +264,7 @@ def certify(
     against branch_and_bound_ip, and a refuted one is not certified.
     """
     sf = to_standard_form(inst)
-    n = inst.n
-    c = weights if weights is not None else Weights(c=np.ones(n))
+    c = weights if weights is not None else Weights(c=np.ones(inst.n))
     discrepancies = []
     iterations = []
     certified = False
@@ -305,16 +277,15 @@ def certify(
                 f"column-norm default {bb:g}"
             )
     for _ in range(config.max_weight_iterations):
-        sol = solve_weighted_lp(sf, c)
+        sol = solve_weighted_lp(inst, c)
         if sol.status is not Status.OPTIMAL:
             discrepancies.append(
                 f"weighted relaxation ended with status {sol.status.value}"
             )
             iterations.append(Pass(c, None, None, PassReason.LP_STATUS))
             break
-        x_part = sol.x[: n]
-        s_observed = int(np.count_nonzero(x_part > ZERO_TOL))
-        case = classify_case(sol, n)
+        s_observed = int(np.count_nonzero(sol.x > ZERO_TOL))
+        case = classify_case(sol)
         report = None
         reason = PassReason.NON_UNIQUE
         if case is CaseKind.UNIQUE_OPTIMUM:
@@ -334,14 +305,13 @@ def certify(
         iterations.append(Pass(c, report, case, reason))
         if certified:
             break
-        c = adjust_weights(x_part)
+        c = adjust_weights(sol.x)
     else:
         discrepancies.append("weight-adjustment iteration budget exhausted")
 
+    recovered = None
     if sol.status is Status.OPTIMAL:
-        recovered = ceil_recover(np.clip(x_part, 0.0, 1.0))
-    else:
-        s_observed, recovered = 0, None
+        recovered = ceil_recover(np.clip(sol.x, 0.0, 1.0))
 
     bf_verified = None
     bf_value = None
@@ -363,7 +333,6 @@ def certify(
         final_weights=iterations[-1].weights,
         iterations=tuple(iterations),
         lp_solution=sol,
-        s_observed=s_observed,
         certified=certified,
         recovered=recovered,
         brute_force_verified=bf_verified,

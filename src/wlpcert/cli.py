@@ -38,7 +38,7 @@ from .instance import (
 )
 from .lp import LpError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _sig(x):
@@ -99,7 +99,6 @@ def _verdict_doc(report, names) -> dict:
 
 def _report_doc(inst, cert, timings) -> dict:
     sol = cert.lp_solution
-    n = inst.n
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": _instance_doc(inst),
@@ -120,8 +119,7 @@ def _report_doc(inst, cert, timings) -> dict:
         "case": cert.final_case.value if cert.final_case else None,
         "weights": [_sig(float(v)) for v in cert.final_weights.c],
         "lp": {
-            "x": [_sig(float(v)) for v in sol.x[:n]],
-            "y": [_sig(float(v)) for v in sol.x[n:]],
+            "x": [_sig(float(v)) for v in sol.x],
             "value": _sig(sol.value),
         }
         if sol is not None and sol.x is not None
@@ -159,7 +157,6 @@ def _config_from(args) -> CertifyConfig:
     return CertifyConfig(
         beta_override=args.beta,
         max_weight_iterations=args.max_iters,
-        brute_force_verify=not getattr(args, "no_verify", False),
     )
 
 
@@ -315,7 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the full adjust-and-certify loop")
     common(p)
     p.add_argument("--max-iters", type=int, default=10)
-    p.add_argument("--no-verify", action="store_true")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("eta", help="per-column residual bounds and s_star")

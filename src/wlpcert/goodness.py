@@ -3,7 +3,7 @@
 Computes the dual-radius default beta_bar, the n per-column residual
 bounds eta^j and their maximum eta1, the sparsity budget s_star, the
 relaxed goodness constant gamma_hat (in closed form), and the
-sufficiency verdict s * eta1 < (1/2) min_i c_i.
+sufficiency verdict s_star * eta1 < (1/2) min_i c_i.
 """
 
 from __future__ import annotations
@@ -92,16 +92,8 @@ def eta_j(sf: StandardForm, c: Weights, beta: float, col: int) -> tuple:
     return value, DualWitness(q=q, achieved_residual=value)
 
 
-def eta_1K(sf: StandardForm, c: Weights, beta: float) -> float:
-    return max(eta_j(sf, c, beta, j)[0] for j in range(sf.n))
-
-
-def s_star(sf: StandardForm, c: Weights, beta: float) -> int:
-    """floor(threshold / eta1), clamped to [0, n]; n when eta1 is zero."""
-    return _s_star_from(eta_1K(sf, c, beta), float(np.min(c.c)), sf.n)
-
-
 def _s_star_from(eta1: float, min_c: float, n: int) -> int:
+    """floor(threshold / eta1), clamped to [0, n]; n when eta1 is zero."""
     threshold = 0.5 * min_c
     if eta1 <= ZERO_TOL:
         return n
@@ -119,16 +111,14 @@ def sufficient_verdict(
     sf: StandardForm,
     c: Weights,
     beta: float,
-    s: int | None = None,
     beta_default: float | None = None,
     s_observed: int = 0,
 ) -> tuple:
-    """Certification verdict s * eta1 < (1/2) min c and s_star >= s_observed,
-    with a report.
+    """Certification verdict s_star * eta1 < (1/2) min c and
+    s_star >= s_observed, with a report.
 
-    When s is None the budget s_star is used. beta_default, when given,
-    is recorded as the report's beta_bar (callers that override beta
-    still report the default-rule value).
+    beta_default, when given, is recorded as the report's beta_bar
+    (callers that override beta still report the default-rule value).
 
     eta_j is solved in column order, stopping after the first column
     whose eta_j alone gives s_star < s_observed: eta1 >= eta_j and s_star
@@ -149,8 +139,7 @@ def sufficient_verdict(
     eta1 = max(etas)
     threshold = 0.5 * min_c
     star = _s_star_from(eta1, min_c, sf.n)
-    s_used = star if s is None else s
-    bound = s_used * eta1
+    bound = star * eta1
     certified = bound < threshold - STRICT_GUARD and star >= s_observed
     report = GoodnessReport(
         beta_bar=beta if beta_default is None else beta_default,

@@ -1,8 +1,8 @@
 """Data model for nonnegative 0-1 covering instances.
 
-Holds the dense (A, b) instance, its equality-form reformulation
-(A1 = [A; I], b' = [b; 1]), the independent-set front
-end, file parsing, a seeded generator, and ceiling recovery.
+Holds the dense (A, b) instance, the stacked matrix A1 = [A; I] of the
+goodness quantities, the independent-set front end, file parsing, a
+seeded generator, and ceiling recovery.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ class Weights:
 
 @dataclass(frozen=True, eq=False)
 class StandardForm:
-    """Equality reformulation A1 x + diag(-I_m, I_n) y = b', x >= 0, y >= 0."""
+    """The stacked matrix A1 = [A; I_n] that beta_bar, eta_j and
+    gamma_hat read."""
 
     A1: np.ndarray
-    bprime: np.ndarray
 
     @property
     def n(self) -> int:
@@ -105,7 +105,7 @@ class StandardForm:
 
     @property
     def m(self) -> int:
-        return self.bprime.size - self.n
+        return self.A1.shape[0] - self.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,17 +114,13 @@ class MisContext:
 
     vertex_count: int
     edges: tuple
-    incidence: np.ndarray
 
 
 def to_standard_form(inst: ZeroOneInstance) -> StandardForm:
-    """Stack A over the identity and b over the all-ones vector."""
-    n = inst.n
-    A1 = np.vstack([inst.A, np.eye(n)])
-    bprime = np.concatenate([inst.b, np.ones(n)])
-    for arr in (A1, bprime):
-        arr.setflags(write=False)
-    return StandardForm(A1=A1, bprime=bprime)
+    """Stack A over the identity."""
+    A1 = np.vstack([inst.A, np.eye(inst.n)])
+    A1.setflags(write=False)
+    return StandardForm(A1=A1)
 
 
 def from_independent_set(vertex_count: int, edges) -> tuple:
@@ -157,9 +153,7 @@ def from_independent_set(vertex_count: int, edges) -> tuple:
         raise InstanceError("graph has no edges; covering instance is empty")
     M = np.array(rows)
     inst = ZeroOneInstance(A=M, b=np.ones(len(rows)))
-    ctx = MisContext(
-        vertex_count=vertex_count, edges=tuple(norm_edges), incidence=inst.A
-    )
+    ctx = MisContext(vertex_count=vertex_count, edges=tuple(norm_edges))
     return inst, ctx
 
 

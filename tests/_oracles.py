@@ -10,6 +10,8 @@ objective pinned to the optimal value, from a fresh phase 1.
 `gamma_hat_exact` re-derives `wlpcert.gamma_hat_closed_form` by one
 simplex LP per support pattern. `eager_certify` runs the certify loop in
 its earlier order, with the full verdict on every pass.
+`verify_certificate` checks a certified recovery against exhaustive
+enumeration.
 """
 
 import math
@@ -22,7 +24,8 @@ from wlpcert.certify import (
     CaseKind,
     adjust_weights,
     branch_and_bound_ip,
-    weighted_lp,
+    brute_force_ip,
+    covering_lp,
 )
 from wlpcert.goodness import beta_bar, sufficient_verdict
 from wlpcert.instance import (
@@ -301,11 +304,11 @@ def reference_face_range(lp: LinearProgram, opt_value: float, variables) -> list
     return ranges
 
 
-def reference_case(sol: LpSolution, n: int, lp: LinearProgram) -> CaseKind:
-    """`wlpcert.classify_case(sol, n)` on the face ranges of
+def reference_case(sol: LpSolution, lp: LinearProgram) -> CaseKind:
+    """`wlpcert.classify_case(sol)` on the face ranges of
     reference_face_range, which re-solves lp, the weighted LP that sol
     solves."""
-    ranges = reference_face_range(lp, sol.value, range(n))
+    ranges = reference_face_range(lp, sol.value, range(lp.nvars))
     if max(hi - lo for lo, hi in ranges) <= UNIQUE_TOL:
         return CaseKind.UNIQUE_OPTIMUM
     if all((hi > ZERO_TOL) == (lo > ZERO_TOL) for lo, hi in ranges):
@@ -381,13 +384,13 @@ def eager_certify(inst, max_weight_iterations=10):
     certified = False
     for _ in range(max_weight_iterations):
         ok, report = sufficient_verdict(sf, c, beta_bar(sf, c))
-        lp = weighted_lp(sf, c)
+        lp = covering_lp(inst.A, inst.b, c.c)
         sol = solve(lp)
         if sol.status is not Status.OPTIMAL:
             cases.append(None)
             break
-        x = sol.x[: inst.n]
-        case = reference_case(sol, inst.n, lp)
+        x = sol.x
+        case = reference_case(sol, lp)
         cases.append(case)
         support = int(np.count_nonzero(x > ZERO_TOL))
         if ok and case is CaseKind.UNIQUE_OPTIMUM and support <= report.s_star:
@@ -405,3 +408,15 @@ def eager_certify(inst, max_weight_iterations=10):
         )
     recovered = None if recovered is None else [int(v) for v in recovered]
     return certified, len(cases), recovered, cases, value
+
+
+def verify_certificate(inst, cert) -> bool:
+    """The certificate's recovery is feasible and its size is the
+    exhaustive 0-1 optimum."""
+    if cert.recovered is None or cert.lp_solution is None:
+        return False
+    rec = np.asarray(cert.recovered)
+    if np.any(inst.A @ rec < inst.b - ZERO_TOL):
+        return False
+    value, _optima = brute_force_ip(inst)
+    return int(rec.sum()) == value

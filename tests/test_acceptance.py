@@ -19,23 +19,21 @@ from wlpcert import (
     Weights,
     beta_bar,
     certify,
-    eta_1K,
     from_independent_set,
     gamma_hat_closed_form,
     mis_recover,
     random_instance,
-    s_star,
     solve,
     solve_weighted_lp,
     sufficient_verdict,
     to_standard_form,
-    verify_certificate,
 )
 
 from _oracles import (
     enumerate_binary_minimum,
     enumerate_lp_minimum,
     gamma_hat_exact,
+    verify_certificate,
 )
 
 
@@ -43,12 +41,13 @@ class TestAcceptance:
     def test_criterion_1_example_1(self, ex1, sf1, ones3):
         start = time.perf_counter()
         beta = 0.5625
-        eta1 = eta_1K(sf1, ones3, beta)
+        _, report = sufficient_verdict(sf1, ones3, beta)
+        eta1 = report.eta1
         assert eta1 == pytest.approx(0.21875, abs=1e-6)
-        star = s_star(sf1, ones3, beta)
+        star = report.s_star
         assert star == 2
-        sol = solve_weighted_lp(sf1, ones3)
-        np.testing.assert_allclose(sol.x[:3], [0.0, 0.5, 0.5], atol=1e-8)
+        sol = solve_weighted_lp(ex1, ones3)
+        np.testing.assert_allclose(sol.x, [0.0, 0.5, 0.5], atol=1e-8)
         assert star * eta1 == pytest.approx(0.4375, abs=1e-6)
         assert star * eta1 < 0.5
         cert = certify(ex1, CertifyConfig(beta_override=beta))
@@ -61,20 +60,21 @@ class TestAcceptance:
 
     def test_criterion_2_example_2(self, ex2, sf2, ones3):
         start = time.perf_counter()
-        assert eta_1K(sf2, ones3, 0.5) == pytest.approx(0.5, abs=1e-6)
-        fired, _ = sufficient_verdict(sf2, ones3, 0.5)
+        fired, report = sufficient_verdict(sf2, ones3, 0.5)
+        assert report.eta1 == pytest.approx(0.5, abs=1e-6)
         assert not fired  # s*·η = 0.5 is not strictly below the threshold
 
         adjusted = Weights(np.array([0.5, 0.7, 0.8]))
-        assert eta_1K(sf2, adjusted, 0.7) == pytest.approx(0.1, abs=1e-6)
-        assert s_star(sf2, adjusted, 0.7) == 2
+        _, report = sufficient_verdict(sf2, adjusted, 0.7)
+        assert report.eta1 == pytest.approx(0.1, abs=1e-6)
+        assert report.s_star == 2
         cert = certify(
             ex2, CertifyConfig(beta_override=0.7), weights=adjusted
         )
         assert cert.certified
         assert cert.final_case is CaseKind.UNIQUE_OPTIMUM
         np.testing.assert_allclose(
-            cert.lp_solution.x[:3], [1.0, 0.5, 0.0], atol=1e-8
+            cert.lp_solution.x, [1.0, 0.5, 0.0], atol=1e-8
         )
         np.testing.assert_array_equal(cert.recovered, [1, 1, 0])
         assert cert.brute_force_verified
@@ -83,8 +83,9 @@ class TestAcceptance:
 
     def test_criterion_3_example_3(self, ex3, sf3, ones3):
         start = time.perf_counter()
-        assert eta_1K(sf3, ones3, 0.375) == pytest.approx(0.291666, abs=1e-5)
-        assert s_star(sf3, ones3, 0.375) == 1
+        _, report = sufficient_verdict(sf3, ones3, 0.375)
+        assert report.eta1 == pytest.approx(0.291666, abs=1e-5)
+        assert report.s_star == 1
         cert0 = certify(
             ex3, CertifyConfig(max_weight_iterations=1), weights=ones3
         )
@@ -93,7 +94,8 @@ class TestAcceptance:
         adjusted = Weights(np.array([0.5, 0.35, 0.3]))
         # At these weights every column bound collapses to zero, so the
         # certificate fires well below the 0.15 threshold.
-        assert eta_1K(sf3, adjusted, 0.7) == pytest.approx(0.0, abs=1e-9)
+        _, report = sufficient_verdict(sf3, adjusted, 0.7)
+        assert report.eta1 == pytest.approx(0.0, abs=1e-9)
         cert = certify(
             ex3, CertifyConfig(beta_override=0.7), weights=adjusted
         )
@@ -116,7 +118,7 @@ class TestAcceptance:
             c = Weights(np.ones(n))
             bb = beta_bar(sf, c)
             betas = [0.5 * bb, bb, 2.0 * bb]
-            etas = [eta_1K(sf, c, beta) for beta in betas]
+            etas = [sufficient_verdict(sf, c, beta)[1].eta1 for beta in betas]
             for lo, hi in itertools.pairwise(etas):
                 assert hi <= lo + 1e-8  # eta nonincreasing in beta
             for beta, eta1 in zip(betas, etas):

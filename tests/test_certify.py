@@ -20,55 +20,70 @@ from wlpcert import (
     classify_case,
     from_independent_set,
     random_instance,
+    solve,
     solve_weighted_lp,
-    verify_certificate,
 )
 from wlpcert.certify import BRUTE_FORCE_BLOCK
+from wlpcert.lp import _standardize
 
-from _oracles import eager_certify, enumerate_binary_minimum
+from _oracles import eager_certify, enumerate_binary_minimum, verify_certificate
 from conftest import REFUTED_INSTANCES, cycle_instance
 
 
 class TestWeightedLp:
-    def test_example1(self, sf1, ones3):
-        sol = solve_weighted_lp(sf1, ones3)
-        np.testing.assert_allclose(sol.x[:3], [0, 0.5, 0.5], atol=1e-8)
+    def test_example1(self, ex1, ones3):
+        sol = solve_weighted_lp(ex1, ones3)
+        np.testing.assert_allclose(sol.x, [0, 0.5, 0.5], atol=1e-8)
         assert sol.value == pytest.approx(1.0, abs=1e-8)
 
-    def test_example3_adjusted(self, sf3):
+    def test_example3_adjusted(self, ex3):
         c = Weights(np.array([0.5, 0.35, 0.3]))
-        sol = solve_weighted_lp(sf3, c)
-        np.testing.assert_allclose(sol.x[:3], [0, 0, 0.5], atol=1e-8)
+        sol = solve_weighted_lp(ex3, c)
+        np.testing.assert_allclose(sol.x, [0, 0, 0.5], atol=1e-8)
 
     def test_zero_rhs(self):
         inst = ZeroOneInstance(A=np.array([[1.0, 1.0]]), b=np.array([0.0]))
-        from wlpcert import to_standard_form
-
-        sol = solve_weighted_lp(to_standard_form(inst), Weights(np.ones(2)))
-        np.testing.assert_allclose(sol.x[:2], 0.0, atol=1e-9)
+        sol = solve_weighted_lp(inst, Weights(np.ones(2)))
+        np.testing.assert_allclose(sol.x, 0.0, atol=1e-9)
         assert sol.value == pytest.approx(0.0, abs=1e-9)
+
+    def test_unit_weights_is_the_root_node_lp(self, ex1, monkeypatch):
+        # Where every b_i > 0 the root node keeps every row, so at c = 1
+        # the two LPs standardise to the same tableau.
+        lps = []
+
+        def record(lp):
+            lps.append(lp)
+            return solve(lp)
+
+        module = importlib.import_module("wlpcert.certify")
+        monkeypatch.setattr(module, "solve", record)
+        for inst in (ex1, cycle_instance(9)):
+            lps.clear()
+            solve_weighted_lp(inst, Weights(np.ones(inst.n)))
+            branch_and_bound_ip(inst)
+            weighted, root = lps[:2]
+            for a, b in zip(_standardize(weighted), _standardize(root), strict=True):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestClassifyCase:
-    def test_example1_unique(self, sf1, ones3):
-        sol = solve_weighted_lp(sf1, ones3)
-        assert classify_case(sol, sf1.n) is CaseKind.UNIQUE_OPTIMUM
+    def test_example1_unique(self, ex1, ones3):
+        sol = solve_weighted_lp(ex1, ones3)
+        assert classify_case(sol) is CaseKind.UNIQUE_OPTIMUM
 
-    def test_example2_same_sparsity(self, sf2, ones3):
-        sol = solve_weighted_lp(sf2, ones3)
-        assert classify_case(sol, sf2.n) is CaseKind.MULTIPLE_SAME_SPARSITY
+    def test_example2_same_sparsity(self, ex2, ones3):
+        sol = solve_weighted_lp(ex2, ones3)
+        assert classify_case(sol) is CaseKind.MULTIPLE_SAME_SPARSITY
 
-    def test_example3_different_sparsity(self, sf3, ones3):
-        sol = solve_weighted_lp(sf3, ones3)
-        assert (
-            classify_case(sol, sf3.n)
-            is CaseKind.MULTIPLE_DIFFERENT_SPARSITY
-        )
+    def test_example3_different_sparsity(self, ex3, ones3):
+        sol = solve_weighted_lp(ex3, ones3)
+        assert classify_case(sol) is CaseKind.MULTIPLE_DIFFERENT_SPARSITY
 
-    def test_example2_adjusted_weights_unique(self, sf2):
+    def test_example2_adjusted_weights_unique(self, ex2):
         c = Weights(np.array([0.5, 0.7, 0.8]))
-        sol = solve_weighted_lp(sf2, c)
-        assert classify_case(sol, sf2.n) is CaseKind.UNIQUE_OPTIMUM
+        sol = solve_weighted_lp(ex2, c)
+        assert classify_case(sol) is CaseKind.UNIQUE_OPTIMUM
 
 
 class TestAdjustWeights:
@@ -164,7 +179,6 @@ class TestCertify:
         np.testing.assert_array_equal(cert.recovered, [0, 1, 1])
         assert cert.brute_force_verified
         assert cert.final_case is CaseKind.UNIQUE_OPTIMUM
-        assert cert.s_observed == 2
 
     def test_example2_with_adjusted_weights(self, ex2):
         cert = certify(
@@ -185,7 +199,6 @@ class TestCertify:
         assert cert.certified
         np.testing.assert_array_equal(cert.recovered, [0, 0, 1])
         assert cert.brute_force_verified
-        assert cert.s_observed == 1
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
     def test_config_rejects_non_positive_beta(self, beta):
@@ -234,7 +247,7 @@ class TestCertify:
 
     def test_recovered_counts_lp_support(self, ex1):
         cert = certify(ex1, CertifyConfig(beta_override=0.5625))
-        x = cert.lp_solution.x[:3]
+        x = cert.lp_solution.x
         assert cert.recovered.sum() == np.count_nonzero(x > 1e-9)
 
 
@@ -247,9 +260,9 @@ class TestLazyVerdict:
         eta_j, solve_weighted_lp = goodness.eta_j, module.solve_weighted_lp
         calls = []
 
-        def next_pass(sf, c):
+        def next_pass(inst, c):
             calls.append(0)
-            return solve_weighted_lp(sf, c)
+            return solve_weighted_lp(inst, c)
 
         def counted(*args):
             calls[-1] += 1
@@ -265,7 +278,7 @@ class TestLazyVerdict:
         assert first.report is None and first.reason is PassReason.NON_UNIQUE
         for p in rest:
             assert len(p.report.eta_per_column) == 1
-            assert p.report.s_star < cert.s_observed
+            assert p.report.s_star < cert.recovered.sum()
             assert not p.report.certified
             assert p.reason is PassReason.SUPPORT_GT_S_STAR
 
@@ -350,7 +363,7 @@ class TestSoundnessEnsemble:
         if cert.certified:
             assert cert.brute_force_verified
             assert verify_certificate(inst, cert)
-            assert cert.s_observed <= cert.final_report.s_star
+            assert cert.recovered.sum() <= cert.final_report.s_star
 
 
 def random_graph_instance(n, seed, density=0.3):

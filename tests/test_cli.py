@@ -175,7 +175,7 @@ class TestCertifyCommand:
             "timings_ms",
         ):
             assert key in doc
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert doc["instance"] == {
             "m": 3,
             "n": 3,
@@ -185,6 +185,7 @@ class TestCertifyCommand:
         assert doc["recovered"] == [0, 1, 1]
         assert doc["s_star"] == 2
         assert doc["eta1"] == pytest.approx(0.21875, abs=1e-9)
+        assert set(doc["lp"]) == {"x", "value"}
         np.testing.assert_allclose(doc["lp"]["x"], [0, 0.5, 0.5], atol=1e-8)
         assert doc["brute_force"]["value"] == 2
         assert doc["brute_force"]["verified"] is True
@@ -343,12 +344,17 @@ class TestMisCommand:
     def test_missing_graph_exit_two(self, tmp_path):
         assert main(["mis", "--graph", str(tmp_path / "nope.txt")]) == 2
 
-    def test_no_verify_rejected(self, tmp_path):
+    def test_no_verify_rejected(self, tmp_path, ex1_file):
+        # Neither command skips the exact check of a certificate.
         path = tmp_path / "p3.txt"
         path.write_text(P3_GRAPH)
-        with pytest.raises(SystemExit) as exc:
-            main(["mis", "--graph", str(path), "--no-verify"])
-        assert exc.value.code == 2
+        for argv in (
+            ["mis", "--graph", str(path), "--no-verify"],
+            ["certify", "--input", ex1_file, "--no-verify"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_fallback_above_guard_uses_branch_and_bound(
         self, tmp_path, capsys, monkeypatch

@@ -7,17 +7,21 @@ from wlpcert import (
     Weights,
     ZeroOneInstance,
     beta_bar,
-    eta_1K,
     eta_j,
     from_independent_set,
     gamma_hat_closed_form,
     random_instance,
-    s_star,
     sufficient_verdict,
     to_standard_form,
 )
+from wlpcert.goodness import _s_star_from
 
 from _oracles import gamma_hat_exact
+
+
+def _report(sf, c, beta):
+    """The full verdict report: every eta_j, their maximum eta1 and s_star."""
+    return sufficient_verdict(sf, c, beta)[1]
 
 
 class TestBetaBar:
@@ -59,14 +63,14 @@ class TestEta:
             eta_j(sf1, ones3, beta, 0)
 
     def test_example1_max(self, sf1, ones3):
-        assert eta_1K(sf1, ones3, 0.5625) == pytest.approx(0.21875, abs=1e-8)
+        assert _report(sf1, ones3, 0.5625).eta1 == pytest.approx(0.21875, abs=1e-8)
 
     def test_example2_adjusted(self, sf2):
         c = Weights(np.array([0.5, 0.7, 0.8]))
-        assert eta_1K(sf2, c, 0.7) == pytest.approx(0.1, abs=1e-8)
+        assert _report(sf2, c, 0.7).eta1 == pytest.approx(0.1, abs=1e-8)
 
     def test_example3_default_weights(self, sf3, ones3):
-        assert eta_1K(sf3, ones3, 0.375) == pytest.approx(
+        assert _report(sf3, ones3, 0.375).eta1 == pytest.approx(
             0.2916666666666, abs=1e-8
         )
 
@@ -74,10 +78,10 @@ class TestEta:
         # Direct evaluation of the per-column subproblems: every target
         # is exactly reachable, so the bound is 0 (not the published 0.1).
         c = Weights(np.array([0.5, 0.35, 0.3]))
-        assert eta_1K(sf3, c, 0.7) == pytest.approx(0.0, abs=1e-9)
+        assert _report(sf3, c, 0.7).eta1 == pytest.approx(0.0, abs=1e-9)
 
     def test_nonincreasing_in_beta(self, sf1, ones3):
-        values = [eta_1K(sf1, ones3, b) for b in (0.2, 0.375, 0.5625, 1.0)]
+        values = [_report(sf1, ones3, b).eta1 for b in (0.2, 0.375, 0.5625, 1.0)]
         for small, large in zip(values, values[1:]):
             assert large <= small + 1e-9
 
@@ -153,14 +157,14 @@ class TestEtaDifferential:
 
 class TestSStar:
     def test_example1(self, sf1, ones3):
-        assert s_star(sf1, ones3, 0.5625) == 2
+        assert _report(sf1, ones3, 0.5625).s_star == 2
 
     def test_example3(self, sf3, ones3):
-        assert s_star(sf3, ones3, 0.375) == 1
+        assert _report(sf3, ones3, 0.375).s_star == 1
 
     def test_zero_eta_gives_n(self, sf3):
         c = Weights(np.array([0.5, 0.35, 0.3]))
-        assert s_star(sf3, c, 0.7) == 3
+        assert _report(sf3, c, 0.7).s_star == 3
 
 
 class TestGammaHat:
@@ -227,14 +231,14 @@ class TestBoundChain:
         sf = to_standard_form(inst)
         c = Weights(np.ones(n))
         beta = beta_bar(sf, c)
-        eta1 = eta_1K(sf, c, beta)
+        eta1 = _report(sf, c, beta).eta1
         for s in (1, 2):
             assert gamma_hat_exact(sf, c, beta, s) <= s * eta1 + 1e-8
 
 
 class TestSufficientVerdict:
     def test_example1_certifies(self, sf1, ones3):
-        certified, report = sufficient_verdict(sf1, ones3, 0.5625, s=2)
+        certified, report = sufficient_verdict(sf1, ones3, 0.5625)
         assert certified
         assert report.eta_s_bound == pytest.approx(0.4375, abs=1e-8)
         assert report.threshold == pytest.approx(0.5)
@@ -242,13 +246,13 @@ class TestSufficientVerdict:
         assert report.eta1 == pytest.approx(max(report.eta_per_column))
 
     def test_example2_default_weights_strict_failure(self, sf2, ones3):
-        certified, report = sufficient_verdict(sf2, ones3, 0.5, s=1)
+        certified, report = sufficient_verdict(sf2, ones3, 0.5)
         assert not certified
         assert report.eta_s_bound == pytest.approx(0.5, abs=1e-8)
 
     def test_example2_adjusted_weights(self, sf2):
         c = Weights(np.array([0.5, 0.7, 0.8]))
-        certified, report = sufficient_verdict(sf2, c, 0.7, s=2)
+        certified, report = sufficient_verdict(sf2, c, 0.7)
         assert certified
         assert report.eta_s_bound == pytest.approx(0.2, abs=1e-8)
         assert report.threshold == pytest.approx(0.25)
@@ -272,7 +276,7 @@ class TestSufficientVerdict:
         beta = beta_bar(sf, ones3)
         solved = [eta_j(sf, ones3, beta, j) for j in range(sf.n)]
         etas = tuple(value for value, _ in solved)
-        star = s_star(sf, ones3, beta)
+        star = _s_star_from(max(etas), 1.0, sf.n)
         expected = dict(
             beta_bar=beta,
             beta_used=beta,

@@ -13,8 +13,8 @@ from wlpcert import (
     parse_graph,
     parse_instance,
     random_instance,
+    covering_lp,
     to_standard_form,
-    weighted_lp,
 )
 
 from conftest import EX1_TEXT
@@ -85,32 +85,27 @@ class TestStandardForm:
             sf.A1,
             [[1, 2, 0], [0, 1, 1], [1, 0, 2], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
         )
-        np.testing.assert_array_equal(sf.bprime, np.ones(6))
 
     def test_one_by_one(self):
         inst = ZeroOneInstance(A=np.array([[2.0]]), b=np.array([1.0]))
         sf = to_standard_form(inst)
         np.testing.assert_array_equal(sf.A1, [[2], [1]])
-        np.testing.assert_array_equal(
-            weighted_lp(sf, Weights(np.ones(1))).eq_matrix,
-            [[2, -1, 0], [1, 0, 1]],
-        )
-        np.testing.assert_array_equal(sf.bprime, [1, 1])
+        lp = covering_lp(inst.A, inst.b, np.ones(1))
+        np.testing.assert_array_equal(lp.ineq_matrix, [[-2]])
+        np.testing.assert_array_equal(lp.ineq_rhs, [-1])
+        np.testing.assert_array_equal(lp.upper, [1])
+        assert lp.eq_matrix.shape == (0, 1)
 
     def test_reslice_roundtrip(self):
         inst = random_instance(4, 5, seed=11)
         sf = to_standard_form(inst)
         np.testing.assert_array_equal(sf.A1[:4], inst.A)
         np.testing.assert_array_equal(sf.A1[4:], np.eye(5))
-        np.testing.assert_array_equal(sf.bprime[:4], inst.b)
-        np.testing.assert_array_equal(sf.bprime[4:], np.ones(5))
-        np.testing.assert_array_equal(
-            weighted_lp(sf, Weights(np.ones(5))).eq_matrix[:, 5:],
-            np.block([
-                [-np.eye(4), np.zeros((4, 5))],
-                [np.zeros((5, 4)), np.eye(5)],
-            ]),
-        )
+        lp = covering_lp(inst.A, inst.b, np.ones(5))
+        np.testing.assert_array_equal(lp.ineq_matrix, -inst.A)
+        np.testing.assert_array_equal(lp.ineq_rhs, -inst.b)
+        np.testing.assert_array_equal(lp.upper, np.ones(5))
+        assert lp.eq_matrix.shape == (0, 5)
 
 
 class TestIndependentSetFrontEnd:

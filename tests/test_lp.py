@@ -8,6 +8,7 @@ from wlpcert import (
     LpError,
     Status,
     Weights,
+    covering_lp,
     eta_j,
     goodness,
     optimal_face_range,
@@ -15,7 +16,6 @@ from wlpcert import (
     solve,
     solve_weighted_lp,
     to_standard_form,
-    weighted_lp,
 )
 
 from wlpcert.lp import (
@@ -60,11 +60,11 @@ class TestSolve:
         assert sol.status is Status.OPTIMAL
         assert sol.value == pytest.approx(0.0, abs=1e-12)
 
-    def test_example1_weighted_problem(self, sf1, ones3):
-        sol = solve_weighted_lp(sf1, ones3)
+    def test_example1_weighted_problem(self, ex1, ones3):
+        sol = solve_weighted_lp(ex1, ones3)
         assert sol.status is Status.OPTIMAL
         assert sol.value == pytest.approx(1.0, abs=1e-8)
-        np.testing.assert_allclose(sol.x[:3], [0.0, 0.5, 0.5], atol=1e-8)
+        np.testing.assert_allclose(sol.x, [0.0, 0.5, 0.5], atol=1e-8)
         assert sol.residual <= 1e-8
 
     def test_unbounded(self):
@@ -82,15 +82,15 @@ class TestSolve:
         )
         assert sol.status is Status.INFEASIBLE
 
-    def test_deterministic_including_basis(self, sf1, ones3):
-        lp = weighted_lp(sf1, ones3)
+    def test_deterministic_including_basis(self, ex1, ones3):
+        lp = covering_lp(ex1.A, ex1.b, ones3.c)
         a, b = solve(lp), solve(lp)
         assert a.basis == b.basis
         np.testing.assert_array_equal(a.x, b.x)
         assert a.value == b.value
 
-    def test_iteration_limit_is_explicit(self, sf1, ones3):
-        sol = solve(weighted_lp(sf1, ones3), max_iters=1)
+    def test_iteration_limit_is_explicit(self, ex1, ones3):
+        sol = solve(covering_lp(ex1.A, ex1.b, ones3.c), max_iters=1)
         assert sol.status is Status.ITERATION_LIMIT
 
     @pytest.mark.parametrize("seed", range(40))
@@ -116,14 +116,14 @@ class TestSolve:
 
 
 class TestOptimalFace:
-    def test_unique_vertex_has_zero_width(self, sf1, ones3):
-        ranges = optimal_face_range(solve(weighted_lp(sf1, ones3)), range(3))
+    def test_unique_vertex_has_zero_width(self, ex1, ones3):
+        ranges = optimal_face_range(solve_weighted_lp(ex1, ones3), range(3))
         assert len(ranges) == 3
         for lo, hi in ranges:
             assert hi - lo <= 1e-7
 
-    def test_example2_x1_has_positive_width(self, sf2, ones3):
-        [(lo, hi)] = optimal_face_range(solve(weighted_lp(sf2, ones3)), [0])
+    def test_example2_x1_has_positive_width(self, ex2, ones3):
+        [(lo, hi)] = optimal_face_range(solve_weighted_lp(ex2, ones3), [0])
         assert hi - lo > 1e-6
         # optimal face is x1 + x2 = 1.5, x3 = 0 with x2 in [0.5, 1]
         assert lo == pytest.approx(0.5, abs=1e-8)
@@ -162,7 +162,7 @@ def certificate_lps(ex1, ex2, ex3, monkeypatch):
     for inst in (ex1, ex2, ex3, cycle_instance(9)):
         sf = to_standard_form(inst)
         c = Weights(np.ones(inst.n))
-        lps.append(weighted_lp(sf, c))
+        lps.append(covering_lp(inst.A, inst.b, c.c))
         for j in range(inst.n):
             eta_j(sf, c, 0.5, j)
     return lps
@@ -221,19 +221,22 @@ class TestSlackStart:
         for lp in certificate_lps:
             self.assert_matches_all_artificial(lp)
 
-    def test_eta_lp_has_one_artificial(self, certificate_lps):
-        # Every eta_j LP re-signs its row n; the weighted LP is all
-        # equality rows, so its phase 1 is the all-artificial one.
-        eta_lps = [lp for lp in certificate_lps if lp.eq_matrix.shape[0] == 0]
-        assert len(eta_lps) == 3 + 3 + 3 + 9
-        for lp in eta_lps:
-            *_, start = _standardize(lp)
-            last = lp.ineq_matrix.shape[0] - 1
-            assert (start < 0).nonzero()[0].tolist() == [last]
-        for lp in certificate_lps:
-            if lp.eq_matrix.shape[0]:
+    def test_eta_lp_has_one_artificial(self, ex1, ex2, ex3, certificate_lps):
+        # Every eta_j LP re-signs its row n. The weighted LP re-signs its
+        # covering rows with b_i > 0; its rows with b_i = 0 and its bound
+        # rows start on their slacks.
+        lps = iter(certificate_lps)
+        for inst in (ex1, ex2, ex3, cycle_instance(9)):
+            *_, start = _standardize(next(lps))
+            assert (start < 0).nonzero()[0].tolist() == (
+                (inst.b > 0).nonzero()[0].tolist()
+            )
+            for _ in range(inst.n):
+                lp = next(lps)
                 *_, start = _standardize(lp)
-                assert np.all(start == -1)
+                last = lp.ineq_matrix.shape[0] - 1
+                assert (start < 0).nonzero()[0].tolist() == [last]
+        assert next(lps, None) is None
 
     def test_slack_start_needs_no_phase1_pivot(self):
         lp = LinearProgram(
@@ -276,12 +279,12 @@ class TestFaceRangeMatchesProbes:
 
     def test_examples_and_cycle(self, ex1, ex2, ex3):
         for inst in (ex1, ex2, ex3, cycle_instance(9)):
-            self.check(weighted_lp(to_standard_form(inst), Weights(np.ones(inst.n))))
+            self.check(covering_lp(inst.A, inst.b, np.ones(inst.n)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_instances(self, seed):
         inst = random_instance(4, 6, seed)
-        self.check(weighted_lp(to_standard_form(inst), Weights(np.ones(inst.n))))
+        self.check(covering_lp(inst.A, inst.b, np.ones(inst.n)))
 
     def test_unbounded_direction(self):
         # x0 - x1 = 0 with a zero objective: both variables are free upward.
@@ -318,8 +321,8 @@ class TestFaceFromOptimalTableau:
         assert ranges == [(1.0, 1.0), (0.0, 0.0)]
         self.assert_matches_reference(lp, sol, ranges)
 
-    def test_repeat_call_leaves_solution_unchanged(self, sf2, ones3):
-        lp = weighted_lp(sf2, ones3)
+    def test_repeat_call_leaves_solution_unchanged(self, ex2, ones3):
+        lp = covering_lp(ex2.A, ex2.b, ones3.c)
         sol = solve(lp)
         before = [a.tobytes() for a in sol._optimum]
         first = optimal_face_range(sol, range(lp.nvars))
