@@ -114,8 +114,10 @@ def covering_lp(A, b, c) -> LinearProgram:
     )
 
 
-def solve_weighted_lp(inst: ZeroOneInstance, c: Weights) -> LpSolution:
-    return solve(covering_lp(inst.A, inst.b, c.c))
+def solve_weighted_lp(
+    inst: ZeroOneInstance, c: Weights, start: LpSolution | None = None
+) -> LpSolution:
+    return solve(covering_lp(inst.A, inst.b, c.c), start=start)
 
 
 def classify_case(sol: LpSolution) -> CaseKind:
@@ -255,13 +257,15 @@ def certify(
     """Run the adjust-and-certify loop.
 
     Each pass solves the weighted relaxation and classifies its optimal
-    face. Only a unique optimum reaches the verdict, which certifies when
-    the support count is within the budget s_star and s_star * eta1
-    clears the threshold strictly; it stops solving eta_j as soon as
-    s_star falls below the support count. Otherwise the weights are
-    adjusted and the loop retries, up to max_weight_iterations.
-    With brute_force_verify, a certified recovery is then checked
-    against branch_and_bound_ip, and a refuted one is not certified.
+    face; passes 2..k start phase 2 from the previous pass's optimal
+    tableau, which stays feasible because only the cost changes. Only a
+    unique optimum reaches the verdict, which certifies when the support
+    count is within the budget s_star and s_star * eta1 clears the
+    threshold strictly; it stops solving eta_j as soon as s_star falls
+    below the support count. Otherwise the weights are adjusted and the
+    loop retries, up to max_weight_iterations. With brute_force_verify,
+    a certified recovery is then checked against branch_and_bound_ip,
+    and a refuted one is not certified.
     """
     sf = to_standard_form(inst)
     c = weights if weights is not None else Weights(c=np.ones(inst.n))
@@ -276,8 +280,9 @@ def certify(
                 f"beta override {config.beta_override:g} differs from "
                 f"column-norm default {bb:g}"
             )
+    sol = None
     for _ in range(config.max_weight_iterations):
-        sol = solve_weighted_lp(inst, c)
+        sol = solve_weighted_lp(inst, c, sol)
         if sol.status is not Status.OPTIMAL:
             discrepancies.append(
                 f"weighted relaxation ended with status {sol.status.value}"

@@ -3,7 +3,8 @@
 Two-phase primal simplex with Bland's rule (lowest-index tie-breaking,
 deterministic) and optimal-face probing for uniqueness analysis. Phase 1
 starts each inequality and bound row on its own slack and puts an
-artificial only on the equality and re-signed rows.
+artificial only on the equality and re-signed rows. A re-solve under a
+new cost can start phase 2 from an earlier optimal tableau instead.
 """
 
 from __future__ import annotations
@@ -224,14 +225,30 @@ def _iteration_budget(A) -> int:
     return 50 * (m + N + m)
 
 
-def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
-    """Two-phase simplex; deterministic for fixed input."""
-    A, b, c, start = _standardize(lp)
-    if max_iters is None:
-        max_iters = _iteration_budget(A)
-    status, it1, T, basis = _phase1(A, b, start, max_iters)
-    if status is not Status.OPTIMAL:
-        return LpSolution(status, None, None, (), INF, it1)
+def solve(
+    lp: LinearProgram,
+    max_iters: int | None = None,
+    start: LpSolution | None = None,
+) -> LpSolution:
+    """Two-phase simplex; deterministic for fixed input.
+
+    start, an earlier OPTIMAL solution of an LP with the same constraints,
+    skips standardisation and phase 1: phase 2 runs under lp's cost from a
+    copy of start's optimal tableau, whose basis is feasible for any cost.
+    """
+    if start is None:
+        A, b, c, slacks = _standardize(lp)
+        if max_iters is None:
+            max_iters = _iteration_budget(A)
+        status, it1, T, basis = _phase1(A, b, slacks, max_iters)
+        if status is not Status.OPTIMAL:
+            return LpSolution(status, None, None, (), INF, it1)
+    else:
+        T, basis = _start_tableau(lp, start)
+        c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
+        if max_iters is None:
+            max_iters = _iteration_budget(T[:, :-1])
+        it1 = 0
     status, it2, z = _phase2(T, basis, c, max_iters - it1)
     iters = it1 + it2
     if status is not Status.OPTIMAL:
@@ -246,6 +263,22 @@ def solve(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
         iters,
         (T, basis, c),
     )
+
+
+def _start_tableau(lp: LinearProgram, start: LpSolution):
+    """Copies of start's optimal tableau and basis, checked to have one
+    column per variable, inequality row and finite bound of lp."""
+    if start._optimum is None:
+        raise ValueError(
+            f"no optimal tableau to start from: the LP status is {start.status.value}"
+        )
+    T, basis, _ = start._optimum
+    width = lp.nvars + lp.ineq_matrix.shape[0] + int(np.isfinite(lp.upper).sum())
+    if T.shape[1] - 1 != width:
+        raise ValueError(
+            f"start tableau has {T.shape[1] - 1} columns, the LP needs {width}"
+        )
+    return T.copy(), basis.copy()
 
 
 def _residual(lp: LinearProgram, x: np.ndarray) -> float:

@@ -4,7 +4,8 @@ The brute-force oracles deliberately avoid the package's simplex path:
 LP minima come from enumerating candidate vertices as solutions of n
 active constraints chosen from the stacked constraint rows.
 `reference_solve` is the row-by-row two-phase simplex that the
-vectorised `wlpcert.lp.solve` must reproduce pivot for pivot.
+vectorised `wlpcert.lp.solve` must reproduce pivot for pivot, cold and
+from an earlier optimal tableau.
 `reference_face_range` probes the optimal face on the LP with its
 objective pinned to the optimal value, from a fresh phase 1.
 `gamma_hat_exact` re-derives `wlpcert.gamma_hat_closed_form` by one
@@ -208,45 +209,56 @@ def _reference_iterate(T, basis, cost, max_iters):
     return Status.ITERATION_LIMIT, used
 
 
-def reference_solve(lp, max_iters=None):
+def reference_solve(lp, max_iters=None, start=None):
     """Two-phase simplex with Bland's rule, one tableau row at a time.
 
     Phase 1 starts each row on its own slack where `_standardize` names
-    one, and on a new artificial column otherwise."""
-    A, b, c, start = _standardize(lp)
-    m, N = A.shape
-    if max_iters is None:
-        max_iters = 50 * (m + N + m)
+    one, and on a new artificial column otherwise. With start, an earlier
+    optimal solution, phase 2 runs under lp's cost from a copy of start's
+    optimal tableau and there is no phase 1."""
+    if start is not None:
+        T = start._optimum[0].copy()
+        basis = start._optimum[1].tolist()
+        N = T.shape[1] - 1
+        c = np.concatenate([lp.objective, np.zeros(N - lp.nvars)])
+        if max_iters is None:
+            max_iters = 50 * (T.shape[0] + N + T.shape[0])
+        it1 = 0
+    else:
+        A, b, c, slacks = _standardize(lp)
+        m, N = A.shape
+        if max_iters is None:
+            max_iters = 50 * (m + N + m)
 
-    basis = []
-    art_rows = []
-    for i in range(m):
-        if start[i] >= 0:
-            basis.append(int(start[i]))
-        else:
-            basis.append(N + len(art_rows))
-            art_rows.append(i)
-    T = np.hstack([A, np.eye(m)[:, art_rows], b[:, None]])
-    c1 = np.concatenate([np.zeros(N), np.ones(len(art_rows))])
-    status, it1 = _reference_iterate(T, basis, c1, max_iters)
-    if status is Status.ITERATION_LIMIT:
-        return LpSolution(status, None, None, (), INF, it1)
-    if c1[basis] @ T[:, -1] > PHASE1_TOL:
-        return LpSolution(Status.INFEASIBLE, None, None, (), INF, it1)
-
-    drop = []
-    for r in range(len(basis)):
-        if basis[r] >= N:
-            piv = next((j for j in range(N) if abs(T[r, j]) > PIVOT_TOL), None)
-            if piv is None:
-                drop.append(r)
+        basis = []
+        art_rows = []
+        for i in range(m):
+            if slacks[i] >= 0:
+                basis.append(int(slacks[i]))
             else:
-                _reference_pivot(T, basis, r, piv)
-    if drop:
-        keep = [i for i in range(len(basis)) if i not in drop]
-        T = T[keep]
-        basis = [basis[i] for i in keep]
-    T = np.hstack([T[:, :N], T[:, -1:]])
+                basis.append(N + len(art_rows))
+                art_rows.append(i)
+        T = np.hstack([A, np.eye(m)[:, art_rows], b[:, None]])
+        c1 = np.concatenate([np.zeros(N), np.ones(len(art_rows))])
+        status, it1 = _reference_iterate(T, basis, c1, max_iters)
+        if status is Status.ITERATION_LIMIT:
+            return LpSolution(status, None, None, (), INF, it1)
+        if c1[basis] @ T[:, -1] > PHASE1_TOL:
+            return LpSolution(Status.INFEASIBLE, None, None, (), INF, it1)
+
+        drop = []
+        for r in range(len(basis)):
+            if basis[r] >= N:
+                piv = next((j for j in range(N) if abs(T[r, j]) > PIVOT_TOL), None)
+                if piv is None:
+                    drop.append(r)
+                else:
+                    _reference_pivot(T, basis, r, piv)
+        if drop:
+            keep = [i for i in range(len(basis)) if i not in drop]
+            T = T[keep]
+            basis = [basis[i] for i in keep]
+        T = np.hstack([T[:, :N], T[:, -1:]])
 
     status, it2 = _reference_iterate(T, basis, c, max_iters - it1)
     iters = it1 + it2

@@ -52,9 +52,9 @@ class TestWeightedLp:
         # the two LPs standardise to the same tableau.
         lps = []
 
-        def record(lp):
+        def record(lp, *args, **kwargs):
             lps.append(lp)
-            return solve(lp)
+            return solve(lp, *args, **kwargs)
 
         module = importlib.import_module("wlpcert.certify")
         monkeypatch.setattr(module, "solve", record)
@@ -65,6 +65,26 @@ class TestWeightedLp:
             weighted, root = lps[:2]
             for a, b in zip(_standardize(weighted), _standardize(root), strict=True):
                 np.testing.assert_array_equal(a, b)
+
+
+    def test_residual_across_warm_passes(self, monkeypatch):
+        # Passes 2..10 each start from the previous pass's tableau, so
+        # rounding error is carried through all 10 passes of a ladder input.
+        module = importlib.import_module("wlpcert.certify")
+        weighted = module.solve_weighted_lp
+        sols = []
+
+        def record(*args, **kwargs):
+            sols.append(weighted(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(module, "solve_weighted_lp", record)
+        for m, n in ((3, 3), (5, 8), (8, 12), (10, 16), (15, 24)):
+            sols.clear()
+            cert = certify(random_instance(m, n, 1))
+            assert len(sols) == len(cert.iterations) == 10
+            for sol in sols:
+                assert sol.residual <= 1e-8
 
 
 class TestClassifyCase:
@@ -260,9 +280,9 @@ class TestLazyVerdict:
         eta_j, solve_weighted_lp = goodness.eta_j, module.solve_weighted_lp
         calls = []
 
-        def next_pass(inst, c):
+        def next_pass(*args, **kwargs):
             calls.append(0)
-            return solve_weighted_lp(inst, c)
+            return solve_weighted_lp(*args, **kwargs)
 
         def counted(*args):
             calls[-1] += 1

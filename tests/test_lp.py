@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from wlpcert import (
     LpError,
     Status,
     Weights,
+    certify,
     covering_lp,
     eta_j,
     goodness,
@@ -168,6 +170,25 @@ def certificate_lps(ex1, ex2, ex3, monkeypatch):
     return lps
 
 
+@pytest.fixture
+def warm_passes(ex1, ex2, ex3, monkeypatch):
+    """(lp, start) of every certify pass that starts from the previous
+    pass's optimal tableau, on examples 1-3, the 9-cycle and
+    random_instance(10, 16, 1)."""
+    module = importlib.import_module("wlpcert.certify")
+    passes = []
+
+    def record(lp, *args, start=None, **kwargs):
+        if start is not None:
+            passes.append((lp, start))
+        return solve(lp, *args, start=start, **kwargs)
+
+    monkeypatch.setattr(module, "solve", record)
+    for inst in (ex1, ex2, ex3, cycle_instance(9), random_instance(10, 16, 1)):
+        certify(inst)
+    return passes
+
+
 class TestPivotIdentity:
     """The vectorised simplex takes exactly the reference row loop's pivots."""
 
@@ -181,12 +202,61 @@ class TestPivotIdentity:
         for lp in certificate_lps:
             assert _fingerprint(solve(lp)) == _fingerprint(reference_solve(lp))
 
+    def test_warm_certify_passes(self, warm_passes):
+        # Example 1 certifies on pass 1; example 2 takes 2 passes, the rest 10.
+        assert len(warm_passes) == 1 + 9 + 9 + 9
+        for lp, start in warm_passes:
+            assert _fingerprint(solve(lp, start=start)) == _fingerprint(
+                reference_solve(lp, start=start)
+            )
+
     @pytest.mark.parametrize("max_iters", range(1, 6))
     def test_iteration_budgets(self, max_iters, certificate_lps):
         for lp in certificate_lps + [random_lp(seed) for seed in range(40)]:
             assert _fingerprint(solve(lp, max_iters)) == _fingerprint(
                 reference_solve(lp, max_iters)
             )
+
+
+class TestWarmStart:
+    """A re-solve under a new cost from an earlier optimal tableau of the
+    same constraints: phase 2 only, no standardisation or phase 1."""
+
+    @staticmethod
+    def covering_pair(seed):
+        """(cold unit-cost solution, LP with rank-spaced costs) on the
+        constraints of random_instance(6, 10, seed)."""
+        inst = random_instance(6, 10, seed)
+        start = solve(covering_lp(inst.A, inst.b, np.ones(inst.n)))
+        c = np.random.default_rng(seed).permutation(np.linspace(0.8, 1.0, inst.n))
+        return start, covering_lp(inst.A, inst.b, c)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_cold_solve(self, seed):
+        start, lp = self.covering_pair(seed)
+        warm, cold = solve(lp, start=start), solve(lp)
+        assert warm.status is cold.status
+        assert warm.value == pytest.approx(cold.value, rel=0, abs=1e-9)
+        assert warm.iterations <= cold.iterations
+        assert warm.residual <= 1e-8
+
+    def test_start_is_not_modified(self):
+        start, lp = self.covering_pair(0)
+        before = [a.tobytes() for a in start._optimum]
+        solve(lp, start=start)
+        assert [a.tobytes() for a in start._optimum] == before
+
+    def test_mismatched_width_raises(self, ex1):
+        start, _ = self.covering_pair(0)
+        with pytest.raises(ValueError, match="columns"):
+            solve(covering_lp(ex1.A, ex1.b, np.ones(ex1.n)), start=start)
+
+    def test_start_without_optimum_raises(self, ex1):
+        lp = covering_lp(ex1.A, ex1.b, np.ones(ex1.n))
+        start = solve(lp, max_iters=1)
+        assert start._optimum is None
+        with pytest.raises(ValueError, match="no optimal tableau"):
+            solve(lp, start=start)
 
 
 def _all_artificial_solve(lp):
