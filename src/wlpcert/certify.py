@@ -86,7 +86,6 @@ class CertifyConfig:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    final_weights: Weights
     iterations: tuple  # one Pass per weight-adjustment pass
     lp_solution: LpSolution | None
     certified: bool
@@ -96,6 +95,10 @@ class Certificate:
     brute_force_value: float | None = None
     # The check's 0-1 optimum; None when no check ran.
     brute_force_optimum: tuple | None = None
+
+    @property
+    def final_weights(self) -> Weights:
+        return self.iterations[-1].weights
 
     @property
     def final_case(self):
@@ -294,12 +297,8 @@ def certify(
         report = None
         reason = PassReason.NON_UNIQUE
         if case is CaseKind.UNIQUE_OPTIMUM:
-            bb = beta_bar(sf, c)
-            beta_used = (
-                config.beta_override if config.beta_override is not None else bb
-            )
             certified, report = sufficient_verdict(
-                sf, c, beta_used, beta_default=bb, s_observed=s_observed
+                sf, c, config.beta_override, s_observed=s_observed
             )
             if certified:
                 reason = PassReason.CERTIFIED
@@ -335,7 +334,6 @@ def certify(
             )
 
     return Certificate(
-        final_weights=iterations[-1].weights,
         iterations=tuple(iterations),
         lp_solution=sol,
         certified=certified,

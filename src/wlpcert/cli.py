@@ -22,7 +22,7 @@ from .certify import (
     brute_force_ip,
     certify,
 )
-from .goodness import beta_bar, sufficient_verdict
+from .goodness import sufficient_verdict
 from .instance import (
     InstanceError,
     ParseError,
@@ -187,11 +187,10 @@ def cmd_eta(args) -> int:
     inst, weights = _load_instance(args)
     sf = to_standard_form(inst)
     c = weights if weights is not None else Weights(c=np.ones(inst.n))
-    bb = beta_bar(sf, c)
-    beta = args.beta if args.beta is not None else bb
     t0 = time.perf_counter()
-    _, report = sufficient_verdict(sf, c, beta)
+    _, report = sufficient_verdict(sf, c, args.beta)
     timings = {"eta": (time.perf_counter() - t0) * 1000.0}
+    bb, beta = _sig(report.beta_bar), _sig(report.beta_used)
     etas = [_sig(v) for v in report.eta_per_column]
     eta1 = _sig(report.eta1)
     gamma_hat = _sig(report.gamma_hat)
@@ -199,8 +198,8 @@ def cmd_eta(args) -> int:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": _instance_doc(inst),
-        "beta_bar": _sig(bb),
-        "beta_used": _sig(beta),
+        "beta_bar": bb,
+        "beta_used": beta,
         "eta_per_column": etas,
         "eta1": eta1,
         "s_star": report.s_star,
@@ -209,7 +208,7 @@ def cmd_eta(args) -> int:
         "timings_ms": {k: _sig(v) for k, v in timings.items()},
     }
     lines = [
-        f"beta_bar: {_sig(bb)}  beta_used: {_sig(beta)}",
+        f"beta_bar: {bb}  beta_used: {beta}",
         f"eta_per_column: {etas}",
         f"eta1: {eta1}  s_star: {report.s_star}  threshold: {threshold}",
         f"gamma_hat: {gamma_hat}",

@@ -110,15 +110,14 @@ def gamma_hat_closed_form(sf: StandardForm, c: Weights, beta: float) -> float:
 def sufficient_verdict(
     sf: StandardForm,
     c: Weights,
-    beta: float,
-    beta_default: float | None = None,
+    beta: float | None = None,
     s_observed: int = 0,
 ) -> tuple:
     """Certification verdict s_star * eta1 < (1/2) min c and
     s_star >= s_observed, with a report.
 
-    beta_default, when given, is recorded as the report's beta_bar
-    (callers that override beta still report the default-rule value).
+    beta = None uses the default radius beta_bar(sf, c), which the report
+    records as its beta_bar whatever beta is used.
 
     eta_j is solved in column order, stopping after the first column
     whose eta_j alone gives s_star < s_observed: eta1 >= eta_j and s_star
@@ -127,6 +126,9 @@ def sufficient_verdict(
     eta1 is a lower bound and its s_star an upper bound. With the default
     s_observed = 0 every column is solved.
     """
+    default = beta_bar(sf, c)
+    if beta is None:
+        beta = default
     min_c = float(np.min(c.c))
     etas = []
     witnesses = []
@@ -142,7 +144,7 @@ def sufficient_verdict(
     bound = star * eta1
     certified = bound < threshold - STRICT_GUARD and star >= s_observed
     report = GoodnessReport(
-        beta_bar=beta if beta_default is None else beta_default,
+        beta_bar=default,
         beta_used=beta,
         eta_per_column=tuple(etas),
         eta1=eta1,

@@ -3,8 +3,9 @@
 Two-phase primal simplex with Bland's rule (lowest-index tie-breaking,
 deterministic) and optimal-face probing for uniqueness analysis. Phase 1
 starts each inequality and bound row on its own slack and puts an
-artificial only on the equality and re-signed rows. A re-solve under a
-new cost can start phase 2 from an earlier optimal tableau instead.
+artificial only on the rows re-signed because their right-hand side is
+negative. A re-solve under a new cost can start phase 2 from an earlier
+optimal tableau instead.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ class Status(Enum):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min objective @ x  s.t.  eq_matrix x = eq_rhs, ineq_matrix x <= ineq_rhs,
-    0 <= x <= upper (+inf allowed)."""
+    """min objective @ x  s.t.  ineq_matrix x <= ineq_rhs,
+    0 <= x <= upper (+inf allowed).
+
+    Phase 1 gives an artificial only to the rows it re-signs, those with a
+    negative right-hand side; every other row starts on its own slack."""
 
     objective: np.ndarray
-    eq_matrix: np.ndarray | None = None
-    eq_rhs: np.ndarray | None = None
     ineq_matrix: np.ndarray | None = None
     ineq_rhs: np.ndarray | None = None
     upper: np.ndarray | None = None  # default +inf
@@ -51,8 +53,7 @@ class LinearProgram:
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float).reshape(-1)
         n = c.size
-        eqM, eqr = _as_rows(self.eq_matrix, self.eq_rhs, n, "eq")
-        inM, inr = _as_rows(self.ineq_matrix, self.ineq_rhs, n, "ineq")
+        inM, inr = _as_rows(self.ineq_matrix, self.ineq_rhs, n)
         up = (
             np.full(n, INF)
             if self.upper is None
@@ -65,8 +66,6 @@ class LinearProgram:
         if np.isnan(c).any() or np.isnan(up).any():
             raise ValueError("NaN in problem data")
         object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "eq_matrix", eqM)
-        object.__setattr__(self, "eq_rhs", eqr)
         object.__setattr__(self, "ineq_matrix", inM)
         object.__setattr__(self, "ineq_rhs", inr)
         object.__setattr__(self, "upper", up)
@@ -76,15 +75,15 @@ class LinearProgram:
         return self.objective.size
 
 
-def _as_rows(M, r, n, kind):
+def _as_rows(M, r, n):
     if M is None:
         return np.zeros((0, n)), np.zeros(0)
     M = np.asarray(M, dtype=float).reshape(-1, n)
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.size != M.shape[0]:
-        raise ValueError(f"{kind} rhs length mismatch")
+        raise ValueError("ineq rhs length mismatch")
     if np.isnan(M).any() or np.isnan(r).any():
-        raise ValueError(f"NaN in {kind} constraints")
+        raise ValueError("NaN in ineq constraints")
     return M, r
 
 
@@ -103,31 +102,23 @@ class LpSolution:
 
 def _standardize(lp: LinearProgram):
     """Rewrite as min c z, A z = b, z >= 0, where z is x followed by one
-    slack per inequality row and per finite upper bound.
+    slack per inequality row and per finite upper bound: A = [G | I], G
+    the inequality rows over the finite-bound rows, with each row whose
+    right-hand side is negative re-signed.
 
-    Returns (A, b, c, start): start[i] is the column of row i's own slack
-    when that column is a unit column of A (an inequality or bound row
-    with b_i >= 0, so not re-signed), else -1.
+    Returns (A, b, c, start): start[i] is nvars + i, the column of row i's
+    own slack, or -1 when row i was re-signed.
     """
     finite = np.isfinite(lp.upper)
-    ubM = np.vstack([lp.ineq_matrix, np.eye(lp.nvars)[finite]])
-    ubr = np.concatenate([lp.ineq_rhs, lp.upper[finite]])
-    n_ub = ubM.shape[0]
-    A = np.vstack(
-        [
-            np.hstack([lp.eq_matrix, np.zeros((lp.eq_matrix.shape[0], n_ub))]),
-            np.hstack([ubM, np.eye(n_ub)]),
-        ]
-    )
-    b = np.concatenate([lp.eq_rhs, ubr])
+    G = np.vstack([lp.ineq_matrix, np.eye(lp.nvars)[finite]])
+    b = np.concatenate([lp.ineq_rhs, lp.upper[finite]])
+    m = G.shape[0]
+    A = np.hstack([G, np.eye(m)])
     neg = b < 0
     A[neg] *= -1
     b[neg] *= -1
-    c = np.concatenate([lp.objective, np.zeros(n_ub)])
-    n_eq = lp.eq_matrix.shape[0]
-    start = np.concatenate(
-        [np.full(n_eq, -1), np.arange(lp.nvars, lp.nvars + n_ub)]
-    )
+    c = np.concatenate([lp.objective, np.zeros(m)])
+    start = np.arange(lp.nvars, lp.nvars + m)
     start[neg] = -1
     return A, b, c, start
 
@@ -283,8 +274,6 @@ def _start_tableau(lp: LinearProgram, start: LpSolution):
 
 def _residual(lp: LinearProgram, x: np.ndarray) -> float:
     res = 0.0
-    if lp.eq_matrix.shape[0]:
-        res = max(res, float(np.max(np.abs(lp.eq_matrix @ x - lp.eq_rhs))))
     if lp.ineq_matrix.shape[0]:
         res = max(res, float(np.max(lp.ineq_matrix @ x - lp.ineq_rhs, initial=0.0)))
     finite_up = np.isfinite(lp.upper)

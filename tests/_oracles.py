@@ -60,8 +60,7 @@ ENUM_GUARD = 10**6
 CHUNK = 4096
 
 
-def enumerate_lp_minimum(objective, eq_matrix, eq_rhs, ineq_matrix, ineq_rhs,
-                         lower, upper):
+def enumerate_lp_minimum(objective, ineq_matrix, ineq_rhs, lower, upper):
     """Minimum of a box-bounded LP by exhaustive vertex enumeration.
 
     Returns None when no feasible vertex exists (infeasible, given
@@ -69,14 +68,11 @@ def enumerate_lp_minimum(objective, eq_matrix, eq_rhs, ineq_matrix, ineq_rhs,
     """
     c = np.asarray(objective, dtype=float)
     n = c.size
-    eq_matrix = np.asarray(eq_matrix, dtype=float).reshape(-1, n)
-    eq_rhs = np.asarray(eq_rhs, dtype=float).reshape(-1)
     ineq_matrix = np.asarray(ineq_matrix, dtype=float).reshape(-1, n)
     ineq_rhs = np.asarray(ineq_rhs, dtype=float).reshape(-1)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
 
-    rows = [(eq_matrix[i], eq_rhs[i]) for i in range(eq_matrix.shape[0])]
     optional = [(ineq_matrix[i], ineq_rhs[i]) for i in range(ineq_matrix.shape[0])]
     for i in range(n):
         e = np.zeros(n)
@@ -86,13 +82,6 @@ def enumerate_lp_minimum(objective, eq_matrix, eq_rhs, ineq_matrix, ineq_rhs,
         if np.isfinite(upper[i]):
             optional.append((e.copy(), upper[i]))
 
-    n_eq = len(rows)
-    if n_eq > n:
-        return None
-    n_active = n - n_eq
-
-    fixed_M = np.array([r for r, _ in rows]).reshape(n_eq, n)
-    fixed_rhs = np.array([v for _, v in rows]).reshape(n_eq)
     opt_M = np.array([r for r, _ in optional]).reshape(-1, n)
     opt_rhs = np.array([v for _, v in optional]).reshape(-1)
     # Rows with equal coefficients share a key. A system that repeats a
@@ -102,24 +91,18 @@ def enumerate_lp_minimum(objective, eq_matrix, eq_rhs, ineq_matrix, ineq_rhs,
     _, row_key = np.unique(opt_M, axis=0, return_inverse=True)
 
     best = None
-    combos = combinations(range(len(optional)), n_active)
+    combos = combinations(range(len(optional)), n)
     while chunk := list(islice(combos, CHUNK)):
-        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), n_active)
+        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), n)
         k = idx.shape[0]
-        M = np.concatenate(
-            [np.broadcast_to(fixed_M, (k, n_eq, n)), opt_M[idx]], axis=1
-        )
-        rhs = np.concatenate(
-            [np.broadcast_to(fixed_rhs, (k, n_eq)), opt_rhs[idx]], axis=1
-        )
+        M = opt_M[idx]
+        rhs = opt_rhs[idx]
         keys = np.sort(row_key.reshape(-1)[idx], axis=1)
         repeated = np.any(keys[:, 1:] == keys[:, :-1], axis=1)
         X = np.empty((k, n))
         for part in (~repeated, repeated):
             X[part] = _solve_each(M[part], rhs[part])
         ok = np.all(np.isfinite(X), axis=1)
-        if eq_matrix.shape[0]:
-            ok &= np.max(np.abs(X @ eq_matrix.T - eq_rhs), axis=1) <= 1e-7
         if ineq_matrix.shape[0]:
             ok &= np.max(X @ ineq_matrix.T - ineq_rhs, axis=1) <= 1e-7
         ok &= np.all((X >= lower - 1e-7) & (X <= upper + 1e-7), axis=1)
@@ -277,20 +260,25 @@ def reference_solve(lp, max_iters=None, start=None):
     )
 
 
+def pin_objective(lp: LinearProgram, value: float) -> LinearProgram:
+    """lp with objective @ x = value added as the pair of inequality rows
+    objective @ x <= value and -objective @ x <= -value."""
+    return replace(
+        lp,
+        ineq_matrix=np.vstack([lp.ineq_matrix, lp.objective, -lp.objective]),
+        ineq_rhs=np.concatenate([lp.ineq_rhs, [value, -value]]),
+    )
+
+
 def reference_face_range(lp: LinearProgram, opt_value: float, variables) -> list:
     """Range (lo, hi) of each given variable over the optimal solutions.
 
     Minimizes and maximizes each variable with the objective pinned to
-    opt_value as an extra equality row. Phase 1 does not read the
-    objective, so it runs once; each probe runs phase 2 on a copy of its
-    tableau, exactly as `solve` would on the probe's LP.
+    opt_value by pin_objective. Phase 1 does not read the objective, so it
+    runs once; each probe runs phase 2 on a copy of its tableau, exactly
+    as `solve` would on the probe's LP.
     """
-    pinned = replace(
-        lp,
-        eq_matrix=np.vstack([lp.eq_matrix, lp.objective[None, :]]),
-        eq_rhs=np.concatenate([lp.eq_rhs, [opt_value]]),
-    )
-    A, b, _, start = _standardize(pinned)
+    A, b, _, start = _standardize(pin_objective(lp, opt_value))
     max_iters = _iteration_budget(A)
     status, it1, T, basis = _phase1(A, b, start, max_iters)
     if status is not Status.OPTIMAL:
@@ -336,14 +324,13 @@ def _inner_gamma_lp(sf: StandardForm, c: Weights, beta: float, support) -> float
     sel = np.zeros(n)
     sel[list(support)] = 1.0
     if math.isinf(beta):
-        # Penalty becomes the hard constraint A1 x = 0.
+        # Penalty becomes the hard constraint A1 x = 0, which is A1 x <= 0
+        # since A1 >= 0 and x >= 0.
         obj = np.concatenate([-(sel * c.c)])
         lp = LinearProgram(
             objective=obj,
-            eq_matrix=sf.A1,
-            eq_rhs=np.zeros(rows),
-            ineq_matrix=np.ones((1, n)),
-            ineq_rhs=np.array([1.0]),
+            ineq_matrix=np.vstack([sf.A1, np.ones((1, n))]),
+            ineq_rhs=np.concatenate([np.zeros(rows), [1.0]]),
         )
     else:
         # Variables (x, r) with r >= |A1 x| coordinatewise.

@@ -181,8 +181,6 @@ class TestAcceptance:
             assert sol.status is not Status.ITERATION_LIMIT
             oracle = enumerate_lp_minimum(
                 lp.objective,
-                np.zeros((0, n)),
-                np.zeros(0),
                 lp.ineq_matrix,
                 lp.ineq_rhs,
                 np.zeros(n),

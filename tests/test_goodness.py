@@ -289,6 +289,7 @@ class TestSufficientVerdict:
             certified=star * max(etas) < 0.5 - 1e-10,
         )
         for certified, report in (
+            sufficient_verdict(sf, ones3),
             sufficient_verdict(sf, ones3, beta),
             sufficient_verdict(sf, ones3, beta, s_observed=0),
         ):
@@ -298,6 +299,11 @@ class TestSufficientVerdict:
             for witness, (_, reference) in zip(report.witnesses, solved, strict=True):
                 np.testing.assert_array_equal(witness.q, reference.q)
                 assert witness.achieved_residual == reference.achieved_residual
+
+    def test_override_reports_the_default_radius(self, sf1, ones3):
+        _, report = sufficient_verdict(sf1, ones3, 0.5625)
+        assert report.beta_bar == beta_bar(sf1, ones3) == 0.375
+        assert report.beta_used == 0.5625
 
     def test_witness_invariants(self, sf1, ones3):
         _, report = sufficient_verdict(sf1, ones3, 0.5625)

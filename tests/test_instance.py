@@ -94,7 +94,6 @@ class TestStandardForm:
         np.testing.assert_array_equal(lp.ineq_matrix, [[-2]])
         np.testing.assert_array_equal(lp.ineq_rhs, [-1])
         np.testing.assert_array_equal(lp.upper, [1])
-        assert lp.eq_matrix.shape == (0, 1)
 
     def test_reslice_roundtrip(self):
         inst = random_instance(4, 5, seed=11)
@@ -105,7 +104,6 @@ class TestStandardForm:
         np.testing.assert_array_equal(lp.ineq_matrix, -inst.A)
         np.testing.assert_array_equal(lp.ineq_rhs, -inst.b)
         np.testing.assert_array_equal(lp.upper, np.ones(5))
-        assert lp.eq_matrix.shape == (0, 5)
 
 
 class TestIndependentSetFrontEnd:

@@ -29,7 +29,12 @@ from wlpcert.lp import (
     _standardize,
 )
 
-from _oracles import enumerate_lp_minimum, reference_face_range, reference_solve
+from _oracles import (
+    enumerate_lp_minimum,
+    pin_objective,
+    reference_face_range,
+    reference_solve,
+)
 from conftest import cycle_instance
 
 
@@ -42,16 +47,16 @@ def random_lp(seed):
     n_ineq = int(rng.integers(1, 4))
     ineq = rng.uniform(-2, 2, size=(n_ineq, n))
     ineq_rhs = ineq @ x0 + rng.uniform(0, 2, size=n_ineq)
+    # An optional equality row eq x = eq @ x0, as the pair eq x <= r and
+    # -eq x <= -r.
     n_eq = int(rng.integers(0, 2))
     eq = rng.uniform(-2, 2, size=(n_eq, n))
-    eq_rhs = eq @ x0
+    r = eq @ x0
     objective = rng.uniform(-3, 3, size=n)
     return LinearProgram(
         objective=objective,
-        eq_matrix=eq,
-        eq_rhs=eq_rhs,
-        ineq_matrix=ineq,
-        ineq_rhs=ineq_rhs,
+        ineq_matrix=np.vstack([ineq, eq, -eq]),
+        ineq_rhs=np.concatenate([ineq_rhs, r, -r]),
         upper=upper,
     )
 
@@ -77,8 +82,8 @@ class TestSolve:
         sol = solve(
             LinearProgram(
                 objective=np.array([1.0]),
-                eq_matrix=np.array([[1.0]]),
-                eq_rhs=np.array([2.0]),
+                ineq_matrix=np.array([[-1.0]]),
+                ineq_rhs=np.array([-2.0]),
                 upper=np.array([1.0]),
             )
         )
@@ -100,8 +105,7 @@ class TestSolve:
         lp = random_lp(seed)
         sol = solve(lp)
         oracle = enumerate_lp_minimum(
-            lp.objective, lp.eq_matrix, lp.eq_rhs,
-            lp.ineq_matrix, lp.ineq_rhs, np.zeros(lp.nvars), lp.upper,
+            lp.objective, lp.ineq_matrix, lp.ineq_rhs, np.zeros(lp.nvars), lp.upper
         )
         if oracle is None:
             assert sol.status is Status.INFEASIBLE
@@ -276,6 +280,16 @@ class TestSlackStart:
     own slack, and puts an artificial on every other row."""
 
     @staticmethod
+    def assert_starts_on_own_slack(lp):
+        # Row i starts on slack column nvars + i unless its right-hand
+        # side is negative and it was re-signed.
+        *_, start = _standardize(lp)
+        rhs = np.concatenate([lp.ineq_rhs, lp.upper[np.isfinite(lp.upper)]])
+        expected = lp.nvars + np.arange(rhs.size)
+        expected[rhs < 0] = -1
+        np.testing.assert_array_equal(start, expected)
+
+    @staticmethod
     def assert_matches_all_artificial(lp):
         sol = solve(lp)
         status, value = _all_artificial_solve(lp)
@@ -285,10 +299,13 @@ class TestSlackStart:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_lp_matches_all_artificial(self, seed):
-        self.assert_matches_all_artificial(random_lp(seed))
+        lp = random_lp(seed)
+        self.assert_starts_on_own_slack(lp)
+        self.assert_matches_all_artificial(lp)
 
     def test_certificate_lps_match_all_artificial(self, certificate_lps):
         for lp in certificate_lps:
+            self.assert_starts_on_own_slack(lp)
             self.assert_matches_all_artificial(lp)
 
     def test_eta_lp_has_one_artificial(self, ex1, ex2, ex3, certificate_lps):
@@ -329,11 +346,7 @@ class TestFaceRangeMatchesProbes:
 
     def check(self, lp):
         sol = solve(lp)
-        pinned = replace(
-            lp,
-            eq_matrix=np.vstack([lp.eq_matrix, lp.objective[None, :]]),
-            eq_rhs=np.concatenate([lp.eq_rhs, [sol.value]]),
-        )
+        pinned = pin_objective(lp, sol.value)
         ranges = optimal_face_range(sol, range(lp.nvars))
         assert len(ranges) == lp.nvars
         for var, (lo, hi) in enumerate(ranges):
@@ -360,8 +373,8 @@ class TestFaceRangeMatchesProbes:
         # x0 - x1 = 0 with a zero objective: both variables are free upward.
         lp = LinearProgram(
             objective=np.zeros(2),
-            eq_matrix=np.array([[1.0, -1.0]]),
-            eq_rhs=np.array([0.0]),
+            ineq_matrix=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+            ineq_rhs=np.zeros(2),
         )
         self.check(lp)
         assert optimal_face_range(solve(lp), range(2)) == [(0.0, INF), (0.0, INF)]
@@ -403,8 +416,8 @@ class TestFaceFromOptimalTableau:
     def test_non_optimal_solution_raises(self):
         infeasible = LinearProgram(
             objective=np.array([1.0]),
-            eq_matrix=np.array([[1.0]]),
-            eq_rhs=np.array([2.0]),
+            ineq_matrix=np.array([[-1.0]]),
+            ineq_rhs=np.array([-2.0]),
             upper=np.array([1.0]),
         )
         unbounded = LinearProgram(objective=np.array([-1.0]))
