@@ -270,8 +270,12 @@ def certify(
     a certified recovery is then checked against branch_and_bound_ip,
     and a refuted one is not certified.
     """
-    sf = to_standard_form(inst)
     c = weights if weights is not None else Weights(c=np.ones(inst.n))
+    if c.n != inst.n:
+        raise ValueError(
+            f"weights have length {c.n}, the instance has {inst.n} columns"
+        )
+    sf = to_standard_form(inst)
     discrepancies = []
     iterations = []
     certified = False

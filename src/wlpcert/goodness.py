@@ -126,6 +126,8 @@ def sufficient_verdict(
     eta1 is a lower bound and its s_star an upper bound. With the default
     s_observed = 0 every column is solved.
     """
+    if c.n != sf.n:
+        raise ValueError(f"weights have length {c.n}, the instance has {sf.n} columns")
     default = beta_bar(sf, c)
     if beta is None:
         beta = default

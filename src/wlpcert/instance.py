@@ -277,14 +277,21 @@ def parse_instance(text: str) -> tuple:
 
 
 def format_instance(inst: ZeroOneInstance, weights: Weights | None = None) -> str:
-    """Render an instance in the parse_instance file format."""
+    """Render an instance in the parse_instance file format; parsing the
+    text gives back the same floats."""
     lines = [f"{inst.m} {inst.n}"]
     for row in inst.A:
-        lines.append(" ".join(f"{v:.12g}" for v in row))
-    lines.append(" ".join(f"{v:.12g}" for v in inst.b))
+        lines.append(_format_floats(row))
+    lines.append(_format_floats(inst.b))
     if weights is not None:
-        lines.append("c " + " ".join(f"{v:.12g}" for v in weights.c))
+        lines.append("c " + _format_floats(weights.c))
     return "\n".join(lines) + "\n"
+
+
+def _format_floats(values) -> str:
+    """Each value as the shortest text that parses back to the same float;
+    an integral value prints without a decimal point."""
+    return " ".join(np.format_float_positional(v, trim="-") for v in values)
 
 
 def parse_graph(text: str) -> tuple:

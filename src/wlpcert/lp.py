@@ -288,10 +288,13 @@ def optimal_face_range(sol: LpSolution, variables) -> list:
     At the optimal basis that `solve` ended on every reduced cost d is
     >= 0 and a feasible z costs value + d @ z, so the optimal face is the
     feasible set with z_k = 0 wherever d_k > COST_TOL (basic columns have
-    d = 0). Each probe minimizes or maximizes its variable by phase 2 on a
-    copy of the tableau restricted to the kept columns, starting from the
-    optimum. A variable whose column is dropped has range (0, 0). sol is
-    not modified.
+    d = 0). When only the basic columns are kept, every nonbasic reduced
+    cost exceeds COST_TOL and the face is the basic point alone
+    (Mangasarian's uniqueness condition), read off the right-hand side.
+    Otherwise each probe minimizes or maximizes its variable by phase 2 on
+    a copy of the tableau restricted to the kept columns, starting from
+    the optimum. A variable whose column is dropped has range (0, 0). sol
+    is not modified.
     """
     if sol._optimum is None:
         raise ValueError(f"no optimal face: the LP status is {sol.status.value}")
@@ -299,6 +302,10 @@ def optimal_face_range(sol: LpSolution, variables) -> list:
     reduced = cost - cost[basis] @ T[:, :-1]
     reduced[basis] = 0.0
     keep = reduced <= COST_TOL
+    if keep.sum() == basis.size:
+        z = np.zeros(keep.size)
+        z[basis] = T[:, -1]
+        return [(float(z[var]), float(z[var])) for var in variables]
     face = T[:, np.append(keep, True)]
     position = keep.cumsum() - 1
     face_basis = position[basis]

@@ -231,6 +231,10 @@ class TestCertify:
         with pytest.raises(ValueError, match="positive and finite"):
             CertifyConfig(beta_override=math.inf)
 
+    def test_weights_of_wrong_length_raise(self):
+        with pytest.raises(ValueError, match="length 2, the instance has 3"):
+            certify(random_instance(2, 3, 1), weights=Weights(c=[1, 1]))
+
     def test_example2_default_weights_adjusts_then_certifies(self, ex2):
         cert = certify(ex2, CertifyConfig())
         assert len(cert.iterations) >= 1

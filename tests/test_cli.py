@@ -150,7 +150,7 @@ class TestCertifyCommand:
             main(["certify", "--input", ex1_file, "--weights", "a,b,c"]) == 2
         )
 
-    def test_json_schema(self, ex1_file, capsys):
+    def test_json_schema(self, ex1, ex1_file, capsys):
         main(["certify", "--input", ex1_file, "--beta", "0.5625", "--json"])
         doc = json.loads(capsys.readouterr().out)
         for key in (
@@ -176,11 +176,7 @@ class TestCertifyCommand:
         ):
             assert key in doc
         assert doc["schema_version"] == "2"
-        assert doc["instance"] == {
-            "m": 3,
-            "n": 3,
-            "digest": doc["instance"]["digest"],
-        }
+        assert doc["instance"] == {"m": 3, "n": 3, "digest": ex1.digest()}
         assert doc["certified"] is True
         assert doc["recovered"] == [0, 1, 1]
         assert doc["s_star"] == 2
@@ -276,7 +272,7 @@ class TestGenCommand:
         assert doc["instance"] == {
             "m": 3,
             "n": 4,
-            "digest": doc["instance"]["digest"],
+            "digest": random_instance(3, 4, 7).digest(),
         }
 
     def test_stdout(self, capsys):

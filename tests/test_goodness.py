@@ -265,6 +265,11 @@ class TestSufficientVerdict:
         assert len(report.witnesses) == 1
         assert report.s_star == 2
 
+    def test_weights_of_wrong_length_raise(self):
+        sf = to_standard_form(random_instance(2, 3, 1))
+        with pytest.raises(ValueError, match="length 2, the instance has 3"):
+            sufficient_verdict(sf, Weights(c=[1, 1]))
+
     def test_support_within_s_star_solves_every_column(self, sf1, ones3):
         certified, report = sufficient_verdict(sf1, ones3, 0.5625, s_observed=2)
         assert certified

@@ -58,7 +58,18 @@ class TestParse:
         text = format_instance(ex1, Weights(np.array([0.5, 0.7, 0.8])))
         inst, weights = parse_instance(text)
         np.testing.assert_array_equal(inst.A, ex1.A)
-        np.testing.assert_allclose(weights.c, [0.5, 0.7, 0.8])
+        np.testing.assert_array_equal(inst.b, ex1.b)
+        np.testing.assert_array_equal(weights.c, [0.5, 0.7, 0.8])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_instance_roundtrips_exactly(self, seed):
+        # b is a random float; 12 significant digits lost its last bits.
+        inst = random_instance(4, 6, seed)
+        parsed, _ = parse_instance(format_instance(inst))
+        assert parsed.digest() == inst.digest()
+
+    def test_integers_print_without_point(self, ex1):
+        assert format_instance(ex1) == EX1_TEXT.split("\n", 1)[1]
 
 
 class TestInstanceInvariants:

@@ -404,6 +404,66 @@ class TestFaceFromOptimalTableau:
         assert ranges == [(1.0, 1.0), (0.0, 0.0)]
         self.assert_matches_reference(lp, sol, ranges)
 
+    @staticmethod
+    def count_probes(monkeypatch):
+        """Count the phase-2 runs that optimal_face_range makes."""
+        module = importlib.import_module("wlpcert.lp")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _phase2(*args)
+
+        monkeypatch.setattr(module, "_phase2", counting)
+        return calls
+
+    def test_vertex_face_runs_no_probe(self, ex2, monkeypatch):
+        # At the paper's weights for example 2 every nonbasic reduced cost
+        # is positive, so the optimum x = (1, 0.5, 0) is the whole face.
+        c = Weights(np.array([0.5, 0.7, 0.8]))
+        sol = solve_weighted_lp(ex2, c)
+        calls = self.count_probes(monkeypatch)
+        ranges = optimal_face_range(sol, range(3))
+        assert not calls
+        assert ranges == [(x, x) for x in sol.x.tolist()]
+        self.assert_matches_reference(covering_lp(ex2.A, ex2.b, c.c), sol, ranges)
+
+    def test_wider_face_runs_probes(self, ex2, ones3, monkeypatch):
+        sol = solve_weighted_lp(ex2, ones3)
+        calls = self.count_probes(monkeypatch)
+        optimal_face_range(sol, range(3))
+        assert calls
+
+    def test_degenerate_vertex_runs_probes(self, ex1, ones3, monkeypatch):
+        # Example 1's optimum at unit weights is a single vertex, but x0 is
+        # nonbasic with reduced cost 0, so the basis alone does not prove it.
+        sol = solve_weighted_lp(ex1, ones3)
+        calls = self.count_probes(monkeypatch)
+        ranges = optimal_face_range(sol, range(3))
+        assert calls
+        assert max(hi - lo for lo, hi in ranges) <= 1e-12
+
+    def test_warm_ladder_passes(self, monkeypatch):
+        # Every warm pass on these inputs has all nonbasic reduced costs
+        # positive, so each face is read, with no probe, off a tableau that
+        # phase 2 reached from the previous pass's.
+        module = importlib.import_module("wlpcert.certify")
+        passes = []
+
+        def record(lp, *args, start=None, **kwargs):
+            sol = solve(lp, *args, start=start, **kwargs)
+            if start is not None:
+                passes.append((lp, sol))
+            return sol
+
+        monkeypatch.setattr(module, "solve", record)
+        for m, n in ((3, 3), (5, 8), (8, 12), (10, 16), (15, 24)):
+            certify(random_instance(m, n, 1))
+        assert len(passes) == 5 * 9
+        for lp, sol in passes:
+            ranges = optimal_face_range(sol, range(lp.nvars))
+            self.assert_matches_reference(lp, sol, ranges)
+
     def test_repeat_call_leaves_solution_unchanged(self, ex2, ones3):
         lp = covering_lp(ex2.A, ex2.b, ones3.c)
         sol = solve(lp)

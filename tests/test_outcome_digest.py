@@ -24,6 +24,17 @@ def test_ladder_digest_is_repeatable(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_outcomes_are_pinned(capsys):
+    # A change that moves an outcome updates these pins and lists the
+    # moved inputs (--list) in CHANGES.md.
+    tool = _tool()
+    assert tool.main(["--workload", "ladder", "small", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "ladder seed 1: 69bbd75a937b674d\n"
+        "small seed 1: 0b771dc0b78b03ac\n"
+    )
+
+
 def test_list_prints_each_input(capsys):
     tool = _tool()
     assert tool.main(["--workload", "ladder", "--seed", "1", "--list"]) == 0
