@@ -265,10 +265,13 @@ def certify(
     unique optimum reaches the verdict, which certifies when the support
     count is within the budget s_star and s_star * eta1 clears the
     threshold strictly; it stops solving eta_j as soon as s_star falls
-    below the support count. Otherwise the weights are adjusted and the
-    loop retries, up to max_weight_iterations. With brute_force_verify,
-    a certified recovery is then checked against branch_and_bound_ip,
-    and a refuted one is not certified.
+    below the support count. Each eta_j LP starts from the same column's
+    last optimum in this call: only its right-hand side moves with c and
+    beta, so that basis stays optimal while it stays feasible, and the
+    LP is solved cold when it does not. Otherwise the weights are
+    adjusted and the loop retries, up to max_weight_iterations. With
+    brute_force_verify, a certified recovery is then checked against
+    branch_and_bound_ip, and a refuted one is not certified.
     """
     c = weights if weights is not None else Weights(c=np.ones(inst.n))
     if c.n != inst.n:
@@ -288,6 +291,7 @@ def certify(
                 f"column-norm default {bb:g}"
             )
     sol = None
+    eta_starts = {}
     for _ in range(config.max_weight_iterations):
         sol = solve_weighted_lp(inst, c, sol)
         if sol.status is not Status.OPTIMAL:
@@ -302,7 +306,7 @@ def certify(
         reason = PassReason.NON_UNIQUE
         if case is CaseKind.UNIQUE_OPTIMUM:
             certified, report = sufficient_verdict(
-                sf, c, config.beta_override, s_observed=s_observed
+                sf, c, config.beta_override, s_observed=s_observed, starts=eta_starts
             )
             if certified:
                 reason = PassReason.CERTIFIED

@@ -4,8 +4,9 @@ Two-phase primal simplex with Bland's rule (lowest-index tie-breaking,
 deterministic) and optimal-face probing for uniqueness analysis. Phase 1
 starts each inequality and bound row on its own slack and puts an
 artificial only on the rows re-signed because their right-hand side is
-negative. A re-solve under a new cost can start phase 2 from an earlier
-optimal tableau instead.
+negative. A re-solve under a new cost or right-hand side can start phase
+2 from an earlier optimal tableau instead, while that basis stays
+feasible.
 """
 
 from __future__ import annotations
@@ -93,11 +94,14 @@ class LpSolution:
     x: np.ndarray | None
     value: float | None
     basis: tuple
-    residual: float
     iterations: int = 0
     # (tableau, basis, cost) of the optimal basis that `solve` ended on,
-    # read by `optimal_face_range`; None unless the status is OPTIMAL.
+    # read by `optimal_face_range` and by a solve started from it; None
+    # unless the status is OPTIMAL.
     _optimum: tuple | None = field(default=None, repr=False)
+    # The LP solved, set with _optimum: a solve started from this solution
+    # checks its constraints against it and reads its right-hand side.
+    _lp: LinearProgram | None = field(default=None, repr=False)
 
 
 def _standardize(lp: LinearProgram):
@@ -223,19 +227,28 @@ def solve(
 ) -> LpSolution:
     """Two-phase simplex; deterministic for fixed input.
 
-    start, an earlier OPTIMAL solution of an LP with the same constraints,
-    skips standardisation and phase 1: phase 2 runs under lp's cost from a
-    copy of start's optimal tableau, whose basis is feasible for any cost.
+    start is an earlier OPTIMAL solution of an LP with lp's constraint
+    matrix and finite upper bounds in the same places; its cost and
+    right-hand side may differ (ValueError otherwise). Phase 2 then runs
+    under lp's cost from a copy of start's optimal tableau, with no
+    standardisation and no phase 1. When the right-hand side is unchanged
+    the tableau's own right-hand-side column is kept; otherwise it becomes
+    B^-1 b, read through the tableau's slack block. When that leaves an
+    entry below -PIVOT_TOL, or phase 1 of start dropped a redundant row,
+    the basis is not known to be feasible and lp is solved cold instead,
+    within this call.
     """
-    if start is None:
+    T = None
+    if start is not None:
+        T, basis = _start_tableau(lp, start)
+    if T is None:
         A, b, c, slacks = _standardize(lp)
         if max_iters is None:
             max_iters = _iteration_budget(A)
         status, it1, T, basis = _phase1(A, b, slacks, max_iters)
         if status is not Status.OPTIMAL:
-            return LpSolution(status, None, None, (), INF, it1)
+            return LpSolution(status, None, None, (), it1)
     else:
-        T, basis = _start_tableau(lp, start)
         c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
         if max_iters is None:
             max_iters = _iteration_budget(T[:, :-1])
@@ -243,43 +256,60 @@ def solve(
     status, it2, z = _phase2(T, basis, c, max_iters - it1)
     iters = it1 + it2
     if status is not Status.OPTIMAL:
-        return LpSolution(status, None, None, (), INF, iters)
+        return LpSolution(status, None, None, (), iters)
     x = z[: lp.nvars]
     return LpSolution(
         Status.OPTIMAL,
         x,
         float(lp.objective @ x),
         tuple(sorted(basis.tolist())),
-        _residual(lp, x),
         iters,
         (T, basis, c),
+        lp,
     )
 
 
 def _start_tableau(lp: LinearProgram, start: LpSolution):
-    """Copies of start's optimal tableau and basis, checked to have one
-    column per variable, inequality row and finite bound of lp."""
+    """Copies of start's optimal tableau, with lp's right-hand side, and of
+    its basis; (None, None) when that basis is not known to be feasible
+    for lp's right-hand side.
+
+    Standardisation writes the rows as D [G | I] z = D b with D = diag(+-1)
+    re-signing, so the slack block of the tableau B^-1 D [G | I | b] is
+    B^-1 D, and B^-1 D b is that block times the unsigned right-hand side.
+    With a row dropped by phase 1 the kept rows no longer determine it.
+    """
     if start._optimum is None:
         raise ValueError(
             f"no optimal tableau to start from: the LP status is {start.status.value}"
         )
     T, basis, _ = start._optimum
-    width = lp.nvars + lp.ineq_matrix.shape[0] + int(np.isfinite(lp.upper).sum())
+    prev = start._lp
+    finite = np.isfinite(lp.upper)
+    width = lp.nvars + lp.ineq_matrix.shape[0] + int(finite.sum())
     if T.shape[1] - 1 != width:
         raise ValueError(
             f"start tableau has {T.shape[1] - 1} columns, the LP needs {width}"
         )
-    return T.copy(), basis.copy()
-
-
-def _residual(lp: LinearProgram, x: np.ndarray) -> float:
-    res = 0.0
-    if lp.ineq_matrix.shape[0]:
-        res = max(res, float(np.max(lp.ineq_matrix @ x - lp.ineq_rhs, initial=0.0)))
-    finite_up = np.isfinite(lp.upper)
-    if finite_up.any():
-        res = max(res, float(np.max(x[finite_up] - lp.upper[finite_up], initial=0.0)))
-    return res
+    if not (
+        np.array_equal(lp.ineq_matrix, prev.ineq_matrix)
+        and np.array_equal(finite, np.isfinite(prev.upper))
+    ):
+        raise ValueError(
+            "start LP has another constraint matrix or finite upper-bound pattern"
+        )
+    T = T.copy()
+    rhs = np.concatenate([lp.ineq_rhs, lp.upper[finite]])
+    if not np.array_equal(rhs, np.concatenate([prev.ineq_rhs, prev.upper[finite]])):
+        if T.shape[0] != rhs.size:
+            return None, None
+        # Summed per row by numpy, not by a BLAS matrix-vector product whose
+        # summation order depends on the kernel, so that a row-by-row
+        # computation gives the same bits.
+        T[:, -1] = (T[:, lp.nvars : lp.nvars + rhs.size] * rhs).sum(axis=1)
+        if np.any(T[:, -1] < -PIVOT_TOL):
+            return None, None
+    return T, basis.copy()
 
 
 def optimal_face_range(sol: LpSolution, variables) -> list:

@@ -5,7 +5,8 @@ LP minima come from enumerating candidate vertices as solutions of n
 active constraints chosen from the stacked constraint rows.
 `reference_solve` is the row-by-row two-phase simplex that the
 vectorised `wlpcert.lp.solve` must reproduce pivot for pivot, cold and
-from an earlier optimal tableau.
+from an earlier optimal tableau. `residual` is the largest constraint
+violation of a point.
 `reference_face_range` probes the optimal face on the LP with its
 objective pinned to the optimal value, from a fresh phase 1.
 `gamma_hat_exact` re-derives `wlpcert.gamma_hat_closed_form` by one
@@ -49,7 +50,6 @@ from wlpcert.lp import (
     _iteration_budget,
     _phase1,
     _phase2,
-    _residual,
     _standardize,
     solve,
 )
@@ -198,9 +198,12 @@ def reference_solve(lp, max_iters=None, start=None):
     Phase 1 starts each row on its own slack where `_standardize` names
     one, and on a new artificial column otherwise. With start, an earlier
     optimal solution, phase 2 runs under lp's cost from a copy of start's
-    optimal tableau and there is no phase 1."""
-    if start is not None:
-        T = start._optimum[0].copy()
+    optimal tableau and there is no phase 1. When lp's right-hand side
+    differs from start's, each row's entry becomes that row of the slack
+    block times the unsigned right-hand side; if one is below -PIVOT_TOL,
+    or start's phase 1 dropped a row, lp is solved cold instead."""
+    T = None if start is None else _reference_start(lp, start)
+    if T is not None:
         basis = start._optimum[1].tolist()
         N = T.shape[1] - 1
         c = np.concatenate([lp.objective, np.zeros(N - lp.nvars)])
@@ -225,9 +228,9 @@ def reference_solve(lp, max_iters=None, start=None):
         c1 = np.concatenate([np.zeros(N), np.ones(len(art_rows))])
         status, it1 = _reference_iterate(T, basis, c1, max_iters)
         if status is Status.ITERATION_LIMIT:
-            return LpSolution(status, None, None, (), INF, it1)
+            return LpSolution(status, None, None, (), it1)
         if c1[basis] @ T[:, -1] > PHASE1_TOL:
-            return LpSolution(Status.INFEASIBLE, None, None, (), INF, it1)
+            return LpSolution(Status.INFEASIBLE, None, None, (), it1)
 
         drop = []
         for r in range(len(basis)):
@@ -246,18 +249,47 @@ def reference_solve(lp, max_iters=None, start=None):
     status, it2 = _reference_iterate(T, basis, c, max_iters - it1)
     iters = it1 + it2
     if status is not Status.OPTIMAL:
-        return LpSolution(status, None, None, (), INF, iters)
+        return LpSolution(status, None, None, (), iters)
     z = np.zeros(N)
     z[basis] = T[:, -1]
     x = z[: lp.nvars]
     return LpSolution(
-        Status.OPTIMAL,
-        x,
-        float(lp.objective @ x),
-        tuple(sorted(basis)),
-        _residual(lp, x),
-        iters,
+        Status.OPTIMAL, x, float(lp.objective @ x), tuple(sorted(basis)), iters
     )
+
+
+def _reference_start(lp, start):
+    """A copy of start's optimal tableau with lp's right-hand side, row by
+    row, or None when its basis is not known to be feasible for it."""
+    T = start._optimum[0].copy()
+    prev = start._lp
+    rhs = [float(v) for v in lp.ineq_rhs]
+    old = [float(v) for v in prev.ineq_rhs]
+    for k in range(lp.nvars):
+        if math.isfinite(lp.upper[k]):
+            rhs.append(float(lp.upper[k]))
+            old.append(float(prev.upper[k]))
+    if rhs == old:
+        return T
+    if T.shape[0] != len(rhs):
+        return None
+    b = np.array(rhs)
+    for i in range(T.shape[0]):
+        T[i, -1] = (T[i, lp.nvars : lp.nvars + len(rhs)] * b).sum()
+        if T[i, -1] < -PIVOT_TOL:
+            return None
+    return T
+
+
+def residual(lp: LinearProgram, x: np.ndarray) -> float:
+    """Largest violation of lp's inequality rows and upper bounds at x."""
+    res = 0.0
+    if lp.ineq_matrix.shape[0]:
+        res = max(res, float(np.max(lp.ineq_matrix @ x - lp.ineq_rhs, initial=0.0)))
+    finite_up = np.isfinite(lp.upper)
+    if finite_up.any():
+        res = max(res, float(np.max(x[finite_up] - lp.upper[finite_up], initial=0.0)))
+    return res
 
 
 def pin_objective(lp: LinearProgram, value: float) -> LinearProgram:

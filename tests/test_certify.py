@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,15 +19,22 @@ from wlpcert import (
     brute_force_ip,
     certify,
     classify_case,
+    covering_lp,
     from_independent_set,
     random_instance,
     solve,
     solve_weighted_lp,
+    sufficient_verdict,
 )
 from wlpcert.certify import BRUTE_FORCE_BLOCK
 from wlpcert.lp import _standardize
 
-from _oracles import eager_certify, enumerate_binary_minimum, verify_certificate
+from _oracles import (
+    eager_certify,
+    enumerate_binary_minimum,
+    residual,
+    verify_certificate,
+)
 from conftest import REFUTED_INSTANCES, cycle_instance
 
 
@@ -74,17 +82,18 @@ class TestWeightedLp:
         weighted = module.solve_weighted_lp
         sols = []
 
-        def record(*args, **kwargs):
-            sols.append(weighted(*args, **kwargs))
-            return sols[-1]
+        def record(inst, c, *args, **kwargs):
+            sol = weighted(inst, c, *args, **kwargs)
+            sols.append((covering_lp(inst.A, inst.b, c.c), sol))
+            return sol
 
         monkeypatch.setattr(module, "solve_weighted_lp", record)
         for m, n in ((3, 3), (5, 8), (8, 12), (10, 16), (15, 24)):
             sols.clear()
             cert = certify(random_instance(m, n, 1))
             assert len(sols) == len(cert.iterations) == 10
-            for sol in sols:
-                assert sol.residual <= 1e-8
+            for lp, sol in sols:
+                assert residual(lp, sol.x) <= 1e-8
 
 
 class TestClassifyCase:
@@ -323,6 +332,55 @@ class TestLazyVerdict:
             [p.case for p in cert.iterations],
             cert.brute_force_value,
         )
+
+
+def _workload_cases(workload, seed, monkeypatch):
+    """The inputs of one of perfbench's library workloads at the seed."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parent.parent / "perfbench")
+    return importlib.import_module("workloads").build(workload, seed)
+
+
+class TestWarmVerdict:
+    """Each verdict of certify, whose eta_j LPs start from the same column's
+    last optimum, against a cold verdict on the same weights."""
+
+    @pytest.mark.parametrize("workload", ["ladder", "small"])
+    def test_matches_cold_verdict(self, workload, monkeypatch):
+        module = importlib.import_module("wlpcert.certify")
+        verdicts = []
+
+        warm_columns = []
+
+        def record(sf, c, beta, *, s_observed, starts):
+            solved_before = set(starts)
+            warm = sufficient_verdict(
+                sf, c, beta, s_observed=s_observed, starts=starts
+            )
+            cold = sufficient_verdict(sf, c, beta, s_observed=s_observed)
+            verdicts.append((sf, c, warm, cold))
+            warm_columns.extend(solved_before & set(range(len(warm[1].witnesses))))
+            return warm
+
+        monkeypatch.setattr(module, "sufficient_verdict", record)
+        for case in _workload_cases(workload, 1, monkeypatch):
+            certify(case.instance, case.config, weights=case.weights)
+        # Most columns are solved again on a later pass: 41 of ladder's 46
+        # and 824 of small's 972.
+        assert len(warm_columns) > len(verdicts) / 2
+        for sf, c, (warm_ok, warm), (cold_ok, cold) in verdicts:
+            assert warm_ok == cold_ok == warm.certified == cold.certified
+            assert warm.s_star == cold.s_star
+            assert len(warm.eta_per_column) == len(cold.eta_per_column)
+            np.testing.assert_allclose(
+                warm.eta_per_column, cold.eta_per_column, rtol=0, atol=1e-12
+            )
+            for j, (value, witness) in enumerate(
+                zip(warm.eta_per_column, warm.witnesses, strict=True)
+            ):
+                target = np.zeros(sf.n)
+                target[j] = c.c[j]
+                attained = np.max(np.abs(target - sf.A1.T @ witness.q))
+                assert abs(attained - value) <= 1e-9
 
 
 class TestPassReason:

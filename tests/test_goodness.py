@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from wlpcert import (
     to_standard_form,
 )
 from wlpcert.goodness import _s_star_from
+from wlpcert.lp import _start_tableau
 
 from _oracles import gamma_hat_exact
 
@@ -318,3 +320,62 @@ class TestSufficientVerdict:
             assert np.all(q[:m] >= -1e-8)
             assert np.all(q[m:] <= 1e-8)
             assert np.max(np.abs(q)) <= 0.5625 + 1e-8
+
+
+class TestWarmEta:
+    """eta_j with starts begins each column's LP from its last optimum."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        """Rebind both names that eta_j's LP solve can be reached through,
+        as perfbench's tracer does; returns the list of (lp, start) calls."""
+        lp_module = importlib.import_module("wlpcert.lp")
+        goodness = importlib.import_module("wlpcert.goodness")
+        solve = lp_module.solve
+        calls = []
+
+        def counted(lp, *args, **kwargs):
+            calls.append((lp, kwargs.get("start")))
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(lp_module, "solve", counted)
+        monkeypatch.setattr(goodness, "solve", counted)
+        return calls
+
+    def test_cold_fallback_is_one_solve_call(self, sf1, ones3, monkeypatch):
+        # Column 0's optimal basis at beta = 0.5 is infeasible at beta = 2,
+        # so solve falls back to a cold solve inside the same call.
+        cold, _ = eta_j(sf1, ones3, 2.0, 0)
+        starts = {}
+        eta_j(sf1, ones3, 0.5, 0, starts)
+        start = starts[0]
+        calls = self.count_solves(monkeypatch)
+        value, _ = eta_j(sf1, ones3, 2.0, 0, starts)
+        [(lp, used)] = calls
+        assert used is start
+        assert _start_tableau(lp, start) == (None, None)
+        assert value == cold
+        assert starts[0] is not start and starts[0].x is not None
+
+    def test_warm_start_is_one_solve_call(self, sf1, ones3, monkeypatch):
+        starts = {}
+        eta_j(sf1, ones3, 0.5, 1, starts)
+        start = starts[1]
+        calls = self.count_solves(monkeypatch)
+        eta_j(sf1, ones3, 0.5, 1, starts)
+        assert [used for _, used in calls] == [start]
+
+    def test_without_starts_every_solve_is_cold(self, sf1, ones3, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        sufficient_verdict(sf1, ones3)
+        eta_j(sf1, ones3, 0.5, 2)
+        assert [used for _, used in calls] == [None] * 4
+
+    def test_verdict_fills_starts_per_column(self, sf1, ones3):
+        starts = {}
+        _, report = sufficient_verdict(sf1, ones3, starts=starts)
+        assert sorted(starts) == [0, 1, 2]
+        _, again = sufficient_verdict(sf1, ones3, starts=starts)
+        np.testing.assert_allclose(
+            again.eta_per_column, report.eta_per_column, rtol=0, atol=1e-12
+        )

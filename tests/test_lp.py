@@ -27,6 +27,7 @@ from wlpcert.lp import (
     _phase1,
     _phase2,
     _standardize,
+    _start_tableau,
 )
 
 from _oracles import (
@@ -34,6 +35,7 @@ from _oracles import (
     pin_objective,
     reference_face_range,
     reference_solve,
+    residual,
 )
 from conftest import cycle_instance
 
@@ -72,7 +74,7 @@ class TestSolve:
         assert sol.status is Status.OPTIMAL
         assert sol.value == pytest.approx(1.0, abs=1e-8)
         np.testing.assert_allclose(sol.x, [0.0, 0.5, 0.5], atol=1e-8)
-        assert sol.residual <= 1e-8
+        assert residual(covering_lp(ex1.A, ex1.b, ones3.c), sol.x) <= 1e-8
 
     def test_unbounded(self):
         sol = solve(LinearProgram(objective=np.array([-1.0])))
@@ -118,7 +120,7 @@ class TestSolve:
         lp = random_lp(seed)
         sol = solve(lp)
         if sol.status is Status.OPTIMAL:
-            assert sol.residual <= 1e-8
+            assert residual(lp, sol.x) <= 1e-8
 
 
 class TestOptimalFace:
@@ -147,11 +149,12 @@ class TestOptimalFace:
             assert hi == pytest.approx(1.0, abs=1e-9)
 
 
-def _fingerprint(sol):
-    x = None if sol.x is None else (sol.x + 0.0).tobytes()
-    return (
-        sol.status, sol.iterations, sol.basis, repr(sol.value), x, repr(sol.residual)
-    )
+def _fingerprint(sol, lp):
+    if sol.x is None:
+        x = res = None
+    else:
+        x, res = (sol.x + 0.0).tobytes(), repr(residual(lp, sol.x))
+    return sol.status, sol.iterations, sol.basis, repr(sol.value), x, res
 
 
 @pytest.fixture
@@ -160,9 +163,9 @@ def certificate_lps(ex1, ex2, ex3, monkeypatch):
     and the 9-cycle, at unit weights."""
     lps = []
 
-    def record(lp):
+    def record(lp, **kwargs):
         lps.append(lp)
-        return solve(lp)
+        return solve(lp, **kwargs)
 
     monkeypatch.setattr(goodness, "solve", record)
     for inst in (ex1, ex2, ex3, cycle_instance(9)):
@@ -174,23 +177,38 @@ def certificate_lps(ex1, ex2, ex3, monkeypatch):
     return lps
 
 
+def _warm_solves(monkeypatch, module_name, instances):
+    """(lp, start) of every solve that module_name makes from a start
+    while certify runs on each instance."""
+    module = importlib.import_module(module_name)
+    solves = []
+
+    def record(lp, *args, start=None, **kwargs):
+        if start is not None:
+            solves.append((lp, start))
+        return solve(lp, *args, start=start, **kwargs)
+
+    monkeypatch.setattr(module, "solve", record)
+    for inst in instances:
+        certify(inst)
+    return solves
+
+
 @pytest.fixture
 def warm_passes(ex1, ex2, ex3, monkeypatch):
     """(lp, start) of every certify pass that starts from the previous
     pass's optimal tableau, on examples 1-3, the 9-cycle and
     random_instance(10, 16, 1)."""
-    module = importlib.import_module("wlpcert.certify")
-    passes = []
+    instances = (ex1, ex2, ex3, cycle_instance(9), random_instance(10, 16, 1))
+    return _warm_solves(monkeypatch, "wlpcert.certify", instances)
 
-    def record(lp, *args, start=None, **kwargs):
-        if start is not None:
-            passes.append((lp, start))
-        return solve(lp, *args, start=start, **kwargs)
 
-    monkeypatch.setattr(module, "solve", record)
-    for inst in (ex1, ex2, ex3, cycle_instance(9), random_instance(10, 16, 1)):
-        certify(inst)
-    return passes
+@pytest.fixture
+def warm_eta_solves(ex1, ex2, ex3, monkeypatch):
+    """(lp, start) of every eta_j solve that certify starts from the same
+    column's previous optimum, on the inputs of warm_passes."""
+    instances = (ex1, ex2, ex3, cycle_instance(9), random_instance(10, 16, 1))
+    return _warm_solves(monkeypatch, "wlpcert.goodness", instances)
 
 
 class TestPivotIdentity:
@@ -199,26 +217,37 @@ class TestPivotIdentity:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_lp(self, seed):
         lp = random_lp(seed)
-        assert _fingerprint(solve(lp)) == _fingerprint(reference_solve(lp))
+        assert _fingerprint(solve(lp), lp) == _fingerprint(reference_solve(lp), lp)
 
     def test_certificate_lps(self, certificate_lps):
         assert len(certificate_lps) == 4 + 3 + 3 + 3 + 9
         for lp in certificate_lps:
-            assert _fingerprint(solve(lp)) == _fingerprint(reference_solve(lp))
+            assert _fingerprint(solve(lp), lp) == _fingerprint(reference_solve(lp), lp)
 
     def test_warm_certify_passes(self, warm_passes):
-        # Example 1 certifies on pass 1; example 2 takes 2 passes, the rest 10.
+        # Example 3 certifies on pass 2 and the 9-cycle ends on pass 1; the
+        # others take 10 passes.
         assert len(warm_passes) == 1 + 9 + 9 + 9
         for lp, start in warm_passes:
-            assert _fingerprint(solve(lp, start=start)) == _fingerprint(
-                reference_solve(lp, start=start)
+            assert _fingerprint(solve(lp, start=start), lp) == _fingerprint(
+                reference_solve(lp, start=start), lp
+            )
+
+    def test_warm_eta_solves(self, warm_eta_solves):
+        # Example 1 and random_instance(10, 16, 1) solve column 0 on each
+        # of their 10 passes, example 2 all 3 columns on passes 2-10;
+        # example 3 and the 9-cycle reach the verdict once.
+        assert len(warm_eta_solves) == 9 + 8 * 3 + 9
+        for lp, start in warm_eta_solves:
+            assert _fingerprint(solve(lp, start=start), lp) == _fingerprint(
+                reference_solve(lp, start=start), lp
             )
 
     @pytest.mark.parametrize("max_iters", range(1, 6))
     def test_iteration_budgets(self, max_iters, certificate_lps):
         for lp in certificate_lps + [random_lp(seed) for seed in range(40)]:
-            assert _fingerprint(solve(lp, max_iters)) == _fingerprint(
-                reference_solve(lp, max_iters)
+            assert _fingerprint(solve(lp, max_iters), lp) == _fingerprint(
+                reference_solve(lp, max_iters), lp
             )
 
 
@@ -242,7 +271,7 @@ class TestWarmStart:
         assert warm.status is cold.status
         assert warm.value == pytest.approx(cold.value, rel=0, abs=1e-9)
         assert warm.iterations <= cold.iterations
-        assert warm.residual <= 1e-8
+        assert residual(lp, warm.x) <= 1e-8
 
     def test_start_is_not_modified(self):
         start, lp = self.covering_pair(0)
@@ -254,6 +283,95 @@ class TestWarmStart:
         start, _ = self.covering_pair(0)
         with pytest.raises(ValueError, match="columns"):
             solve(covering_lp(ex1.A, ex1.b, np.ones(ex1.n)), start=start)
+
+    def test_other_matrix_of_same_width_raises(self):
+        # Started from the identity's tableau, this LP came out OPTIMAL
+        # with value 2.0; its optimum is 1.0.
+        start = solve(covering_lp(np.eye(2), np.ones(2), np.ones(2)))
+        A = np.array([[1.0, 1.0], [0.0, 0.0]])
+        lp = covering_lp(A, np.array([1.0, 0.0]), np.ones(2))
+        assert solve(lp).value == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="constraint matrix"):
+            solve(lp, start=start)
+
+    def test_other_bound_pattern_raises(self):
+        def lp(upper):
+            return LinearProgram(
+                objective=np.array([-1.0, -1.0]),
+                ineq_matrix=np.array([[1.0, 1.0]]),
+                ineq_rhs=np.array([3.0]),
+                upper=np.array(upper),
+            )
+
+        start = solve(lp([1.0, INF]))
+        with pytest.raises(ValueError, match="upper-bound pattern"):
+            solve(lp([INF, 1.0]), start=start)
+
+    @staticmethod
+    def capped_cover(r):
+        """min x0 + 2 x1 over x0 + x1 >= 1, x0 <= r. For r >= 1 the optimum
+        is x = (1, 0), with the slack of x0 <= r basic at r - 1."""
+        return LinearProgram(
+            objective=np.array([1.0, 2.0]),
+            ineq_matrix=np.array([[-1.0, -1.0], [1.0, 0.0]]),
+            ineq_rhs=np.array([-1.0, r]),
+        )
+
+    def assert_same_as_cold(self, lp, start):
+        warm = solve(lp, start=start)
+        assert _fingerprint(warm, lp) == _fingerprint(solve(lp), lp)
+        assert _fingerprint(warm, lp) == _fingerprint(
+            reference_solve(lp, start=start), lp
+        )
+        return warm
+
+    def test_new_rhs_with_feasible_basis_needs_no_pivot(self):
+        start = solve(self.capped_cover(2.0))
+        lp = self.capped_cover(3.0)
+        warm = solve(lp, start=start)
+        assert warm.iterations == 0
+        assert warm.basis == start.basis
+        np.testing.assert_array_equal(warm.x, [1.0, 0.0])
+        assert _fingerprint(warm, lp) == _fingerprint(
+            reference_solve(lp, start=start), lp
+        )
+
+    def test_infeasible_start_basis_solves_cold(self):
+        # At r = 0.5 the start's basis puts the slack of x0 <= r at -0.5.
+        start = solve(self.capped_cover(2.0))
+        lp = self.capped_cover(0.5)
+        assert _start_tableau(lp, start) == (None, None)
+        warm = self.assert_same_as_cold(lp, start)
+        np.testing.assert_allclose(warm.x, [0.5, 0.5], rtol=0, atol=1e-12)
+
+    def test_start_with_dropped_row_solves_cold(self):
+        # Each row of [G | I] has its own slack, so phase 1 drops a row only
+        # when round-off leaves a driven-out artificial's row below
+        # PIVOT_TOL. Such a start is built here by removing the last row;
+        # the rows it keeps do not give B^-1 b for a new right-hand side.
+        solved = solve(self.capped_cover(2.0))
+        T, basis, cost = solved._optimum
+        start = replace(solved, _optimum=(T[:-1], basis[:-1], cost))
+        lp = self.capped_cover(3.0)
+        assert _start_tableau(lp, start) == (None, None)
+        self.assert_same_as_cold(lp, start)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_new_rhs_matches_cold_solve(self, seed):
+        # b moved by up to 5%: the start's basis stays feasible on 12 of
+        # the 20 seeds, and 2 of the new LPs are infeasible.
+        start, _ = self.covering_pair(seed)
+        inst = random_instance(6, 10, seed)
+        b = inst.b * np.random.default_rng(seed).uniform(0.95, 1.05, inst.m)
+        lp = covering_lp(inst.A, b, np.ones(inst.n))
+        warm, cold = solve(lp, start=start), solve(lp)
+        assert warm.status is cold.status
+        if cold.status is Status.OPTIMAL:
+            assert warm.value == pytest.approx(cold.value, rel=0, abs=1e-9)
+            assert residual(lp, warm.x) <= 1e-8
+        assert _fingerprint(warm, lp) == _fingerprint(
+            reference_solve(lp, start=start), lp
+        )
 
     def test_start_without_optimum_raises(self, ex1):
         lp = covering_lp(ex1.A, ex1.b, np.ones(ex1.n))
