@@ -190,28 +190,28 @@ def cmd_eta(args) -> int:
     t0 = time.perf_counter()
     _, report = sufficient_verdict(sf, c, args.beta)
     timings = {"eta": (time.perf_counter() - t0) * 1000.0}
-    bb, beta = _sig(report.beta_bar), _sig(report.beta_used)
-    etas = [_sig(v) for v in report.eta_per_column]
-    eta1 = _sig(report.eta1)
-    gamma_hat = _sig(report.gamma_hat)
-    threshold = _sig(report.threshold)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": _instance_doc(inst),
-        "beta_bar": bb,
-        "beta_used": beta,
-        "eta_per_column": etas,
-        "eta1": eta1,
-        "s_star": report.s_star,
-        "gamma_hat": gamma_hat,
-        "threshold": threshold,
+        **_verdict_doc(
+            report,
+            (
+                "beta_bar",
+                "beta_used",
+                "eta_per_column",
+                "eta1",
+                "s_star",
+                "gamma_hat",
+                "threshold",
+            ),
+        ),
         "timings_ms": {k: _sig(v) for k, v in timings.items()},
     }
     lines = [
-        f"beta_bar: {bb}  beta_used: {beta}",
-        f"eta_per_column: {etas}",
-        f"eta1: {eta1}  s_star: {report.s_star}  threshold: {threshold}",
-        f"gamma_hat: {gamma_hat}",
+        f"beta_bar: {doc['beta_bar']}  beta_used: {doc['beta_used']}",
+        f"eta_per_column: {doc['eta_per_column']}",
+        f"eta1: {doc['eta1']}  s_star: {doc['s_star']}  threshold: {doc['threshold']}",
+        f"gamma_hat: {doc['gamma_hat']}",
     ]
     _emit(doc, args.json, lines)
     return 0
@@ -239,8 +239,11 @@ def cmd_gen(args) -> int:
     inst = random_instance(args.m, args.n, args.seed, args.max_entry)
     text = format_instance(inst)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write {args.output}: {exc.strerror}")
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)

@@ -113,7 +113,6 @@ class MisContext:
     """Graph bookkeeping for recovering an independent set."""
 
     vertex_count: int
-    edges: tuple
 
 
 def to_standard_form(inst: ZeroOneInstance) -> StandardForm:
@@ -134,7 +133,6 @@ def from_independent_set(vertex_count: int, edges) -> tuple:
         raise InstanceError("vertex_count must be >= 1")
     seen = set()
     rows = []
-    norm_edges = []
     for u, v in edges:
         if u == v:
             raise InstanceError(f"self-loop at vertex {u}")
@@ -148,12 +146,11 @@ def from_independent_set(vertex_count: int, edges) -> tuple:
         row[u - 1] = 1.0
         row[v - 1] = 1.0
         rows.append(row)
-        norm_edges.append(key)
     if not rows:
         raise InstanceError("graph has no edges; covering instance is empty")
     M = np.array(rows)
     inst = ZeroOneInstance(A=M, b=np.ones(len(rows)))
-    ctx = MisContext(vertex_count=vertex_count, edges=tuple(norm_edges))
+    ctx = MisContext(vertex_count=vertex_count)
     return inst, ctx
 
 

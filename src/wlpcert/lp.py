@@ -2,11 +2,10 @@
 
 Two-phase primal simplex with Bland's rule (lowest-index tie-breaking,
 deterministic) and optimal-face probing for uniqueness analysis. Phase 1
-starts each inequality and bound row on its own slack and puts an
-artificial only on the rows re-signed because their right-hand side is
-negative. A re-solve under a new cost or right-hand side can start phase
-2 from an earlier optimal tableau instead, while that basis stays
-feasible.
+starts from a basis, either each inequality and bound row on its own
+slack or an earlier optimal basis of the same constraints, and puts an
+artificial only on the rows whose right-hand side that basis leaves
+negative.
 """
 
 from __future__ import annotations
@@ -41,10 +40,7 @@ class Status(Enum):
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """min objective @ x  s.t.  ineq_matrix x <= ineq_rhs,
-    0 <= x <= upper (+inf allowed).
-
-    Phase 1 gives an artificial only to the rows it re-signs, those with a
-    negative right-hand side; every other row starts on its own slack."""
+    0 <= x <= upper (+inf allowed)."""
 
     objective: np.ndarray
     ineq_matrix: np.ndarray | None = None
@@ -105,26 +101,17 @@ class LpSolution:
 
 
 def _standardize(lp: LinearProgram):
-    """Rewrite as min c z, A z = b, z >= 0, where z is x followed by one
-    slack per inequality row and per finite upper bound: A = [G | I], G
-    the inequality rows over the finite-bound rows, with each row whose
-    right-hand side is negative re-signed.
-
-    Returns (A, b, c, start): start[i] is nvars + i, the column of row i's
-    own slack, or -1 when row i was re-signed.
-    """
+    """The tableau [G | I | b] of min c z, [G | I] z = b, z >= 0, where z
+    is x followed by one slack per inequality row and per finite upper
+    bound: G is the inequality rows over the finite-bound rows and b their
+    right-hand side, re-signed nowhere. Returns (tableau, basis), basis the
+    slack of each row."""
     finite = np.isfinite(lp.upper)
     G = np.vstack([lp.ineq_matrix, np.eye(lp.nvars)[finite]])
     b = np.concatenate([lp.ineq_rhs, lp.upper[finite]])
     m = G.shape[0]
-    A = np.hstack([G, np.eye(m)])
-    neg = b < 0
-    A[neg] *= -1
-    b[neg] *= -1
-    c = np.concatenate([lp.objective, np.zeros(m)])
-    start = np.arange(lp.nvars, lp.nvars + m)
-    start[neg] = -1
-    return A, b, c, start
+    T = np.hstack([G, np.eye(m), b[:, None]])
+    return T, np.arange(lp.nvars, lp.nvars + m)
 
 
 def _pivot(T, basis, row, col):
@@ -169,38 +156,39 @@ def _iterate(T, basis, cost, max_iters):
     return Status.ITERATION_LIMIT, used
 
 
-def _phase1(A, b, start, max_iters):
-    """Phase 1 on A z = b, z >= 0. Row i starts with column start[i]
-    basic, a unit column of A; each row with start[i] < 0 gets an
-    artificial, and phase 1 minimizes the sum of the artificials.
+def _phase1(T, basis, max_iters):
+    """Composite phase 1 (Chvátal, Linear Programming, 1983) from the basis
+    of the tableau T, whose basic columns are unit columns: each row whose
+    right-hand side is below -PIVOT_TOL is negated and gets an artificial,
+    and phase 1 minimizes the sum of the artificials. With no such row it
+    returns T and basis at once.
 
     Returns (status, iterations, tableau, basis). On Status.OPTIMAL the
-    tableau holds a feasible basis, without the artificial columns and
-    with redundant rows dropped; otherwise tableau and basis are None.
+    tableau holds a feasible basis, without the artificial columns;
+    otherwise tableau and basis are None. T and basis are overwritten.
+    Raises LpError when an artificial left basic at level 0 has no entry to
+    pivot on.
     """
-    m, N = A.shape
-    needs = start < 0
-    k = int(needs.sum())
-    T = np.hstack([A, np.eye(m)[:, needs], b[:, None]])
-    basis = start.copy()
-    basis[needs] = np.arange(N, N + k)
+    neg = T[:, -1] < -PIVOT_TOL
+    k = np.count_nonzero(neg)
+    if not k:
+        return Status.OPTIMAL, 0, T, basis
+    m, N = T.shape[0], T.shape[1] - 1
+    T[neg] *= -1
+    T = np.hstack([T[:, :N], np.eye(m)[:, neg], T[:, N:]])
+    basis[neg] = np.arange(N, N + k)
     c1 = np.concatenate([np.zeros(N), np.ones(k)])
     status, used = _iterate(T, basis, c1, max_iters)
     if status is Status.ITERATION_LIMIT:
         return status, used, None, None
     if c1[basis] @ T[:, -1] > PHASE1_TOL:
         return Status.INFEASIBLE, used, None, None
-
-    # Drive remaining artificials out of the basis; drop redundant rows.
-    keep = np.ones(m, dtype=bool)
     for r in (basis >= N).nonzero()[0]:
         piv = (np.abs(T[r, :N]) > PIVOT_TOL).nonzero()[0]
-        if piv.size:
-            _pivot(T, basis, r, piv[0])
-        else:
-            keep[r] = False
-    T = np.hstack([T[keep, :N], T[keep, -1:]])
-    return Status.OPTIMAL, used, T, basis[keep]
+        if not piv.size:
+            raise LpError(f"phase 1 cannot drive the artificial of row {r} out")
+        _pivot(T, basis, r, piv[0])
+    return Status.OPTIMAL, used, np.hstack([T[:, :N], T[:, -1:]]), basis
 
 
 def _phase2(T, basis, cost, max_iters):
@@ -227,32 +215,25 @@ def solve(
 ) -> LpSolution:
     """Two-phase simplex; deterministic for fixed input.
 
-    start is an earlier OPTIMAL solution of an LP with lp's constraint
-    matrix and finite upper bounds in the same places; its cost and
-    right-hand side may differ (ValueError otherwise). Phase 2 then runs
-    under lp's cost from a copy of start's optimal tableau, with no
-    standardisation and no phase 1. When the right-hand side is unchanged
-    the tableau's own right-hand-side column is kept; otherwise it becomes
-    B^-1 b, read through the tableau's slack block. When that leaves an
-    entry below -PIVOT_TOL, or phase 1 of start dropped a redundant row,
-    the basis is not known to be feasible and lp is solved cold instead,
-    within this call.
+    Every solve runs phase 1 and then phase 2 from a start tableau: without
+    start, _standardize's tableau on the slack basis; with start, an
+    earlier OPTIMAL solution of an LP with lp's constraint matrix and
+    finite upper bounds in the same places (ValueError otherwise), a copy
+    of its optimal tableau with lp's right-hand side (_start_tableau). Its
+    cost and right-hand side may differ from lp's. Phase 1 gives an
+    artificial only to the rows the start leaves negative, so a start that
+    is feasible for lp goes to phase 2 with no pivot.
     """
-    T = None
-    if start is not None:
-        T, basis = _start_tableau(lp, start)
-    if T is None:
-        A, b, c, slacks = _standardize(lp)
-        if max_iters is None:
-            max_iters = _iteration_budget(A)
-        status, it1, T, basis = _phase1(A, b, slacks, max_iters)
-        if status is not Status.OPTIMAL:
-            return LpSolution(status, None, None, (), it1)
+    if start is None:
+        T, basis = _standardize(lp)
     else:
-        c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
-        if max_iters is None:
-            max_iters = _iteration_budget(T[:, :-1])
-        it1 = 0
+        T, basis = _start_tableau(lp, start)
+    if max_iters is None:
+        max_iters = _iteration_budget(T[:, :-1])
+    status, it1, T, basis = _phase1(T, basis, max_iters)
+    if status is not Status.OPTIMAL:
+        return LpSolution(status, None, None, (), it1)
+    c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
     status, it2, z = _phase2(T, basis, c, max_iters - it1)
     iters = it1 + it2
     if status is not Status.OPTIMAL:
@@ -271,13 +252,13 @@ def solve(
 
 def _start_tableau(lp: LinearProgram, start: LpSolution):
     """Copies of start's optimal tableau, with lp's right-hand side, and of
-    its basis; (None, None) when that basis is not known to be feasible
-    for lp's right-hand side.
+    its basis.
 
-    Standardisation writes the rows as D [G | I] z = D b with D = diag(+-1)
-    re-signing, so the slack block of the tableau B^-1 D [G | I | b] is
-    B^-1 D, and B^-1 D b is that block times the unsigned right-hand side.
-    With a row dropped by phase 1 the kept rows no longer determine it.
+    Whatever phase 1 negated, an optimal tableau is B^-1 [G | I | b] for its
+    basis B, so its slack block is B^-1, and lp's right-hand side column
+    B^-1 b is that block times lp's b. When b is unchanged the tableau's
+    own column is kept. Entries of B^-1 b may be negative; phase 1 then
+    starts from this basis.
     """
     if start._optimum is None:
         raise ValueError(
@@ -286,10 +267,12 @@ def _start_tableau(lp: LinearProgram, start: LpSolution):
     T, basis, _ = start._optimum
     prev = start._lp
     finite = np.isfinite(lp.upper)
-    width = lp.nvars + lp.ineq_matrix.shape[0] + int(finite.sum())
-    if T.shape[1] - 1 != width:
+    rhs = np.concatenate([lp.ineq_rhs, lp.upper[finite]])
+    shape = (rhs.size, lp.nvars + rhs.size)
+    if (T.shape[0], T.shape[1] - 1) != shape:
         raise ValueError(
-            f"start tableau has {T.shape[1] - 1} columns, the LP needs {width}"
+            f"start tableau has {T.shape[0]} rows and {T.shape[1] - 1} columns, "
+            f"the LP needs {shape[0]} and {shape[1]}"
         )
     if not (
         np.array_equal(lp.ineq_matrix, prev.ineq_matrix)
@@ -299,16 +282,11 @@ def _start_tableau(lp: LinearProgram, start: LpSolution):
             "start LP has another constraint matrix or finite upper-bound pattern"
         )
     T = T.copy()
-    rhs = np.concatenate([lp.ineq_rhs, lp.upper[finite]])
     if not np.array_equal(rhs, np.concatenate([prev.ineq_rhs, prev.upper[finite]])):
-        if T.shape[0] != rhs.size:
-            return None, None
         # Summed per row by numpy, not by a BLAS matrix-vector product whose
         # summation order depends on the kernel, so that a row-by-row
         # computation gives the same bits.
         T[:, -1] = (T[:, lp.nvars : lp.nvars + rhs.size] * rhs).sum(axis=1)
-        if np.any(T[:, -1] < -PIVOT_TOL):
-            return None, None
     return T, basis.copy()
 
 

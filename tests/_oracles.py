@@ -5,7 +5,9 @@ LP minima come from enumerating candidate vertices as solutions of n
 active constraints chosen from the stacked constraint rows.
 `reference_solve` is the row-by-row two-phase simplex that the
 vectorised `wlpcert.lp.solve` must reproduce pivot for pivot, cold and
-from an earlier optimal tableau. `residual` is the largest constraint
+from an earlier optimal tableau; it builds its own tableau and shares no
+code with `wlpcert.lp`. `all_artificial_solve` starts the same simplex
+with an artificial on every row. `residual` is the largest constraint
 violation of a point.
 `reference_face_range` probes the optimal face on the LP with its
 objective pinned to the optimal value, from a fresh phase 1.
@@ -47,10 +49,6 @@ from wlpcert.lp import (
     LpError,
     LpSolution,
     Status,
-    _iteration_budget,
-    _phase1,
-    _phase2,
-    _standardize,
     solve,
 )
 
@@ -192,76 +190,121 @@ def _reference_iterate(T, basis, cost, max_iters):
     return Status.ITERATION_LIMIT, used
 
 
+def _reference_tableau(lp):
+    """[G | I | b] and its slack basis, built one row at a time: each
+    inequality row, then x_k <= upper_k for each finite upper bound, each
+    row with its own slack column and its right-hand side as given."""
+    n = lp.nvars
+    rows = [(lp.ineq_matrix[i], lp.ineq_rhs[i]) for i in range(lp.ineq_matrix.shape[0])]
+    for k in range(n):
+        if math.isfinite(lp.upper[k]):
+            e = np.zeros(n)
+            e[k] = 1.0
+            rows.append((e, lp.upper[k]))
+    m = len(rows)
+    T = np.zeros((m, n + m + 1))
+    for i, (g, r) in enumerate(rows):
+        T[i, :n] = g
+        T[i, n + i] = 1.0
+        T[i, -1] = r
+    return T, list(range(n, n + m))
+
+
+def _reference_phase1(T, basis, art_rows, max_iters):
+    """Phase 1 with an artificial column on each row in art_rows, negated
+    first when its right-hand side is negative; every other row keeps its
+    basic column. Returns (status, iterations, tableau, basis), the
+    tableau without the artificial columns."""
+    if not art_rows:
+        return Status.OPTIMAL, 0, T, basis
+    m, N = T.shape[0], T.shape[1] - 1
+    art = np.zeros((m, len(art_rows)))
+    for k, i in enumerate(art_rows):
+        if T[i, -1] < 0:
+            T[i] = -T[i]
+        art[i, k] = 1.0
+        basis[i] = N + k
+    T = np.hstack([T[:, :N], art, T[:, -1:]])
+    c1 = np.concatenate([np.zeros(N), np.ones(len(art_rows))])
+    status, used = _reference_iterate(T, basis, c1, max_iters)
+    if status is Status.ITERATION_LIMIT:
+        return status, used, None, None
+    if c1[basis] @ T[:, -1] > PHASE1_TOL:
+        return Status.INFEASIBLE, used, None, None
+    for r in range(m):
+        if basis[r] >= N:
+            piv = next((j for j in range(N) if abs(T[r, j]) > PIVOT_TOL), None)
+            if piv is None:
+                raise LpError(f"phase 1 cannot drive the artificial of row {r} out")
+            _reference_pivot(T, basis, r, piv)
+    return Status.OPTIMAL, used, np.hstack([T[:, :N], T[:, -1:]]), basis
+
+
+def _reference_phase2(T, basis, cost, max_iters):
+    status, used = _reference_iterate(T, basis, cost, max_iters)
+    if status is not Status.OPTIMAL:
+        return status, used, None
+    z = np.zeros(T.shape[1] - 1)
+    z[basis] = T[:, -1]
+    return status, used, z
+
+
+def _budget(T):
+    m, N = T.shape[0], T.shape[1] - 1
+    return 50 * (m + N + m)
+
+
 def reference_solve(lp, max_iters=None, start=None):
     """Two-phase simplex with Bland's rule, one tableau row at a time.
 
-    Phase 1 starts each row on its own slack where `_standardize` names
-    one, and on a new artificial column otherwise. With start, an earlier
-    optimal solution, phase 2 runs under lp's cost from a copy of start's
-    optimal tableau and there is no phase 1. When lp's right-hand side
-    differs from start's, each row's entry becomes that row of the slack
-    block times the unsigned right-hand side; if one is below -PIVOT_TOL,
-    or start's phase 1 dropped a row, lp is solved cold instead."""
-    T = None if start is None else _reference_start(lp, start)
-    if T is not None:
-        basis = start._optimum[1].tolist()
-        N = T.shape[1] - 1
-        c = np.concatenate([lp.objective, np.zeros(N - lp.nvars)])
-        if max_iters is None:
-            max_iters = 50 * (T.shape[0] + N + T.shape[0])
-        it1 = 0
+    Without start, phase 1 starts on _reference_tableau's slack basis. With
+    start, an earlier optimal solution, it starts on a copy of start's
+    optimal tableau and basis; when lp's right-hand side differs from
+    start's, each row's entry becomes that row of the slack block times
+    lp's right-hand side. Either way each row whose entry is below
+    -PIVOT_TOL is negated and gets an artificial, and phase 2 runs under
+    lp's cost."""
+    if start is None:
+        T, basis = _reference_tableau(lp)
     else:
-        A, b, c, slacks = _standardize(lp)
-        m, N = A.shape
-        if max_iters is None:
-            max_iters = 50 * (m + N + m)
-
-        basis = []
-        art_rows = []
-        for i in range(m):
-            if slacks[i] >= 0:
-                basis.append(int(slacks[i]))
-            else:
-                basis.append(N + len(art_rows))
-                art_rows.append(i)
-        T = np.hstack([A, np.eye(m)[:, art_rows], b[:, None]])
-        c1 = np.concatenate([np.zeros(N), np.ones(len(art_rows))])
-        status, it1 = _reference_iterate(T, basis, c1, max_iters)
-        if status is Status.ITERATION_LIMIT:
-            return LpSolution(status, None, None, (), it1)
-        if c1[basis] @ T[:, -1] > PHASE1_TOL:
-            return LpSolution(Status.INFEASIBLE, None, None, (), it1)
-
-        drop = []
-        for r in range(len(basis)):
-            if basis[r] >= N:
-                piv = next((j for j in range(N) if abs(T[r, j]) > PIVOT_TOL), None)
-                if piv is None:
-                    drop.append(r)
-                else:
-                    _reference_pivot(T, basis, r, piv)
-        if drop:
-            keep = [i for i in range(len(basis)) if i not in drop]
-            T = T[keep]
-            basis = [basis[i] for i in keep]
-        T = np.hstack([T[:, :N], T[:, -1:]])
-
-    status, it2 = _reference_iterate(T, basis, c, max_iters - it1)
+        T, basis = _reference_start(lp, start)
+    if max_iters is None:
+        max_iters = _budget(T)
+    art_rows = [i for i in range(T.shape[0]) if T[i, -1] < -PIVOT_TOL]
+    status, it1, T, basis = _reference_phase1(T, basis, art_rows, max_iters)
+    if status is not Status.OPTIMAL:
+        return LpSolution(status, None, None, (), it1)
+    c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
+    status, it2, z = _reference_phase2(T, basis, c, max_iters - it1)
     iters = it1 + it2
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, (), iters)
-    z = np.zeros(N)
-    z[basis] = T[:, -1]
     x = z[: lp.nvars]
     return LpSolution(
         Status.OPTIMAL, x, float(lp.objective @ x), tuple(sorted(basis)), iters
     )
 
 
+def all_artificial_solve(lp):
+    """(status, value) of the two-phase simplex that starts every row on an
+    artificial, whatever slack it has."""
+    T, basis = _reference_tableau(lp)
+    max_iters = _budget(T)
+    status, it1, T, basis = _reference_phase1(
+        T, basis, list(range(T.shape[0])), max_iters
+    )
+    if status is not Status.OPTIMAL:
+        return status, None
+    c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
+    status, _, z = _reference_phase2(T, basis, c, max_iters - it1)
+    return status, None if z is None else float(lp.objective @ z[: lp.nvars])
+
+
 def _reference_start(lp, start):
-    """A copy of start's optimal tableau with lp's right-hand side, row by
-    row, or None when its basis is not known to be feasible for it."""
-    T = start._optimum[0].copy()
+    """Copies of start's optimal tableau, with lp's right-hand side computed
+    row by row, and of its basis."""
+    T, basis, _ = start._optimum
+    T = T.copy()
     prev = start._lp
     rhs = [float(v) for v in lp.ineq_rhs]
     old = [float(v) for v in prev.ineq_rhs]
@@ -269,16 +312,11 @@ def _reference_start(lp, start):
         if math.isfinite(lp.upper[k]):
             rhs.append(float(lp.upper[k]))
             old.append(float(prev.upper[k]))
-    if rhs == old:
-        return T
-    if T.shape[0] != len(rhs):
-        return None
-    b = np.array(rhs)
-    for i in range(T.shape[0]):
-        T[i, -1] = (T[i, lp.nvars : lp.nvars + len(rhs)] * b).sum()
-        if T[i, -1] < -PIVOT_TOL:
-            return None
-    return T
+    if rhs != old:
+        b = np.array(rhs)
+        for i in range(T.shape[0]):
+            T[i, -1] = (T[i, lp.nvars : lp.nvars + len(rhs)] * b).sum()
+    return T, basis.tolist()
 
 
 def residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -307,23 +345,24 @@ def reference_face_range(lp: LinearProgram, opt_value: float, variables) -> list
 
     Minimizes and maximizes each variable with the objective pinned to
     opt_value by pin_objective. Phase 1 does not read the objective, so it
-    runs once; each probe runs phase 2 on a copy of its tableau, exactly
-    as `solve` would on the probe's LP.
+    runs once, as in reference_solve; each probe runs phase 2 on a copy of
+    its tableau, exactly as reference_solve would on the probe's LP.
     """
-    A, b, _, start = _standardize(pin_objective(lp, opt_value))
-    max_iters = _iteration_budget(A)
-    status, it1, T, basis = _phase1(A, b, start, max_iters)
+    T, basis = _reference_tableau(pin_objective(lp, opt_value))
+    max_iters = _budget(T)
+    art_rows = [i for i in range(T.shape[0]) if T[i, -1] < -PIVOT_TOL]
+    status, it1, T, basis = _reference_phase1(T, basis, art_rows, max_iters)
     if status is not Status.OPTIMAL:
         raise LpError(f"face probe ended with status {status.value}")
-    slack_costs = np.zeros(A.shape[1] - lp.nvars)
+    slack_costs = np.zeros(T.shape[1] - 1 - lp.nvars)
     ranges = []
     for var in variables:
         e = np.zeros(lp.nvars)
         e[var] = 1.0
         ends = []
         for obj in (e, -e):
-            status, _, z = _phase2(
-                T.copy(), basis.copy(), np.concatenate([obj, slack_costs]),
+            status, _, z = _reference_phase2(
+                T.copy(), list(basis), np.concatenate([obj, slack_costs]),
                 max_iters - it1,
             )
             if status is Status.OPTIMAL:

@@ -282,6 +282,16 @@ class TestGenCommand:
         assert out.splitlines()[0] == "2 2"
         assert len(out.splitlines()) == 4
 
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "inst.txt"
+        code = main(["gen", "--m", "2", "--n", "2", "--output", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+
 
 class TestMisCommand:
     def test_path_graph(self, tmp_path, capsys):

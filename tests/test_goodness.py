@@ -8,6 +8,7 @@ from wlpcert import (
     Weights,
     ZeroOneInstance,
     beta_bar,
+    certify,
     eta_j,
     from_independent_set,
     gamma_hat_closed_form,
@@ -16,7 +17,7 @@ from wlpcert import (
     to_standard_form,
 )
 from wlpcert.goodness import _s_star_from
-from wlpcert.lp import _start_tableau
+from wlpcert.lp import PIVOT_TOL, _start_tableau
 
 from _oracles import gamma_hat_exact
 
@@ -342,9 +343,9 @@ class TestWarmEta:
         monkeypatch.setattr(goodness, "solve", counted)
         return calls
 
-    def test_cold_fallback_is_one_solve_call(self, sf1, ones3, monkeypatch):
+    def test_infeasible_start_is_one_solve_call(self, sf1, ones3, monkeypatch):
         # Column 0's optimal basis at beta = 0.5 is infeasible at beta = 2,
-        # so solve falls back to a cold solve inside the same call.
+        # so phase 1 runs from that basis inside the same call.
         cold, _ = eta_j(sf1, ones3, 2.0, 0)
         starts = {}
         eta_j(sf1, ones3, 0.5, 0, starts)
@@ -353,9 +354,38 @@ class TestWarmEta:
         value, _ = eta_j(sf1, ones3, 2.0, 0, starts)
         [(lp, used)] = calls
         assert used is start
-        assert _start_tableau(lp, start) == (None, None)
-        assert value == cold
+        T, _ = _start_tableau(lp, start)
+        assert np.any(T[:, -1] < -PIVOT_TOL)
+        assert value == pytest.approx(cold, rel=0, abs=1e-9)
         assert starts[0] is not start and starts[0].x is not None
+
+    def test_infeasible_starts_across_certify_match_cold(self, monkeypatch):
+        # On these inputs certify starts 6 eta_j LPs from a basis that the
+        # new c and beta make infeasible; each runs phase 1 from it.
+        goodness = importlib.import_module("wlpcert.goodness")
+        eta = goodness.eta_j
+
+        def checked(sf, c, beta, col, starts=None):
+            value, witness = eta(sf, c, beta, col, starts)
+            cold, _ = eta(sf, c, beta, col)
+            assert value == pytest.approx(cold, rel=0, abs=1e-9)
+            target = np.zeros(sf.n)
+            target[col] = c.c[col]
+            residual = np.max(np.abs(target - sf.A1.T @ witness.q))
+            assert residual == pytest.approx(value, rel=0, abs=1e-9)
+            return value, witness
+
+        calls = self.count_solves(monkeypatch)
+        monkeypatch.setattr(goodness, "eta_j", checked)
+        for shape, seed in (((4, 3), 904342679), ((6, 5), 755423993),
+                            ((4, 4), 1218798093), ((10, 16), 1)):
+            certify(random_instance(*shape, seed))
+        infeasible = [
+            bool(np.any(_start_tableau(lp, start)[0][:, -1] < -PIVOT_TOL))
+            for lp, start in calls
+            if start is not None
+        ]
+        assert sum(infeasible) == 6
 
     def test_warm_start_is_one_solve_call(self, sf1, ones3, monkeypatch):
         starts = {}

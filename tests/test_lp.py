@@ -23,6 +23,7 @@ from wlpcert import (
 from wlpcert.lp import (
     COST_TOL,
     INF,
+    PIVOT_TOL,
     _iteration_budget,
     _phase1,
     _phase2,
@@ -31,6 +32,7 @@ from wlpcert.lp import (
 )
 
 from _oracles import (
+    all_artificial_solve,
     enumerate_lp_minimum,
     pin_objective,
     reference_face_range,
@@ -252,8 +254,9 @@ class TestPivotIdentity:
 
 
 class TestWarmStart:
-    """A re-solve under a new cost from an earlier optimal tableau of the
-    same constraints: phase 2 only, no standardisation or phase 1."""
+    """A re-solve under a new cost or right-hand side from an earlier
+    optimal tableau of the same constraints: no standardisation, and phase
+    1 only on the rows the new right-hand side leaves negative."""
 
     @staticmethod
     def covering_pair(seed):
@@ -317,14 +320,6 @@ class TestWarmStart:
             ineq_rhs=np.array([-1.0, r]),
         )
 
-    def assert_same_as_cold(self, lp, start):
-        warm = solve(lp, start=start)
-        assert _fingerprint(warm, lp) == _fingerprint(solve(lp), lp)
-        assert _fingerprint(warm, lp) == _fingerprint(
-            reference_solve(lp, start=start), lp
-        )
-        return warm
-
     def test_new_rhs_with_feasible_basis_needs_no_pivot(self):
         start = solve(self.capped_cover(2.0))
         lp = self.capped_cover(3.0)
@@ -336,25 +331,28 @@ class TestWarmStart:
             reference_solve(lp, start=start), lp
         )
 
-    def test_infeasible_start_basis_solves_cold(self):
-        # At r = 0.5 the start's basis puts the slack of x0 <= r at -0.5.
+    def test_infeasible_start_basis_runs_phase1(self):
+        # At r = 0.5 the start's basis puts the slack of x0 <= r at -0.5, so
+        # phase 1 starts from that basis with an artificial on its row.
         start = solve(self.capped_cover(2.0))
         lp = self.capped_cover(0.5)
-        assert _start_tableau(lp, start) == (None, None)
-        warm = self.assert_same_as_cold(lp, start)
+        T, _ = _start_tableau(lp, start)
+        assert (T[:, -1] < -PIVOT_TOL).sum() == 1
+        warm, cold = solve(lp, start=start), solve(lp)
+        assert warm.status is cold.status is Status.OPTIMAL
+        assert warm.value == pytest.approx(cold.value, rel=0, abs=1e-9)
+        assert warm.iterations <= cold.iterations
+        assert _fingerprint(warm, lp) == _fingerprint(
+            reference_solve(lp, start=start), lp
+        )
         np.testing.assert_allclose(warm.x, [0.5, 0.5], rtol=0, atol=1e-12)
 
-    def test_start_with_dropped_row_solves_cold(self):
-        # Each row of [G | I] has its own slack, so phase 1 drops a row only
-        # when round-off leaves a driven-out artificial's row below
-        # PIVOT_TOL. Such a start is built here by removing the last row;
-        # the rows it keeps do not give B^-1 b for a new right-hand side.
+    def test_start_with_missing_row_raises(self):
         solved = solve(self.capped_cover(2.0))
         T, basis, cost = solved._optimum
         start = replace(solved, _optimum=(T[:-1], basis[:-1], cost))
-        lp = self.capped_cover(3.0)
-        assert _start_tableau(lp, start) == (None, None)
-        self.assert_same_as_cold(lp, start)
+        with pytest.raises(ValueError, match="rows"):
+            solve(self.capped_cover(3.0), start=start)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_new_rhs_matches_cold_solve(self, seed):
@@ -381,39 +379,33 @@ class TestWarmStart:
             solve(lp, start=start)
 
 
-def _all_artificial_solve(lp):
-    """(status, value) of the two-phase simplex with an artificial on
-    every row, whatever slacks A has."""
-    A, b, c, _ = _standardize(lp)
-    max_iters = _iteration_budget(A)
-    status, it1, T, basis = _phase1(A, b, np.full(A.shape[0], -1), max_iters)
-    if status is not Status.OPTIMAL:
-        return status, None
-    status, _, z = _phase2(T, basis, c, max_iters - it1)
-    return status, None if z is None else float(lp.objective @ z[: lp.nvars])
-
-
 class TestSlackStart:
-    """Phase 1 starts each non-re-signed inequality and bound row on its
-    own slack, and puts an artificial on every other row."""
+    """Phase 1 starts every inequality and bound row on its own slack, and
+    puts an artificial only on the rows whose right-hand side is below
+    -PIVOT_TOL."""
 
     @staticmethod
     def assert_starts_on_own_slack(lp):
-        # Row i starts on slack column nvars + i unless its right-hand
-        # side is negative and it was re-signed.
-        *_, start = _standardize(lp)
+        # Row i starts on slack column nvars + i, with its right-hand side
+        # as given.
+        T, basis = _standardize(lp)
         rhs = np.concatenate([lp.ineq_rhs, lp.upper[np.isfinite(lp.upper)]])
-        expected = lp.nvars + np.arange(rhs.size)
-        expected[rhs < 0] = -1
-        np.testing.assert_array_equal(start, expected)
+        np.testing.assert_array_equal(basis, lp.nvars + np.arange(rhs.size))
+        np.testing.assert_array_equal(T[:, basis], np.eye(rhs.size))
+        np.testing.assert_array_equal(T[:, -1], rhs)
 
     @staticmethod
     def assert_matches_all_artificial(lp):
         sol = solve(lp)
-        status, value = _all_artificial_solve(lp)
+        status, value = all_artificial_solve(lp)
         assert sol.status is status
         if status is Status.OPTIMAL:
             assert sol.value == pytest.approx(value, rel=0, abs=1e-9)
+
+    @staticmethod
+    def artificial_rows(lp):
+        T, _ = _standardize(lp)
+        return (T[:, -1] < -PIVOT_TOL).nonzero()[0].tolist()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_lp_matches_all_artificial(self, seed):
@@ -427,20 +419,15 @@ class TestSlackStart:
             self.assert_matches_all_artificial(lp)
 
     def test_eta_lp_has_one_artificial(self, ex1, ex2, ex3, certificate_lps):
-        # Every eta_j LP re-signs its row n. The weighted LP re-signs its
-        # covering rows with b_i > 0; its rows with b_i = 0 and its bound
-        # rows start on their slacks.
+        # Every eta_j LP puts an artificial on its row n. The weighted LP
+        # puts one on each covering row with b_i > 0; its rows with b_i = 0
+        # and its bound rows start on their slacks.
         lps = iter(certificate_lps)
         for inst in (ex1, ex2, ex3, cycle_instance(9)):
-            *_, start = _standardize(next(lps))
-            assert (start < 0).nonzero()[0].tolist() == (
-                (inst.b > 0).nonzero()[0].tolist()
-            )
+            assert self.artificial_rows(next(lps)) == (inst.b > 0).nonzero()[0].tolist()
             for _ in range(inst.n):
                 lp = next(lps)
-                *_, start = _standardize(lp)
-                last = lp.ineq_matrix.shape[0] - 1
-                assert (start < 0).nonzero()[0].tolist() == [last]
+                assert self.artificial_rows(lp) == [lp.ineq_matrix.shape[0] - 1]
         assert next(lps, None) is None
 
     def test_slack_start_needs_no_phase1_pivot(self):
@@ -450,12 +437,20 @@ class TestSlackStart:
             ineq_rhs=np.array([4.0, 0.0]),
             upper=np.array([3.0, INF, 1.0]),
         )
-        A, b, _, start = _standardize(lp)
-        assert np.all(start >= 0)
-        status, used, T, basis = _phase1(A, b, start, _iteration_budget(A))
+        T, basis = _standardize(lp)
+        status, used, T1, basis1 = _phase1(T, basis, _iteration_budget(T[:, :-1]))
         assert status is Status.OPTIMAL and used == 0
-        np.testing.assert_array_equal(basis, start)
+        assert T1 is T and basis1 is basis
+        np.testing.assert_array_equal(basis, [3, 4, 5, 6])
         assert solve(lp).status is Status.OPTIMAL
+
+    def test_artificial_without_pivot_raises(self):
+        # Row 1 is negative, but round-off has left every entry of it at
+        # most PIVOT_TOL: its artificial ends phase 1 basic at 5e-8, within
+        # PHASE1_TOL, with no column to leave through.
+        T = np.array([[1.0, 0.0, 1.0], [0.0, 1e-10, -5e-8]])
+        with pytest.raises(LpError, match="artificial of row 1"):
+            _phase1(T, np.array([0, 1]), 10)
 
 
 class TestFaceRangeMatchesProbes:

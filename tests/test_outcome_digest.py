@@ -28,10 +28,11 @@ def test_outcomes_are_pinned(capsys):
     # A change that moves an outcome updates these pins and lists the
     # moved inputs (--list) in CHANGES.md.
     tool = _tool()
-    assert tool.main(["--workload", "ladder", "small", "--seed", "1"]) == 0
+    assert tool.main(["--workload", "ladder", "small", "mis", "--seed", "1"]) == 0
     assert capsys.readouterr().out == (
         "ladder seed 1: 69bbd75a937b674d\n"
         "small seed 1: 0b771dc0b78b03ac\n"
+        "mis seed 1: 8fb79dcb0db32945\n"
     )
 
 
