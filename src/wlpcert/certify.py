@@ -267,10 +267,23 @@ def certify(
     threshold strictly; it stops solving eta_j as soon as s_star falls
     below the support count. Each eta_j LP starts from the same column's
     last optimum in this call: only its right-hand side moves with c and
-    beta, so that basis stays optimal while it stays feasible, and the
-    LP is solved cold when it does not. Otherwise the weights are
-    adjusted and the loop retries, up to max_weight_iterations. With
-    brute_force_verify, a certified recovery is then checked against
+    beta, so that basis stays optimal while it stays feasible, and phase
+    1 starts from it when it does not. Otherwise the weights are
+    adjusted and the loop retries, up to max_weight_iterations.
+
+    The loop stops at a weight fixed point: when adjust_weights returns
+    the weights pass k already had, passes k+1.. are filled with pass k's
+    record and a discrepancy says so. This is exact. Under the same
+    weights the next weighted LP starts from pass k's own optimal tableau
+    with the same cost and right-hand side. An optimal tableau's
+    right-hand side is nonnegative up to rounding far below PIVOT_TOL, so
+    phase 1 negates no row, and phase 2 computes the same reduced costs
+    and takes no pivot; classify_case then reads the same tableau. Each
+    eta_j starts from its own last optimum under an unchanged right-hand
+    side and returns the same bits. The next pass therefore equals pass
+    k, and by induction so does every later pass.
+
+    With brute_force_verify, a certified recovery is then checked against
     branch_and_bound_ip, and a refuted one is not certified.
     """
     c = weights if weights is not None else Weights(c=np.ones(inst.n))
@@ -292,7 +305,8 @@ def certify(
             )
     sol = None
     eta_starts = {}
-    for _ in range(config.max_weight_iterations):
+    budget = config.max_weight_iterations
+    for k in range(1, budget + 1):
         sol = solve_weighted_lp(inst, c, sol)
         if sol.status is not Status.OPTIMAL:
             discrepancies.append(
@@ -317,7 +331,16 @@ def certify(
         iterations.append(Pass(c, report, case, reason))
         if certified:
             break
-        c = adjust_weights(sol.x)
+        nxt = adjust_weights(sol.x)
+        if k < budget and np.array_equal(nxt.c, c.c):
+            iterations += [iterations[-1]] * (budget - k)
+            discrepancies.append("weight-adjustment iteration budget exhausted")
+            discrepancies.append(
+                f"weights repeat from pass {k}; passes {k + 1}..{budget} "
+                "are identical"
+            )
+            break
+        c = nxt
     else:
         discrepancies.append("weight-adjustment iteration budget exhausted")
 

@@ -292,6 +292,17 @@ def cmd_mis(args) -> int:
     return 0
 
 
+def _pass_budget(text: str) -> int:
+    """The --max-iters value: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wlpcert",
@@ -313,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run the full adjust-and-certify loop")
     common(p)
-    p.add_argument("--max-iters", type=int, default=10)
+    p.add_argument("--max-iters", type=_pass_budget, default=10)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("eta", help="per-column residual bounds and s_star")
@@ -335,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mis", help="maximum independent set via the certifier")
     p.add_argument("--graph", required=True, help="graph file (p/e lines)")
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=10)
+    p.add_argument("--max-iters", type=_pass_budget, default=10)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mis)
 

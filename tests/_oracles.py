@@ -14,6 +14,8 @@ objective pinned to the optimal value, from a fresh phase 1.
 `gamma_hat_exact` re-derives `wlpcert.gamma_hat_closed_form` by one
 simplex LP per support pattern. `eager_certify` runs the certify loop in
 its earlier order, with the full verdict on every pass.
+`full_loop_certify` is `wlpcert.certify` as it was before the loop
+stopped at a weight fixed point: it solves every pass.
 `verify_certificate` checks a certified recovery against exhaustive
 enumeration.
 """
@@ -26,10 +28,16 @@ import numpy as np
 
 from wlpcert.certify import (
     CaseKind,
+    Certificate,
+    CertifyConfig,
+    Pass,
+    PassReason,
     adjust_weights,
     branch_and_bound_ip,
     brute_force_ip,
+    classify_case,
     covering_lp,
+    solve_weighted_lp,
 )
 from wlpcert.goodness import beta_bar, sufficient_verdict
 from wlpcert.instance import (
@@ -478,6 +486,89 @@ def eager_certify(inst, max_weight_iterations=10):
         )
     recovered = None if recovered is None else [int(v) for v in recovered]
     return certified, len(cases), recovered, cases, value
+
+
+def full_loop_certify(inst, config=CertifyConfig(), weights=None) -> Certificate:
+    """wlpcert.certify with every pass solved, up to max_weight_iterations,
+    even after adjust_weights returns the weights a pass already had."""
+    c = weights if weights is not None else Weights(c=np.ones(inst.n))
+    if c.n != inst.n:
+        raise ValueError(
+            f"weights have length {c.n}, the instance has {inst.n} columns"
+        )
+    sf = to_standard_form(inst)
+    discrepancies = []
+    iterations = []
+    certified = False
+
+    if config.beta_override is not None:
+        bb = beta_bar(sf, c)
+        if abs(config.beta_override - bb) > ZERO_TOL:
+            discrepancies.append(
+                f"beta override {config.beta_override:g} differs from "
+                f"column-norm default {bb:g}"
+            )
+    sol = None
+    eta_starts = {}
+    for _ in range(config.max_weight_iterations):
+        sol = solve_weighted_lp(inst, c, sol)
+        if sol.status is not Status.OPTIMAL:
+            discrepancies.append(
+                f"weighted relaxation ended with status {sol.status.value}"
+            )
+            iterations.append(Pass(c, None, None, PassReason.LP_STATUS))
+            break
+        s_observed = int(np.count_nonzero(sol.x > ZERO_TOL))
+        case = classify_case(sol)
+        report = None
+        reason = PassReason.NON_UNIQUE
+        if case is CaseKind.UNIQUE_OPTIMUM:
+            certified, report = sufficient_verdict(
+                sf, c, config.beta_override, s_observed=s_observed, starts=eta_starts
+            )
+            if certified:
+                reason = PassReason.CERTIFIED
+            elif report.s_star < s_observed:
+                reason = PassReason.SUPPORT_GT_S_STAR
+            else:
+                reason = PassReason.BOUND_NOT_STRICT
+        iterations.append(Pass(c, report, case, reason))
+        if certified:
+            break
+        c = adjust_weights(sol.x)
+    else:
+        discrepancies.append("weight-adjustment iteration budget exhausted")
+
+    recovered = None
+    if sol.status is Status.OPTIMAL:
+        recovered = ceil_recover(np.clip(sol.x, 0.0, 1.0))
+
+    bf_verified = None
+    bf_value = None
+    optimum = None
+    if config.brute_force_verify and certified:
+        bf_value, optimum = branch_and_bound_ip(inst)
+        bf_verified = int(recovered.sum()) == bf_value and bool(
+            np.all(inst.A @ recovered >= inst.b - ZERO_TOL)
+        )
+        if not bf_verified:
+            certified = False
+            iterations[-1] = iterations[-1]._replace(reason=PassReason.REFUTED)
+            discrepancies.append(
+                f"certificate refuted: the recovery has {int(recovered.sum())} "
+                f"ones, the 0-1 optimum is {bf_value}"
+            )
+
+    return Certificate(
+        iterations=tuple(iterations),
+        lp_solution=sol,
+        certified=certified,
+        recovered=recovered,
+        brute_force_verified=bf_verified,
+        discrepancies=tuple(discrepancies),
+        brute_force_value=bf_value,
+        brute_force_optimum=optimum,
+    )
 
 
 def verify_certificate(inst, cert) -> bool:

@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,12 @@ REFUTED_INSTANCES = (
 def cycle_instance(n):
     """Covering instance of maximum independent set on the n-cycle."""
     return from_independent_set(n, [(i, i % n + 1) for i in range(1, n + 1)])[0]
+
+
+def workload_cases(workload, seed, monkeypatch):
+    """The inputs of one of perfbench's library workloads at the seed."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parent.parent / "perfbench")
+    return importlib.import_module("workloads").build(workload, seed)
 
 
 @pytest.fixture

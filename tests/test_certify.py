@@ -1,8 +1,7 @@
 import importlib
 import itertools
 import math
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -32,10 +31,11 @@ from wlpcert.lp import _standardize
 from _oracles import (
     eager_certify,
     enumerate_binary_minimum,
+    full_loop_certify,
     residual,
     verify_certificate,
 )
-from conftest import REFUTED_INSTANCES, cycle_instance
+from conftest import REFUTED_INSTANCES, cycle_instance, workload_cases
 
 
 class TestWeightedLp:
@@ -76,8 +76,9 @@ class TestWeightedLp:
 
 
     def test_residual_across_warm_passes(self, monkeypatch):
-        # Passes 2..10 each start from the previous pass's tableau, so
-        # rounding error is carried through all 10 passes of a ladder input.
+        # Each solved pass starts from the previous pass's tableau, so
+        # rounding error is carried through every pass of a ladder input
+        # up to its weight fixed point.
         module = importlib.import_module("wlpcert.certify")
         weighted = module.solve_weighted_lp
         sols = []
@@ -91,7 +92,8 @@ class TestWeightedLp:
         for m, n in ((3, 3), (5, 8), (8, 12), (10, 16), (15, 24)):
             sols.clear()
             cert = certify(random_instance(m, n, 1))
-            assert len(sols) == len(cert.iterations) == 10
+            assert len(cert.iterations) == 10
+            assert len(sols) == len({id(p) for p in cert.iterations}) >= 2
             for lp, sol in sols:
                 assert residual(lp, sol.x) <= 1e-8
 
@@ -286,8 +288,9 @@ class TestCertify:
 
 class TestLazyVerdict:
     def test_eta_j_calls_per_pass(self, monkeypatch):
-        # Pass 1 has a non-unique optimum and solves no eta_j; on passes 2
-        # and 3 the first column already gives s_star below the support.
+        # Pass 1 has a non-unique optimum and solves no eta_j; on pass 2
+        # the first column already gives s_star below the support. Pass 2's
+        # adjusted weights are its own, so pass 3 is pass 2's record.
         goodness = importlib.import_module("wlpcert.goodness")
         module = importlib.import_module("wlpcert.certify")
         eta_j, solve_weighted_lp = goodness.eta_j, module.solve_weighted_lp
@@ -306,7 +309,8 @@ class TestLazyVerdict:
         cert = certify(
             random_instance(20, 32, 1), CertifyConfig(max_weight_iterations=3)
         )
-        assert calls == [0, 1, 1]
+        assert calls == [0, 1]
+        assert cert.iterations[2] is cert.iterations[1]
         first, *rest = cert.iterations
         assert first.report is None and first.reason is PassReason.NON_UNIQUE
         for p in rest:
@@ -334,12 +338,6 @@ class TestLazyVerdict:
         )
 
 
-def _workload_cases(workload, seed, monkeypatch):
-    """The inputs of one of perfbench's library workloads at the seed."""
-    monkeypatch.syspath_prepend(Path(__file__).resolve().parent.parent / "perfbench")
-    return importlib.import_module("workloads").build(workload, seed)
-
-
 class TestWarmVerdict:
     """Each verdict of certify, whose eta_j LPs start from the same column's
     last optimum, against a cold verdict on the same weights."""
@@ -362,11 +360,11 @@ class TestWarmVerdict:
             return warm
 
         monkeypatch.setattr(module, "sufficient_verdict", record)
-        for case in _workload_cases(workload, 1, monkeypatch):
+        for case in workload_cases(workload, 1, monkeypatch):
             certify(case.instance, case.config, weights=case.weights)
-        # Most columns are solved again on a later pass: 41 of ladder's 46
-        # and 824 of small's 972.
-        assert len(warm_columns) > len(verdicts) / 2
+        # Columns solved again on a later pass: 2 over ladder's 7 verdicts
+        # and 41 over small's 141.
+        assert len(warm_columns) == {"ladder": 2, "small": 41}[workload]
         for sf, c, (warm_ok, warm), (cold_ok, cold) in verdicts:
             assert warm_ok == cold_ok == warm.certified == cold.certified
             assert warm.s_star == cold.s_star
@@ -381,6 +379,107 @@ class TestWarmVerdict:
                 target[j] = c.c[j]
                 attained = np.max(np.abs(target - sf.A1.T @ witness.q))
                 assert abs(attained - value) <= 1e-9
+
+
+LADDER_SHAPES = ((3, 3), (5, 8), (8, 12), (10, 16), (15, 24))
+REPEAT_NOTE = "weights repeat from pass"
+
+
+def _bits(value):
+    """value with every float and array replaced by its exact bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in fields(value))
+    return value
+
+
+class TestFixedPoint:
+    """certify stops once adjust_weights returns a pass's own weights."""
+
+    def test_stops_at_repeated_weights(self, monkeypatch):
+        module = importlib.import_module("wlpcert.certify")
+        weighted = module.solve_weighted_lp
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(0)
+            return weighted(*args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_weighted_lp", counted)
+        for m, n in LADDER_SHAPES:
+            inst = random_instance(m, n, 1)
+            full = full_loop_certify(inst).iterations
+            # The first pass whose adjusted weights, the next pass's, equal
+            # its own; every ladder input has one before its last pass.
+            k = next(
+                i
+                for i in range(len(full) - 1)
+                if np.array_equal(full[i].weights.c, full[i + 1].weights.c)
+            )
+            calls.clear()
+            cert = certify(inst)
+            assert len(calls) == k + 1
+            assert len(cert.iterations) == len(full) == 10
+            assert all(p is cert.iterations[k] for p in cert.iterations[k:])
+            assert cert.discrepancies[-1] == (
+                f"{REPEAT_NOTE} {k + 1}; passes {k + 2}..10 are identical"
+            )
+
+    @staticmethod
+    def full_loop_cases(ex1, ex2, ex3, monkeypatch):
+        yield ex1, CertifyConfig(), None
+        yield ex1, CertifyConfig(beta_override=0.5625), None
+        yield ex2, CertifyConfig(), None
+        yield ex2, CertifyConfig(beta_override=0.7), Weights(np.array([0.5, 0.7, 0.8]))
+        yield ex3, CertifyConfig(), None
+        yield ex3, CertifyConfig(beta_override=0.7), Weights(np.array([0.5, 0.35, 0.3]))
+        yield cycle_instance(9), CertifyConfig(), None
+        for workload in ("ladder", "small"):
+            for case in workload_cases(workload, 1, monkeypatch):
+                yield case.instance, case.config, case.weights
+
+    def test_matches_full_loop(self, ex1, ex2, ex3, monkeypatch):
+        repeats = 0
+        for inst, config, weights in self.full_loop_cases(ex1, ex2, ex3, monkeypatch):
+            cert = certify(inst, config, weights=weights)
+            full = full_loop_certify(inst, config, weights=weights)
+            notes = [d for d in cert.discrepancies if not d.startswith(REPEAT_NOTE)]
+            repeats += len(notes) < len(cert.discrepancies)
+            assert notes == list(full.discrepancies)
+            assert len(cert.iterations) == len(full.iterations)
+            for a, b in zip(cert.iterations, full.iterations, strict=True):
+                assert _bits(a.weights.c) == _bits(b.weights.c)
+                assert _bits(a.report) == _bits(b.report)
+                assert (a.case, a.reason) == (b.case, b.reason)
+            for name in ("x", "value", "basis", "status"):
+                assert _bits(getattr(cert.lp_solution, name)) == _bits(
+                    getattr(full.lp_solution, name)
+                )
+            for name in (
+                "certified",
+                "recovered",
+                "brute_force_verified",
+                "brute_force_value",
+                "brute_force_optimum",
+            ):
+                assert _bits(getattr(cert, name)) == _bits(getattr(full, name))
+        # Examples 1 and 2 at default settings, every ladder input and 83
+        # of small's 112 stop at a fixed point.
+        assert repeats == 2 + 5 + 83
+
+    def test_note_only_when_passes_are_left(self):
+        # Pass 2 of random_instance(3, 3, 1) repeats its weights; with a
+        # budget of 2 no pass is left to fill.
+        inst = random_instance(3, 3, 1)
+        assert REPEAT_NOTE in certify(inst).discrepancies[-1]
+        cert = certify(inst, CertifyConfig(max_weight_iterations=2))
+        assert cert.discrepancies == ("weight-adjustment iteration budget exhausted",)
+        assert cert.iterations[0] is not cert.iterations[1]
 
 
 class TestPassReason:

@@ -93,6 +93,31 @@ class TestCertifyCommand:
         for key in ("eta1", "s_star", "eta_s_bound", "threshold", "certified"):
             assert entry[key] is None, key
 
+    def test_json_reports_weight_fixed_point(self, ex2_file, capsys):
+        # Pass 2's adjusted weights are its own, so passes 3-10 copy it and
+        # a larger --max-iters cannot help.
+        assert main(["certify", "--input", ex2_file, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["discrepancies"] == [
+            "weight-adjustment iteration budget exhausted",
+            "weights repeat from pass 2; passes 3..10 are identical",
+        ]
+        passes = doc["iterations"]
+        assert len(passes) == 10
+        assert all(entry == passes[1] for entry in passes[2:])
+
+    @pytest.mark.parametrize("command", ["certify", "mis"])
+    def test_zero_max_iters_exit_two(self, command, ex1_file, tmp_path, capsys):
+        graph = tmp_path / "p3.txt"
+        graph.write_text(P3_GRAPH)
+        source = ["--input", ex1_file] if command == "certify" else ["--graph", str(graph)]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, "--max-iters", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --max-iters: must be an integer >= 1, not '0'" in err
+        assert "max_weight_iterations" not in err
+
     def test_weights_flag_certifies_example2(self, ex2_file):
         code = main(
             [

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wlpcert import (
+    CertifyConfig,
     LinearProgram,
     LpError,
     Status,
@@ -39,7 +40,7 @@ from _oracles import (
     reference_solve,
     residual,
 )
-from conftest import cycle_instance
+from conftest import cycle_instance, workload_cases
 
 
 def random_lp(seed):
@@ -179,9 +180,17 @@ def certificate_lps(ex1, ex2, ex3, monkeypatch):
     return lps
 
 
-def _warm_solves(monkeypatch, module_name, instances):
+def _small_cases(monkeypatch):
+    """(instance, config, weights) of perfbench's small workload at seed 1."""
+    return [
+        (case.instance, case.config, case.weights)
+        for case in workload_cases("small", 1, monkeypatch)
+    ]
+
+
+def _warm_solves(monkeypatch, module_name, cases):
     """(lp, start) of every solve that module_name makes from a start
-    while certify runs on each instance."""
+    while certify runs on each (instance, config, weights) case."""
     module = importlib.import_module(module_name)
     solves = []
 
@@ -191,26 +200,33 @@ def _warm_solves(monkeypatch, module_name, instances):
         return solve(lp, *args, start=start, **kwargs)
 
     monkeypatch.setattr(module, "solve", record)
-    for inst in instances:
-        certify(inst)
+    for inst, config, weights in cases:
+        certify(inst, config, weights=weights)
     return solves
 
 
 @pytest.fixture
-def warm_passes(ex1, ex2, ex3, monkeypatch):
-    """(lp, start) of every certify pass that starts from the previous
-    pass's optimal tableau, on examples 1-3, the 9-cycle and
-    random_instance(10, 16, 1)."""
+def warm_cases(ex1, ex2, ex3, monkeypatch):
+    """Examples 1-3, the 9-cycle and random_instance(10, 16, 1) at the
+    default settings, then the inputs of perfbench's small workload at
+    seed 1."""
     instances = (ex1, ex2, ex3, cycle_instance(9), random_instance(10, 16, 1))
-    return _warm_solves(monkeypatch, "wlpcert.certify", instances)
+    default = [(inst, CertifyConfig(), None) for inst in instances]
+    return default + _small_cases(monkeypatch)
 
 
 @pytest.fixture
-def warm_eta_solves(ex1, ex2, ex3, monkeypatch):
+def warm_passes(warm_cases, monkeypatch):
+    """(lp, start) of every certify pass that starts from the previous
+    pass's optimal tableau, on warm_cases."""
+    return _warm_solves(monkeypatch, "wlpcert.certify", warm_cases)
+
+
+@pytest.fixture
+def warm_eta_solves(warm_cases, monkeypatch):
     """(lp, start) of every eta_j solve that certify starts from the same
-    column's previous optimum, on the inputs of warm_passes."""
-    instances = (ex1, ex2, ex3, cycle_instance(9), random_instance(10, 16, 1))
-    return _warm_solves(monkeypatch, "wlpcert.goodness", instances)
+    column's previous optimum, on warm_cases."""
+    return _warm_solves(monkeypatch, "wlpcert.goodness", warm_cases)
 
 
 class TestPivotIdentity:
@@ -227,19 +243,21 @@ class TestPivotIdentity:
             assert _fingerprint(solve(lp), lp) == _fingerprint(reference_solve(lp), lp)
 
     def test_warm_certify_passes(self, warm_passes):
-        # Example 3 certifies on pass 2 and the 9-cycle ends on pass 1; the
-        # others take 10 passes.
-        assert len(warm_passes) == 1 + 9 + 9 + 9
+        # Example 3 certifies on pass 2 and the 9-cycle ends on pass 1;
+        # examples 1, 2 and random_instance(10, 16, 1) repeat their weights
+        # on pass 2; the small inputs start 88 passes warm.
+        assert len(warm_passes) == 1 + 1 + 1 + 1 + 88
         for lp, start in warm_passes:
             assert _fingerprint(solve(lp, start=start), lp) == _fingerprint(
                 reference_solve(lp, start=start), lp
             )
 
     def test_warm_eta_solves(self, warm_eta_solves):
-        # Example 1 and random_instance(10, 16, 1) solve column 0 on each
-        # of their 10 passes, example 2 all 3 columns on passes 2-10;
-        # example 3 and the 9-cycle reach the verdict once.
-        assert len(warm_eta_solves) == 9 + 8 * 3 + 9
+        # Example 1 and random_instance(10, 16, 1) solve column 0 on both
+        # of their passes, the second warm; example 2 reaches the verdict on pass 2 only,
+        # example 3 and the 9-cycle once; the small inputs start 41 eta_j
+        # solves warm.
+        assert len(warm_eta_solves) == 1 + 1 + 41
         for lp, start in warm_eta_solves:
             assert _fingerprint(solve(lp, start=start), lp) == _fingerprint(
                 reference_solve(lp, start=start), lp
@@ -557,9 +575,9 @@ class TestFaceFromOptimalTableau:
         assert max(hi - lo for lo, hi in ranges) <= 1e-12
 
     def test_warm_ladder_passes(self, monkeypatch):
-        # Every warm pass on these inputs has all nonbasic reduced costs
-        # positive, so each face is read, with no probe, off a tableau that
-        # phase 2 reached from the previous pass's.
+        # Each warm pass's face, on the ladder inputs and the small inputs
+        # at seed 1, is read off a tableau that phase 2 reached from the
+        # previous pass's.
         module = importlib.import_module("wlpcert.certify")
         passes = []
 
@@ -572,7 +590,11 @@ class TestFaceFromOptimalTableau:
         monkeypatch.setattr(module, "solve", record)
         for m, n in ((3, 3), (5, 8), (8, 12), (10, 16), (15, 24)):
             certify(random_instance(m, n, 1))
-        assert len(passes) == 5 * 9
+        # (8, 12) repeats its weights on pass 3, the others on pass 2.
+        assert len(passes) == 1 + 1 + 2 + 1 + 1
+        for inst, config, weights in _small_cases(monkeypatch):
+            certify(inst, config, weights=weights)
+        assert len(passes) == 6 + 88
         for lp, sol in passes:
             ranges = optimal_face_range(sol, range(lp.nvars))
             self.assert_matches_reference(lp, sol, ranges)
