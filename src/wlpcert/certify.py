@@ -117,8 +117,16 @@ def covering_lp(A, b, c) -> LinearProgram:
     )
 
 
+def covering_start(m: int, n: int) -> np.ndarray:
+    """The basis of x = 1 in covering_lp's standard form for m rows and n
+    columns: each covering row stays on its slack, which then holds
+    A 1 - b, and x_j is basic in its bound row. Since A >= 0 this start
+    is feasible exactly when the LP is."""
+    return np.concatenate([np.arange(n, n + m), np.arange(n)])
+
+
 def solve_weighted_lp(
-    inst: ZeroOneInstance, c: Weights, start: LpSolution | None = None
+    inst: ZeroOneInstance, c: Weights, start: LpSolution | np.ndarray | None = None
 ) -> LpSolution:
     return solve(covering_lp(inst.A, inst.b, c.c), start=start)
 
@@ -202,8 +210,9 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
     ceil(LP value - BRANCH_BOUND_TOL), since the 0-1 optimum is an integer
     no smaller than the LP value. A >= 0, so the LP point rounded up is
     feasible and becomes the incumbent when it is better. The node branches
-    on its most fractional variable, x_j = 1 first. Raises LpError after
-    BRANCH_NODE_LIMIT nodes.
+    on its most fractional variable, x_j = 1 first. Each node LP starts
+    from x = 1 (covering_start), so an infeasible node ends INFEASIBLE in
+    phase 1. Raises LpError after BRANCH_NODE_LIMIT nodes.
     """
     n = inst.n
     best_value, best = math.inf, None
@@ -226,7 +235,8 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
             sol = solve(
                 covering_lp(
                     inst.A[np.ix_(rows, free)], rhs[rows], np.ones(free.size)
-                )
+                ),
+                start=covering_start(int(rows.sum()), free.size),
             )
             if sol.status is Status.INFEASIBLE:
                 continue
@@ -260,16 +270,18 @@ def certify(
     """Run the adjust-and-certify loop.
 
     Each pass solves the weighted relaxation and classifies its optimal
-    face; passes 2..k start phase 2 from the previous pass's optimal
-    tableau, which stays feasible because only the cost changes. Only a
-    unique optimum reaches the verdict, which certifies when the support
-    count is within the budget s_star and s_star * eta1 clears the
-    threshold strictly; it stops solving eta_j as soon as s_star falls
-    below the support count. Each eta_j LP starts from the same column's
-    last optimum in this call: only its right-hand side moves with c and
-    beta, so that basis stays optimal while it stays feasible, and phase
-    1 starts from it when it does not. Otherwise the weights are
-    adjusted and the loop retries, up to max_weight_iterations.
+    face; pass 1 starts from x = 1 (covering_start), and passes 2..k
+    start phase 2 from the previous pass's optimal tableau, which stays
+    feasible because only the cost changes. Only a unique optimum reaches
+    the verdict, which certifies when the support count is within the
+    budget s_star and s_star * eta1 clears the threshold strictly; it
+    stops solving eta_j as soon as s_star falls below the support count.
+    Each eta_j LP starts from (u = 0, t = c_j) on its column's first solve
+    in this call and from that column's last optimum after it: only its
+    right-hand side moves with c and beta, so that basis stays optimal
+    while it stays feasible, and phase 1 starts from it when it does not.
+    Otherwise the weights are adjusted and the loop retries, up to
+    max_weight_iterations.
 
     The loop stops at a weight fixed point: when adjust_weights returns
     the weights pass k already had, passes k+1.. are filled with pass k's
@@ -307,7 +319,9 @@ def certify(
     eta_starts = {}
     budget = config.max_weight_iterations
     for k in range(1, budget + 1):
-        sol = solve_weighted_lp(inst, c, sol)
+        sol = solve_weighted_lp(
+            inst, c, covering_start(inst.m, inst.n) if sol is None else sol
+        )
         if sol.status is not Status.OPTIMAL:
             discrepancies.append(
                 f"weighted relaxation ended with status {sol.status.value}"

@@ -9,6 +9,7 @@ verified), 1 not certified, 2 input error, 3 internal LP failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -366,5 +367,14 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> int:
+    """Process entry point: main on sys.argv after gc.freeze(), so that
+    neither later collections nor the one at interpreter shutdown walk the
+    objects that importing the package made. Not called by main, which
+    also runs in-process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -67,7 +67,8 @@ def eta_j(
     the right-hand side. starts, when given, maps a column to its last
     optimal LP solution on sf: the solve starts from starts[col] when it
     is there (see `solve`) and stores its own solution in its place.
-    Without starts the LP is solved cold.
+    Otherwise it starts from the feasible point (u = 0, t = c_col): every
+    row on its slack except row n, where t is basic.
     """
     m, n = sf.m, sf.n
     if not 0 <= col < n:
@@ -84,11 +85,15 @@ def eta_j(
     objective[m] = 1.0
     upper = np.full(m + 1, beta)
     upper[m] = INF
+    start = None if starts is None else starts.get(col)
+    if start is None:
+        start = np.arange(m + 1, 2 * m + n + 2)
+        start[n] = m
     sol = solve(
         LinearProgram(
             objective=objective, ineq_matrix=ineq, ineq_rhs=rhs, upper=upper
         ),
-        start=None if starts is None else starts.get(col),
+        start=start,
     )
     if sol.status is not Status.OPTIMAL:
         raise LpError(f"residual subproblem ended with status {sol.status.value}")
@@ -140,7 +145,7 @@ def sufficient_verdict(
 
     starts is passed to each eta_j: a caller that keeps one dict across
     verdicts on the same sf warm-starts each column from its last solve.
-    Without it every eta_j LP is solved cold.
+    Without it every eta_j LP is solved cold, from (u = 0, t = c_j).
     """
     if c.n != sf.n:
         raise ValueError(f"weights have length {c.n}, the instance has {sf.n} columns")

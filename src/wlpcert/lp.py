@@ -3,9 +3,9 @@
 Two-phase primal simplex with Bland's rule (lowest-index tie-breaking,
 deterministic) and optimal-face probing for uniqueness analysis. Phase 1
 starts from a basis, either each inequality and bound row on its own
-slack or an earlier optimal basis of the same constraints, and puts an
-artificial only on the rows whose right-hand side that basis leaves
-negative.
+slack, a basis the caller lists, or an earlier optimal basis of the same
+constraints, and puts an artificial only on the rows whose right-hand
+side that basis leaves negative.
 """
 
 from __future__ import annotations
@@ -211,26 +211,39 @@ def _iteration_budget(A) -> int:
 def solve(
     lp: LinearProgram,
     max_iters: int | None = None,
-    start: LpSolution | None = None,
+    start: LpSolution | np.ndarray | None = None,
 ) -> LpSolution:
     """Two-phase simplex; deterministic for fixed input.
 
-    Every solve runs phase 1 and then phase 2 from a start tableau: without
-    start, _standardize's tableau on the slack basis; with start, an
-    earlier OPTIMAL solution of an LP with lp's constraint matrix and
-    finite upper bounds in the same places (ValueError otherwise), a copy
-    of its optimal tableau with lp's right-hand side (_start_tableau). Its
-    cost and right-hand side may differ from lp's. Phase 1 gives an
-    artificial only to the rows the start leaves negative, so a start that
-    is feasible for lp goes to phase 2 with no pivot.
+    Every solve runs phase 1 and then phase 2 from a start tableau, which
+    start selects:
+    - None: _standardize's tableau on the slack basis;
+    - a basis, one column index of z per row of _standardize's tableau (z
+      is x, then the slack of each inequality row, then the slack of each
+      finite upper bound): that tableau with each listed column pivoted
+      into its row, in row order (_load_basis; ValueError when a pivot
+      entry is not above PIVOT_TOL in magnitude). These pivots count in
+      the solution's iterations, and phases 1 and 2 get what is left of
+      max_iters;
+    - an earlier OPTIMAL solution of an LP with lp's constraint matrix and
+      finite upper bounds in the same places (ValueError otherwise): a copy
+      of its optimal tableau with lp's right-hand side (_start_tableau).
+      Its cost and right-hand side may differ from lp's.
+    Phase 1 gives an artificial only to the rows the start leaves
+    negative, so a start that is feasible for lp goes to phase 2 with no
+    pivot.
     """
-    if start is None:
-        T, basis = _standardize(lp)
-    else:
+    loaded = 0
+    if isinstance(start, LpSolution):
         T, basis = _start_tableau(lp, start)
+    else:
+        T, basis = _standardize(lp)
+        if start is not None:
+            loaded = _load_basis(T, basis, start)
     if max_iters is None:
         max_iters = _iteration_budget(T[:, :-1])
-    status, it1, T, basis = _phase1(T, basis, max_iters)
+    status, it1, T, basis = _phase1(T, basis, max_iters - loaded)
+    it1 += loaded
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, (), it1)
     c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
@@ -248,6 +261,26 @@ def solve(
         (T, basis, c),
         lp,
     )
+
+
+def _load_basis(T, basis, columns) -> int:
+    """Pivot each listed column into its row of the slack-basis tableau T,
+    in row order, skipping a row whose column is already basic there.
+    Returns the number of pivots. T and basis are overwritten."""
+    columns = np.asarray(columns, dtype=int).reshape(-1)
+    if columns.shape != basis.shape:
+        raise ValueError(
+            f"start basis lists {columns.size} columns, the LP has {basis.size} rows"
+        )
+    loaded = 0
+    for row, col in enumerate(columns.tolist()):
+        if basis[row] == col:
+            continue
+        if not 0 <= col < T.shape[1] - 1 or abs(T[row, col]) <= PIVOT_TOL:
+            raise ValueError(f"start basis cannot pivot column {col} into row {row}")
+        _pivot(T, basis, row, col)
+        loaded += 1
+    return loaded
 
 
 def _start_tableau(lp: LinearProgram, start: LpSolution):

@@ -4,16 +4,17 @@ The brute-force oracles deliberately avoid the package's simplex path:
 LP minima come from enumerating candidate vertices as solutions of n
 active constraints chosen from the stacked constraint rows.
 `reference_solve` is the row-by-row two-phase simplex that the
-vectorised `wlpcert.lp.solve` must reproduce pivot for pivot, cold and
-from an earlier optimal tableau; it builds its own tableau and shares no
-code with `wlpcert.lp`. `all_artificial_solve` starts the same simplex
+vectorised `wlpcert.lp.solve` must reproduce pivot for pivot, cold, from
+a listed basis and from an earlier optimal tableau; it builds its own
+tableau and shares no code with `wlpcert.lp`. `all_artificial_solve` starts the same simplex
 with an artificial on every row. `residual` is the largest constraint
 violation of a point.
 `reference_face_range` probes the optimal face on the LP with its
 objective pinned to the optimal value, from a fresh phase 1.
 `gamma_hat_exact` re-derives `wlpcert.gamma_hat_closed_form` by one
 simplex LP per support pattern. `eager_certify` runs the certify loop in
-its earlier order, with the full verdict on every pass.
+its earlier order, with the full verdict on every pass; its weighted LP
+starts from x = 1, as certify's first pass does.
 `full_loop_certify` is `wlpcert.certify` as it was before the loop
 stopped at a weight fixed point: it solves every pass.
 `verify_certificate` checks a certified recovery against exhaustive
@@ -37,6 +38,7 @@ from wlpcert.certify import (
     brute_force_ip,
     classify_case,
     covering_lp,
+    covering_start,
     solve_weighted_lp,
 )
 from wlpcert.goodness import beta_bar, sufficient_verdict
@@ -266,20 +268,31 @@ def reference_solve(lp, max_iters=None, start=None):
     """Two-phase simplex with Bland's rule, one tableau row at a time.
 
     Without start, phase 1 starts on _reference_tableau's slack basis. With
-    start, an earlier optimal solution, it starts on a copy of start's
-    optimal tableau and basis; when lp's right-hand side differs from
-    start's, each row's entry becomes that row of the slack block times
-    lp's right-hand side. Either way each row whose entry is below
-    -PIVOT_TOL is negated and gets an artificial, and phase 2 runs under
-    lp's cost."""
-    if start is None:
-        T, basis = _reference_tableau(lp)
-    else:
+    start a list of one column per row, it starts on that tableau after
+    pivoting, row by row, each listed column into its row where it is not
+    already basic; those pivots count as iterations. With start an earlier
+    optimal solution, it starts on a copy of start's optimal tableau and
+    basis; when lp's right-hand side differs from start's, each row's entry
+    becomes that row of the slack block times lp's right-hand side. Either
+    way each row whose entry is below -PIVOT_TOL is negated and gets an
+    artificial, and phase 2 runs under lp's cost."""
+    loaded = 0
+    if isinstance(start, LpSolution):
         T, basis = _reference_start(lp, start)
+    else:
+        T, basis = _reference_tableau(lp)
+        if start is not None:
+            for row, col in enumerate(start):
+                if basis[row] != col:
+                    _reference_pivot(T, basis, row, int(col))
+                    loaded += 1
     if max_iters is None:
         max_iters = _budget(T)
     art_rows = [i for i in range(T.shape[0]) if T[i, -1] < -PIVOT_TOL]
-    status, it1, T, basis = _reference_phase1(T, basis, art_rows, max_iters)
+    status, it1, T, basis = _reference_phase1(
+        T, basis, art_rows, max_iters - loaded
+    )
+    it1 += loaded
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, (), it1)
     c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
@@ -463,7 +476,7 @@ def eager_certify(inst, max_weight_iterations=10):
     for _ in range(max_weight_iterations):
         ok, report = sufficient_verdict(sf, c, beta_bar(sf, c))
         lp = covering_lp(inst.A, inst.b, c.c)
-        sol = solve(lp)
+        sol = solve(lp, start=covering_start(inst.m, inst.n))
         if sol.status is not Status.OPTIMAL:
             cases.append(None)
             break
@@ -511,7 +524,9 @@ def full_loop_certify(inst, config=CertifyConfig(), weights=None) -> Certificate
     sol = None
     eta_starts = {}
     for _ in range(config.max_weight_iterations):
-        sol = solve_weighted_lp(inst, c, sol)
+        sol = solve_weighted_lp(
+            inst, c, covering_start(inst.m, inst.n) if sol is None else sol
+        )
         if sol.status is not Status.OPTIMAL:
             discrepancies.append(
                 f"weighted relaxation ended with status {sol.status.value}"

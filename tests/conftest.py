@@ -4,6 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Property tests draw the same examples on every run, so Tier-1 stays
+    # deterministic.
+    settings.register_profile("tier1", derandomize=True, deadline=None)
+    settings.load_profile("tier1")
+
 from wlpcert import Weights, ZeroOneInstance, from_independent_set, to_standard_form
 
 EX1_TEXT = """\

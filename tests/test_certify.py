@@ -363,8 +363,8 @@ class TestWarmVerdict:
         for case in workload_cases(workload, 1, monkeypatch):
             certify(case.instance, case.config, weights=case.weights)
         # Columns solved again on a later pass: 2 over ladder's 7 verdicts
-        # and 41 over small's 141.
-        assert len(warm_columns) == {"ladder": 2, "small": 41}[workload]
+        # and 42 over small's 143.
+        assert len(warm_columns) == {"ladder": 2, "small": 42}[workload]
         for sf, c, (warm_ok, warm), (cold_ok, cold) in verdicts:
             assert warm_ok == cold_ok == warm.certified == cold.certified
             assert warm.s_star == cold.s_star

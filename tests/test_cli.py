@@ -1,5 +1,10 @@
+import gc
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -227,6 +232,45 @@ class TestCertifyCommand:
         text = capsys.readouterr().out
         assert f"eta1: {doc['eta1']}" in text
         assert f"s_star: {doc['s_star']}" in text
+
+
+class TestProcessEntry:
+    """run, the process entry, freezes the objects made at import before
+    main; main, which also runs in-process, freezes nothing."""
+
+    @pytest.fixture
+    def args(self, ex1_file):
+        return ["certify", "--input", ex1_file, "--beta", "0.5625", "--json"]
+
+    def test_main_freezes_nothing(self, args, capsys):
+        before = gc.get_freeze_count()
+        assert main(args) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_run_freezes_then_runs_main(self, args, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["wlpcert", *args])
+        try:
+            assert cli.run() == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert json.loads(capsys.readouterr().out)["certified"] is True
+
+    def test_process_prints_main_document(self, args, capsys):
+        assert main(args) == 0
+        doc = json.loads(capsys.readouterr().out)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wlpcert.cli", *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout)
+        del child["timings_ms"], doc["timings_ms"]
+        assert child == doc
 
 
 class TestEtaCommand:

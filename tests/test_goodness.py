@@ -17,7 +17,13 @@ from wlpcert import (
     to_standard_form,
 )
 from wlpcert.goodness import _s_star_from
-from wlpcert.lp import PIVOT_TOL, _start_tableau
+from wlpcert.lp import (
+    PIVOT_TOL,
+    LpSolution,
+    _load_basis,
+    _standardize,
+    _start_tableau,
+)
 
 from _oracles import gamma_hat_exact
 
@@ -378,12 +384,12 @@ class TestWarmEta:
         calls = self.count_solves(monkeypatch)
         monkeypatch.setattr(goodness, "eta_j", checked)
         for shape, seed in (((4, 3), 904342679), ((6, 5), 755423993),
-                            ((4, 4), 1218798093), ((10, 16), 1)):
+                            ((4, 4), 1218798093), ((10, 16), 1), ((5, 6), 8)):
             certify(random_instance(*shape, seed))
         infeasible = [
             bool(np.any(_start_tableau(lp, start)[0][:, -1] < -PIVOT_TOL))
             for lp, start in calls
-            if start is not None
+            if isinstance(start, LpSolution)
         ]
         assert sum(infeasible) == 6
 
@@ -396,10 +402,20 @@ class TestWarmEta:
         assert [used for _, used in calls] == [start]
 
     def test_without_starts_every_solve_is_cold(self, sf1, ones3, monkeypatch):
+        # A cold solve starts from a listed basis whose point is the
+        # feasible (u = 0, t = c_j), never from an earlier optimum.
         calls = self.count_solves(monkeypatch)
         sufficient_verdict(sf1, ones3)
         eta_j(sf1, ones3, 0.5, 2)
-        assert [used for _, used in calls] == [None] * 4
+        assert len(calls) == 4
+        for lp, used in calls:
+            assert not isinstance(used, LpSolution)
+            T, basis = _standardize(lp)
+            assert _load_basis(T, basis, used) == 1
+            assert np.all(T[:, -1] >= 0)
+            z = np.zeros(T.shape[1] - 1)
+            z[basis] = T[:, -1]
+            np.testing.assert_array_equal(z[: lp.nvars], [0, 0, 0, 1])
 
     def test_verdict_fills_starts_per_column(self, sf1, ones3):
         starts = {}

@@ -8,8 +8,10 @@ from wlpcert import (
     CertifyConfig,
     LinearProgram,
     LpError,
+    LpSolution,
     Status,
     Weights,
+    ZeroOneInstance,
     certify,
     covering_lp,
     eta_j,
@@ -20,12 +22,13 @@ from wlpcert import (
     solve_weighted_lp,
     to_standard_form,
 )
-
+from wlpcert.certify import covering_start
 from wlpcert.lp import (
     COST_TOL,
     INF,
     PIVOT_TOL,
     _iteration_budget,
+    _load_basis,
     _phase1,
     _phase2,
     _standardize,
@@ -188,18 +191,19 @@ def _small_cases(monkeypatch):
     ]
 
 
-def _warm_solves(monkeypatch, module_name, cases):
-    """(lp, start) of every solve that module_name makes from a start
-    while certify runs on each (instance, config, weights) case."""
-    module = importlib.import_module(module_name)
+def _started_solves(monkeypatch, module_names, cases, warm=True):
+    """(lp, start) of every solve that the named modules make from a start
+    while certify runs on each (instance, config, weights) case: from an
+    earlier optimum when warm, from a listed basis otherwise."""
     solves = []
 
     def record(lp, *args, start=None, **kwargs):
-        if start is not None:
+        if start is not None and isinstance(start, LpSolution) == warm:
             solves.append((lp, start))
         return solve(lp, *args, start=start, **kwargs)
 
-    monkeypatch.setattr(module, "solve", record)
+    for name in module_names:
+        monkeypatch.setattr(importlib.import_module(name), "solve", record)
     for inst, config, weights in cases:
         certify(inst, config, weights=weights)
     return solves
@@ -219,14 +223,24 @@ def warm_cases(ex1, ex2, ex3, monkeypatch):
 def warm_passes(warm_cases, monkeypatch):
     """(lp, start) of every certify pass that starts from the previous
     pass's optimal tableau, on warm_cases."""
-    return _warm_solves(monkeypatch, "wlpcert.certify", warm_cases)
+    return _started_solves(monkeypatch, ["wlpcert.certify"], warm_cases)
 
 
 @pytest.fixture
 def warm_eta_solves(warm_cases, monkeypatch):
     """(lp, start) of every eta_j solve that certify starts from the same
     column's previous optimum, on warm_cases."""
-    return _warm_solves(monkeypatch, "wlpcert.goodness", warm_cases)
+    return _started_solves(monkeypatch, ["wlpcert.goodness"], warm_cases)
+
+
+@pytest.fixture
+def basis_solves(warm_cases, monkeypatch):
+    """(lp, start) of every solve that certify starts from a listed basis
+    on warm_cases: each first pass and branch-and-bound node from x = 1,
+    each cold eta_j from (u = 0, t = c_j)."""
+    return _started_solves(
+        monkeypatch, ["wlpcert.certify", "wlpcert.goodness"], warm_cases, warm=False
+    )
 
 
 class TestPivotIdentity:
@@ -245,8 +259,8 @@ class TestPivotIdentity:
     def test_warm_certify_passes(self, warm_passes):
         # Example 3 certifies on pass 2 and the 9-cycle ends on pass 1;
         # examples 1, 2 and random_instance(10, 16, 1) repeat their weights
-        # on pass 2; the small inputs start 88 passes warm.
-        assert len(warm_passes) == 1 + 1 + 1 + 1 + 88
+        # on pass 2; the small inputs start 89 passes warm.
+        assert len(warm_passes) == 1 + 1 + 1 + 1 + 89
         for lp, start in warm_passes:
             assert _fingerprint(solve(lp, start=start), lp) == _fingerprint(
                 reference_solve(lp, start=start), lp
@@ -255,13 +269,27 @@ class TestPivotIdentity:
     def test_warm_eta_solves(self, warm_eta_solves):
         # Example 1 and random_instance(10, 16, 1) solve column 0 on both
         # of their passes, the second warm; example 2 reaches the verdict on pass 2 only,
-        # example 3 and the 9-cycle once; the small inputs start 41 eta_j
+        # example 3 and the 9-cycle once; the small inputs start 42 eta_j
         # solves warm.
-        assert len(warm_eta_solves) == 1 + 1 + 41
+        assert len(warm_eta_solves) == 1 + 1 + 42
         for lp, start in warm_eta_solves:
             assert _fingerprint(solve(lp, start=start), lp) == _fingerprint(
                 reference_solve(lp, start=start), lp
             )
+
+    def test_basis_starts(self, basis_solves):
+        # From x = 1: 9 weighted and node LPs on the first five inputs and
+        # 144 on the small inputs, one of them infeasible. From
+        # (u = 0, t = c_j): 17 and 148 cold eta_j LPs.
+        assert len(basis_solves) == 9 + 144 + 17 + 148
+        statuses = []
+        for lp, start in basis_solves:
+            sol = solve(lp, start=start)
+            statuses.append(sol.status)
+            assert _fingerprint(sol, lp) == _fingerprint(
+                reference_solve(lp, start=start), lp
+            )
+        assert statuses.count(Status.INFEASIBLE) == 1
 
     @pytest.mark.parametrize("max_iters", range(1, 6))
     def test_iteration_budgets(self, max_iters, certificate_lps):
@@ -437,9 +465,10 @@ class TestSlackStart:
             self.assert_matches_all_artificial(lp)
 
     def test_eta_lp_has_one_artificial(self, ex1, ex2, ex3, certificate_lps):
-        # Every eta_j LP puts an artificial on its row n. The weighted LP
-        # puts one on each covering row with b_i > 0; its rows with b_i = 0
-        # and its bound rows start on their slacks.
+        # From the slack basis every eta_j LP puts an artificial on its row
+        # n, and the weighted LP one on each covering row with b_i > 0; its
+        # rows with b_i = 0 and its bound rows start on their slacks. (Their
+        # cold solves in certify start from feasible bases instead.)
         lps = iter(certificate_lps)
         for inst in (ex1, ex2, ex3, cycle_instance(9)):
             assert self.artificial_rows(next(lps)) == (inst.b > 0).nonzero()[0].tolist()
@@ -469,6 +498,60 @@ class TestSlackStart:
         T = np.array([[1.0, 0.0, 1.0], [0.0, 1e-10, -5e-8]])
         with pytest.raises(LpError, match="artificial of row 1"):
             _phase1(T, np.array([0, 1]), 10)
+
+
+class TestBasisStart:
+    """solve(lp, start=basis) pivots each listed column into its row of the
+    slack-basis tableau, counts those pivots, and then runs phase 1 only on
+    the rows that basis leaves negative."""
+
+    def test_slack_basis_is_the_slack_start(self, certificate_lps):
+        for lp in certificate_lps:
+            _, basis = _standardize(lp)
+            listed = solve(lp, start=basis)
+            assert _fingerprint(listed, lp) == _fingerprint(solve(lp), lp)
+
+    def test_feasible_basis_skips_phase1(self, ex1):
+        # x = 1 covers example 1, so its start takes 3 loading pivots and
+        # phase 1 none; every pivot after them is phase 2's.
+        lp = covering_lp(ex1.A, ex1.b, np.ones(3))
+        T, basis = _standardize(lp)
+        assert _load_basis(T, basis, covering_start(3, 3)) == 3
+        assert np.all(T[:, -1] >= 0)
+        status, used, _, _ = _phase1(T, basis, 100)
+        assert status is Status.OPTIMAL and used == 0
+        sol = solve(lp, start=covering_start(3, 3))
+        assert sol.value == pytest.approx(solve(lp).value, rel=0, abs=1e-12)
+        assert sol.iterations >= 3
+
+    @pytest.mark.parametrize("max_iters", range(1, 8))
+    def test_loading_pivots_spend_the_budget(self, max_iters, ex1, ex2, ex3):
+        # The last LP is infeasible, so phase 1 runs after its 2 loading
+        # pivots. Loading always completes; phases 1 and 2 then take at
+        # most what is left of max_iters.
+        cover = ZeroOneInstance(A=np.ones((1, 2)), b=np.array([3.0]))
+        for inst in (ex1, ex2, ex3, cycle_instance(9), cover):
+            lp = covering_lp(inst.A, inst.b, np.ones(inst.n))
+            start = covering_start(inst.m, inst.n)
+            sol = solve(lp, max_iters, start=start)
+            assert sol.iterations <= max(max_iters, inst.n)
+            assert _fingerprint(sol, lp) == _fingerprint(
+                reference_solve(lp, max_iters, start=start), lp
+            )
+
+    def test_wrong_length_raises(self, ex1):
+        lp = covering_lp(ex1.A, ex1.b, np.ones(3))
+        with pytest.raises(ValueError, match="lists 5 columns"):
+            solve(lp, start=np.arange(5))
+
+    @pytest.mark.parametrize("column", [4, 9, -1])
+    def test_unpivotable_column_raises(self, ex1, column):
+        # Column 4 is row 1's slack, basic there, so its row-0 entry is 0;
+        # the LP has columns 0..8, x and six slacks.
+        lp = covering_lp(ex1.A, ex1.b, np.ones(3))
+        start = np.concatenate([[column], np.arange(4, 9)])
+        with pytest.raises(ValueError, match=f"column {column} into row 0"):
+            solve(lp, start=start)
 
 
 class TestFaceRangeMatchesProbes:
@@ -583,7 +666,7 @@ class TestFaceFromOptimalTableau:
 
         def record(lp, *args, start=None, **kwargs):
             sol = solve(lp, *args, start=start, **kwargs)
-            if start is not None:
+            if isinstance(start, LpSolution):
                 passes.append((lp, sol))
             return sol
 
@@ -594,7 +677,7 @@ class TestFaceFromOptimalTableau:
         assert len(passes) == 1 + 1 + 2 + 1 + 1
         for inst, config, weights in _small_cases(monkeypatch):
             certify(inst, config, weights=weights)
-        assert len(passes) == 6 + 88
+        assert len(passes) == 6 + 89
         for lp, sol in passes:
             ranges = optimal_face_range(sol, range(lp.nvars))
             self.assert_matches_reference(lp, sol, ranges)

@@ -1,6 +1,7 @@
 """Smoke test of tools/outcome_digest.py, the outcome-identity recorder."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -30,8 +31,8 @@ def test_outcomes_are_pinned(capsys):
     tool = _tool()
     assert tool.main(["--workload", "ladder", "small", "mis", "--seed", "1"]) == 0
     assert capsys.readouterr().out == (
-        "ladder seed 1: 69bbd75a937b674d\n"
-        "small seed 1: 0b771dc0b78b03ac\n"
+        "ladder seed 1: 2497cbf021a76e58\n"
+        "small seed 1: 0f90f30f7a07642a\n"
         "mis seed 1: 8fb79dcb0db32945\n"
     )
 
@@ -48,3 +49,30 @@ def test_list_prints_each_input(capsys):
         "ladder_15x24_s1",
     ]
     assert last.startswith("ladder seed 1: ")
+
+
+def test_compare_prints_only_moved_inputs(capsys, tmp_path):
+    tool = _tool()
+    assert tool.main(["--workload", "ladder", "--seed", "1", "--list"]) == 0
+    saved = capsys.readouterr().out
+    path = tmp_path / "before.txt"
+    path.write_text(saved, encoding="utf-8")
+    argv = ["--workload", "ladder", "--seed", "1", "--compare", str(path)]
+    assert tool.main(argv) == 0
+    assert capsys.readouterr().out == "0 of 5 outcomes differ\n"
+
+    # Edit one saved outcome: only that input is printed, with the saved
+    # outcome as before and the run's as after.
+    lines = saved.splitlines(keepends=True)
+    name, outcome = lines[1].split(maxsplit=1)
+    edited = json.loads(outcome)
+    edited["passes"] = 0
+    lines[1] = f"  {name} {json.dumps(edited, sort_keys=True)}\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert tool.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"ladder seed 1 {name}",
+        f"  before {json.dumps(edited, sort_keys=True)}",
+        f"  after  {outcome.strip()}",
+        "1 of 5 outcomes differ",
+    ]

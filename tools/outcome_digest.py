@@ -1,6 +1,7 @@
 """Hash wlpcert's outcomes on the benchmark's workload inputs.
 
     python3 tools/outcome_digest.py --workload ladder small --seed 1 2 [--list]
+    python3 tools/outcome_digest.py --workload ladder --seed 1 --compare before.txt
 
 Run from anywhere inside a source checkout: the package is imported from
 its `src/` and the inputs are built by its `perfbench/workloads.py`. For
@@ -15,7 +16,10 @@ the outcomes of every input, in input order:
 
 Two commits with equal digests gave the same outcome on every input.
 --list also prints each input's outcome, so that a change can be
-reported input by input.
+reported input by input. --compare LIST_FILE reads the output of an
+earlier --list run and prints, in place of the digests, only the inputs
+whose outcome differs from it (workload, seed, name, before, after), then
+their count; an input missing from the file counts as differing.
 """
 
 from __future__ import annotations
@@ -78,6 +82,22 @@ def outcomes(workloads, workload: str, seed: int) -> list:
         return [(case.name, mis_outcome(case, Path(tmp))) for case in cases]
 
 
+def read_list(path) -> dict:
+    """{(workload, seed, name): outcome} from the output of a --list run:
+    each input's line comes before its workload's digest line."""
+    saved, pending = {}, []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.startswith("  "):
+            name, outcome = line.strip().split(" ", 1)
+            pending.append((name, json.loads(outcome)))
+        elif line.strip():
+            workload, _, seed = line.split(":")[0].split()
+            for name, outcome in pending:
+                saved[workload, int(seed), name] = outcome
+            pending = []
+    return saved
+
+
 def digest(results: list) -> str:
     text = json.dumps(results, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -90,17 +110,37 @@ def main(argv=None) -> int:
         "--workload", nargs="+", choices=sorted(workloads.WHY), required=True
     )
     parser.add_argument("--seed", nargs="+", type=int, required=True)
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--list", action="store_true", help="also print each input's outcome"
     )
+    mode.add_argument(
+        "--compare",
+        metavar="LIST_FILE",
+        help="print only the inputs whose outcome differs from a saved --list run",
+    )
     args = parser.parse_args(argv)
+    saved = None if args.compare is None else read_list(args.compare)
+    moved = total = 0
     for workload in args.workload:
         for seed in args.seed:
             results = outcomes(workloads, workload, seed)
-            if args.list:
-                for name, outcome in results:
-                    print(f"  {name} {json.dumps(outcome, sort_keys=True)}")
-            print(f"{workload} seed {seed}: {digest(results)}")
+            if saved is None:
+                if args.list:
+                    for name, outcome in results:
+                        print(f"  {name} {json.dumps(outcome, sort_keys=True)}")
+                print(f"{workload} seed {seed}: {digest(results)}")
+                continue
+            total += len(results)
+            for name, outcome in results:
+                before = saved.get((workload, seed, name))
+                if before != outcome:
+                    moved += 1
+                    print(f"{workload} seed {seed} {name}")
+                    print(f"  before {json.dumps(before, sort_keys=True)}")
+                    print(f"  after  {json.dumps(outcome, sort_keys=True)}")
+    if saved is not None:
+        print(f"{moved} of {total} outcomes differ")
     return 0
 
 
