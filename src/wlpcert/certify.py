@@ -276,10 +276,7 @@ def certify(
     the verdict, which certifies when the support count is within the
     budget s_star and s_star * eta1 clears the threshold strictly; it
     stops solving eta_j as soon as s_star falls below the support count.
-    Each eta_j LP starts from (u = 0, t = c_j) on its column's first solve
-    in this call and from that column's last optimum after it: only its
-    right-hand side moves with c and beta, so that basis stays optimal
-    while it stays feasible, and phase 1 starts from it when it does not.
+    Each eta_j LP starts from (u = 0, t = c_j), as it does outside certify.
     Otherwise the weights are adjusted and the loop retries, up to
     max_weight_iterations.
 
@@ -291,9 +288,9 @@ def certify(
     right-hand side is nonnegative up to rounding far below PIVOT_TOL, so
     phase 1 negates no row, and phase 2 computes the same reduced costs
     and takes no pivot; classify_case then reads the same tableau. Each
-    eta_j starts from its own last optimum under an unchanged right-hand
-    side and returns the same bits. The next pass therefore equals pass
-    k, and by induction so does every later pass.
+    eta_j repeats because it is solved from the same start under the same
+    c and beta. The next pass therefore equals pass k, and by induction so
+    does every later pass.
 
     With brute_force_verify, a certified recovery is then checked against
     branch_and_bound_ip, and a refuted one is not certified.
@@ -316,7 +313,6 @@ def certify(
                 f"column-norm default {bb:g}"
             )
     sol = None
-    eta_starts = {}
     budget = config.max_weight_iterations
     for k in range(1, budget + 1):
         sol = solve_weighted_lp(
@@ -334,7 +330,7 @@ def certify(
         reason = PassReason.NON_UNIQUE
         if case is CaseKind.UNIQUE_OPTIMUM:
             certified, report = sufficient_verdict(
-                sf, c, config.beta_override, s_observed=s_observed, starts=eta_starts
+                sf, c, config.beta_override, s_observed=s_observed
             )
             if certified:
                 reason = PassReason.CERTIFIED

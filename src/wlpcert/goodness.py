@@ -52,9 +52,7 @@ def beta_bar(sf: StandardForm, c: Weights) -> float:
     return (float(np.max(c.c)) + 0.5 * float(np.min(c.c))) / rho
 
 
-def eta_j(
-    sf: StandardForm, c: Weights, beta: float, col: int, starts: dict | None = None
-) -> tuple:
+def eta_j(sf: StandardForm, c: Weights, beta: float, col: int) -> tuple:
     """min ||c_col e_col - A1^T q||_inf over q = (u, v) with u in [0, beta]^m
     and v in [-beta, 0]^n.
 
@@ -63,12 +61,8 @@ def eta_j(
     (u, t) alone: (A^T u)_k <= beta + t for k != col, and
     c_col - t <= (A^T u)_col <= c_col + beta + t.
 
-    Its constraint matrix depends on sf and col alone; c and beta move only
-    the right-hand side. starts, when given, maps a column to its last
-    optimal LP solution on sf: the solve starts from starts[col] when it
-    is there (see `solve`) and stores its own solution in its place.
-    Otherwise it starts from the feasible point (u = 0, t = c_col): every
-    row on its slack except row n, where t is basic.
+    The LP starts from the feasible point (u = 0, t = c_col): every row on
+    its slack except row n, where t is basic.
     """
     m, n = sf.m, sf.n
     if not 0 <= col < n:
@@ -85,10 +79,8 @@ def eta_j(
     objective[m] = 1.0
     upper = np.full(m + 1, beta)
     upper[m] = INF
-    start = None if starts is None else starts.get(col)
-    if start is None:
-        start = np.arange(m + 1, 2 * m + n + 2)
-        start[n] = m
+    start = np.arange(m + 1, 2 * m + n + 2)
+    start[n] = m
     sol = solve(
         LinearProgram(
             objective=objective, ineq_matrix=ineq, ineq_rhs=rhs, upper=upper
@@ -97,8 +89,6 @@ def eta_j(
     )
     if sol.status is not Status.OPTIMAL:
         raise LpError(f"residual subproblem ended with status {sol.status.value}")
-    if starts is not None:
-        starts[col] = sol
     u = sol.x[:m]
     target = np.zeros(n)
     target[col] = cj
@@ -128,7 +118,6 @@ def sufficient_verdict(
     c: Weights,
     beta: float | None = None,
     s_observed: int = 0,
-    starts: dict | None = None,
 ) -> tuple:
     """Certification verdict s_star * eta1 < (1/2) min c and
     s_star >= s_observed, with a report.
@@ -143,9 +132,9 @@ def sufficient_verdict(
     eta1 is a lower bound and its s_star an upper bound. With the default
     s_observed = 0 every column is solved.
 
-    starts is passed to each eta_j: a caller that keeps one dict across
-    verdicts on the same sf warm-starts each column from its last solve.
-    Without it every eta_j LP is solved cold, from (u = 0, t = c_j).
+    Every eta_j LP starts from (u = 0, t = c_j), so the report depends on
+    the arguments alone: certify's verdicts equal standalone ones bit for
+    bit.
     """
     if c.n != sf.n:
         raise ValueError(f"weights have length {c.n}, the instance has {sf.n} columns")
@@ -156,7 +145,7 @@ def sufficient_verdict(
     etas = []
     witnesses = []
     for j in range(sf.n):
-        value, witness = eta_j(sf, c, beta, j, starts)
+        value, witness = eta_j(sf, c, beta, j)
         etas.append(value)
         witnesses.append(witness)
         if _s_star_from(value, min_c, sf.n) < s_observed:

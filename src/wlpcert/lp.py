@@ -3,9 +3,10 @@
 Two-phase primal simplex with Bland's rule (lowest-index tie-breaking,
 deterministic) and optimal-face probing for uniqueness analysis. Phase 1
 starts from a basis, either each inequality and bound row on its own
-slack, a basis the caller lists, or an earlier optimal basis of the same
-constraints, and puts an artificial only on the rows whose right-hand
-side that basis leaves negative.
+slack or a basis the caller lists, and puts an artificial only on the
+rows whose right-hand side that basis leaves negative. A re-solve of the
+same LP under another cost starts from its earlier optimal basis, which
+is feasible, so phase 1 has nothing to do.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class LpSolution:
     # unless the status is OPTIMAL.
     _optimum: tuple | None = field(default=None, repr=False)
     # The LP solved, set with _optimum: a solve started from this solution
-    # checks its constraints against it and reads its right-hand side.
+    # checks that only the cost differs from it.
     _lp: LinearProgram | None = field(default=None, repr=False)
 
 
@@ -225,10 +226,10 @@ def solve(
       entry is not above PIVOT_TOL in magnitude). These pivots count in
       the solution's iterations, and phases 1 and 2 get what is left of
       max_iters;
-    - an earlier OPTIMAL solution of an LP with lp's constraint matrix and
-      finite upper bounds in the same places (ValueError otherwise): a copy
-      of its optimal tableau with lp's right-hand side (_start_tableau).
-      Its cost and right-hand side may differ from lp's.
+    - an earlier OPTIMAL solution of an LP with lp's constraint matrix,
+      right-hand side and upper bounds (ValueError otherwise): a copy of
+      its optimal tableau (_start_tableau). Only the cost may differ, so
+      that tableau is feasible for lp.
     Phase 1 gives an artificial only to the rows the start leaves
     negative, so a start that is feasible for lp goes to phase 2 with no
     pivot.
@@ -284,43 +285,36 @@ def _load_basis(T, basis, columns) -> int:
 
 
 def _start_tableau(lp: LinearProgram, start: LpSolution):
-    """Copies of start's optimal tableau, with lp's right-hand side, and of
-    its basis.
+    """Copies of start's optimal tableau and basis, for lp, which must be
+    start's LP under another cost.
 
-    Whatever phase 1 negated, an optimal tableau is B^-1 [G | I | b] for its
-    basis B, so its slack block is B^-1, and lp's right-hand side column
-    B^-1 b is that block times lp's b. When b is unchanged the tableau's
-    own column is kept. Entries of B^-1 b may be negative; phase 1 then
-    starts from this basis.
+    Its constraint matrix, right-hand side and upper bounds must be
+    start's, or ValueError is raised. An optimal tableau's right-hand side
+    is nonnegative up to rounding far below PIVOT_TOL, so phase 1 negates
+    no row of the copy and phase 2 starts at once.
     """
     if start._optimum is None:
         raise ValueError(
             f"no optimal tableau to start from: the LP status is {start.status.value}"
         )
     T, basis, _ = start._optimum
-    prev = start._lp
-    finite = np.isfinite(lp.upper)
-    rhs = np.concatenate([lp.ineq_rhs, lp.upper[finite]])
-    shape = (rhs.size, lp.nvars + rhs.size)
-    if (T.shape[0], T.shape[1] - 1) != shape:
+    rows = lp.ineq_rhs.size + int(np.isfinite(lp.upper).sum())
+    if T.shape != (rows, lp.nvars + rows + 1):
         raise ValueError(
             f"start tableau has {T.shape[0]} rows and {T.shape[1] - 1} columns, "
-            f"the LP needs {shape[0]} and {shape[1]}"
+            f"the LP needs {rows} and {lp.nvars + rows}"
         )
+    prev = start._lp
     if not (
         np.array_equal(lp.ineq_matrix, prev.ineq_matrix)
-        and np.array_equal(finite, np.isfinite(prev.upper))
+        and np.array_equal(lp.ineq_rhs, prev.ineq_rhs)
+        and np.array_equal(lp.upper, prev.upper)
     ):
         raise ValueError(
-            "start LP has another constraint matrix or finite upper-bound pattern"
+            "start LP has another constraint matrix, right-hand side, "
+            "or upper-bound pattern or values"
         )
-    T = T.copy()
-    if not np.array_equal(rhs, np.concatenate([prev.ineq_rhs, prev.upper[finite]])):
-        # Summed per row by numpy, not by a BLAS matrix-vector product whose
-        # summation order depends on the kernel, so that a row-by-row
-        # computation gives the same bits.
-        T[:, -1] = (T[:, lp.nvars : lp.nvars + rhs.size] * rhs).sum(axis=1)
-    return T, basis.copy()
+    return T.copy(), basis.copy()
 
 
 def optimal_face_range(sol: LpSolution, variables) -> list:

@@ -5,9 +5,10 @@ LP minima come from enumerating candidate vertices as solutions of n
 active constraints chosen from the stacked constraint rows.
 `reference_solve` is the row-by-row two-phase simplex that the
 vectorised `wlpcert.lp.solve` must reproduce pivot for pivot, cold, from
-a listed basis and from an earlier optimal tableau; it builds its own
-tableau and shares no code with `wlpcert.lp`. `all_artificial_solve` starts the same simplex
-with an artificial on every row. `residual` is the largest constraint
+a listed basis and from an earlier optimal tableau of the same LP under
+another cost; it builds its own tableau and shares no code with
+`wlpcert.lp`. `all_artificial_solve` starts the same simplex with an
+artificial on every row. `residual` is the largest constraint
 violation of a point.
 `reference_face_range` probes the optimal face on the LP with its
 objective pinned to the optimal value, from a fresh phase 1.
@@ -271,11 +272,10 @@ def reference_solve(lp, max_iters=None, start=None):
     start a list of one column per row, it starts on that tableau after
     pivoting, row by row, each listed column into its row where it is not
     already basic; those pivots count as iterations. With start an earlier
-    optimal solution, it starts on a copy of start's optimal tableau and
-    basis; when lp's right-hand side differs from start's, each row's entry
-    becomes that row of the slack block times lp's right-hand side. Either
-    way each row whose entry is below -PIVOT_TOL is negated and gets an
-    artificial, and phase 2 runs under lp's cost."""
+    optimal solution of lp under another cost, it starts on a copy of
+    start's optimal tableau and basis. Either way each row whose entry is
+    below -PIVOT_TOL is negated and gets an artificial, and phase 2 runs
+    under lp's cost."""
     loaded = 0
     if isinstance(start, LpSolution):
         T, basis = _reference_start(lp, start)
@@ -322,22 +322,14 @@ def all_artificial_solve(lp):
 
 
 def _reference_start(lp, start):
-    """Copies of start's optimal tableau, with lp's right-hand side computed
-    row by row, and of its basis."""
-    T, basis, _ = start._optimum
-    T = T.copy()
+    """Copies of start's optimal tableau and of its basis; ValueError unless
+    lp has start's constraint matrix, right-hand side and upper bounds."""
     prev = start._lp
-    rhs = [float(v) for v in lp.ineq_rhs]
-    old = [float(v) for v in prev.ineq_rhs]
-    for k in range(lp.nvars):
-        if math.isfinite(lp.upper[k]):
-            rhs.append(float(lp.upper[k]))
-            old.append(float(prev.upper[k]))
-    if rhs != old:
-        b = np.array(rhs)
-        for i in range(T.shape[0]):
-            T[i, -1] = (T[i, lp.nvars : lp.nvars + len(rhs)] * b).sum()
-    return T, basis.tolist()
+    for name in ("ineq_matrix", "ineq_rhs", "upper"):
+        if getattr(lp, name).tolist() != getattr(prev, name).tolist():
+            raise ValueError(f"start LP has another {name}")
+    T, basis, _ = start._optimum
+    return T.copy(), basis.tolist()
 
 
 def residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -522,7 +514,6 @@ def full_loop_certify(inst, config=CertifyConfig(), weights=None) -> Certificate
                 f"column-norm default {bb:g}"
             )
     sol = None
-    eta_starts = {}
     for _ in range(config.max_weight_iterations):
         sol = solve_weighted_lp(
             inst, c, covering_start(inst.m, inst.n) if sol is None else sol
@@ -539,7 +530,7 @@ def full_loop_certify(inst, config=CertifyConfig(), weights=None) -> Certificate
         reason = PassReason.NON_UNIQUE
         if case is CaseKind.UNIQUE_OPTIMUM:
             certified, report = sufficient_verdict(
-                sf, c, config.beta_override, s_observed=s_observed, starts=eta_starts
+                sf, c, config.beta_override, s_observed=s_observed
             )
             if certified:
                 reason = PassReason.CERTIFIED

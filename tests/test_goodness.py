@@ -8,7 +8,6 @@ from wlpcert import (
     Weights,
     ZeroOneInstance,
     beta_bar,
-    certify,
     eta_j,
     from_independent_set,
     gamma_hat_closed_form,
@@ -17,13 +16,7 @@ from wlpcert import (
     to_standard_form,
 )
 from wlpcert.goodness import _s_star_from
-from wlpcert.lp import (
-    PIVOT_TOL,
-    LpSolution,
-    _load_basis,
-    _standardize,
-    _start_tableau,
-)
+from wlpcert.lp import LpSolution, _load_basis, _standardize
 
 from _oracles import gamma_hat_exact
 
@@ -102,6 +95,30 @@ class TestEta:
             assert eta_j(sf_perm, ones3, 0.5625, j)[0] == pytest.approx(
                 eta_j(sf, ones3, 0.5625, j)[0], abs=1e-9
             )
+
+    def test_every_solve_starts_from_closed_form_point(self, sf1, ones3, monkeypatch):
+        # Each LP starts from a listed basis whose point is the feasible
+        # (u = 0, t = c_j), in a verdict and on its own.
+        goodness = importlib.import_module("wlpcert.goodness")
+        solve = goodness.solve
+        calls = []
+
+        def counted(lp, *args, **kwargs):
+            calls.append((lp, kwargs.get("start")))
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(goodness, "solve", counted)
+        sufficient_verdict(sf1, ones3)
+        eta_j(sf1, ones3, 0.5, 2)
+        assert len(calls) == 4
+        for lp, used in calls:
+            assert not isinstance(used, LpSolution)
+            T, basis = _standardize(lp)
+            assert _load_basis(T, basis, used) == 1
+            assert np.all(T[:, -1] >= 0)
+            z = np.zeros(T.shape[1] - 1)
+            z[basis] = T[:, -1]
+            np.testing.assert_array_equal(z[: lp.nvars], [0, 0, 0, 1])
 
 
 def _full_epigraph_eta(A, cj, col, beta):
@@ -327,101 +344,3 @@ class TestSufficientVerdict:
             assert np.all(q[:m] >= -1e-8)
             assert np.all(q[m:] <= 1e-8)
             assert np.max(np.abs(q)) <= 0.5625 + 1e-8
-
-
-class TestWarmEta:
-    """eta_j with starts begins each column's LP from its last optimum."""
-
-    @staticmethod
-    def count_solves(monkeypatch):
-        """Rebind both names that eta_j's LP solve can be reached through,
-        as perfbench's tracer does; returns the list of (lp, start) calls."""
-        lp_module = importlib.import_module("wlpcert.lp")
-        goodness = importlib.import_module("wlpcert.goodness")
-        solve = lp_module.solve
-        calls = []
-
-        def counted(lp, *args, **kwargs):
-            calls.append((lp, kwargs.get("start")))
-            return solve(lp, *args, **kwargs)
-
-        monkeypatch.setattr(lp_module, "solve", counted)
-        monkeypatch.setattr(goodness, "solve", counted)
-        return calls
-
-    def test_infeasible_start_is_one_solve_call(self, sf1, ones3, monkeypatch):
-        # Column 0's optimal basis at beta = 0.5 is infeasible at beta = 2,
-        # so phase 1 runs from that basis inside the same call.
-        cold, _ = eta_j(sf1, ones3, 2.0, 0)
-        starts = {}
-        eta_j(sf1, ones3, 0.5, 0, starts)
-        start = starts[0]
-        calls = self.count_solves(monkeypatch)
-        value, _ = eta_j(sf1, ones3, 2.0, 0, starts)
-        [(lp, used)] = calls
-        assert used is start
-        T, _ = _start_tableau(lp, start)
-        assert np.any(T[:, -1] < -PIVOT_TOL)
-        assert value == pytest.approx(cold, rel=0, abs=1e-9)
-        assert starts[0] is not start and starts[0].x is not None
-
-    def test_infeasible_starts_across_certify_match_cold(self, monkeypatch):
-        # On these inputs certify starts 6 eta_j LPs from a basis that the
-        # new c and beta make infeasible; each runs phase 1 from it.
-        goodness = importlib.import_module("wlpcert.goodness")
-        eta = goodness.eta_j
-
-        def checked(sf, c, beta, col, starts=None):
-            value, witness = eta(sf, c, beta, col, starts)
-            cold, _ = eta(sf, c, beta, col)
-            assert value == pytest.approx(cold, rel=0, abs=1e-9)
-            target = np.zeros(sf.n)
-            target[col] = c.c[col]
-            residual = np.max(np.abs(target - sf.A1.T @ witness.q))
-            assert residual == pytest.approx(value, rel=0, abs=1e-9)
-            return value, witness
-
-        calls = self.count_solves(monkeypatch)
-        monkeypatch.setattr(goodness, "eta_j", checked)
-        for shape, seed in (((4, 3), 904342679), ((6, 5), 755423993),
-                            ((4, 4), 1218798093), ((10, 16), 1), ((5, 6), 8)):
-            certify(random_instance(*shape, seed))
-        infeasible = [
-            bool(np.any(_start_tableau(lp, start)[0][:, -1] < -PIVOT_TOL))
-            for lp, start in calls
-            if isinstance(start, LpSolution)
-        ]
-        assert sum(infeasible) == 6
-
-    def test_warm_start_is_one_solve_call(self, sf1, ones3, monkeypatch):
-        starts = {}
-        eta_j(sf1, ones3, 0.5, 1, starts)
-        start = starts[1]
-        calls = self.count_solves(monkeypatch)
-        eta_j(sf1, ones3, 0.5, 1, starts)
-        assert [used for _, used in calls] == [start]
-
-    def test_without_starts_every_solve_is_cold(self, sf1, ones3, monkeypatch):
-        # A cold solve starts from a listed basis whose point is the
-        # feasible (u = 0, t = c_j), never from an earlier optimum.
-        calls = self.count_solves(monkeypatch)
-        sufficient_verdict(sf1, ones3)
-        eta_j(sf1, ones3, 0.5, 2)
-        assert len(calls) == 4
-        for lp, used in calls:
-            assert not isinstance(used, LpSolution)
-            T, basis = _standardize(lp)
-            assert _load_basis(T, basis, used) == 1
-            assert np.all(T[:, -1] >= 0)
-            z = np.zeros(T.shape[1] - 1)
-            z[basis] = T[:, -1]
-            np.testing.assert_array_equal(z[: lp.nvars], [0, 0, 0, 1])
-
-    def test_verdict_fills_starts_per_column(self, sf1, ones3):
-        starts = {}
-        _, report = sufficient_verdict(sf1, ones3, starts=starts)
-        assert sorted(starts) == [0, 1, 2]
-        _, again = sufficient_verdict(sf1, ones3, starts=starts)
-        np.testing.assert_allclose(
-            again.eta_per_column, report.eta_per_column, rtol=0, atol=1e-12
-        )
