@@ -2,9 +2,7 @@
 
 from .instance import (
     InstanceError,
-    MisContext,
     ParseError,
-    StandardForm,
     Weights,
     ZeroOneInstance,
     ceil_recover,
@@ -25,7 +23,6 @@ from .lp import (
     solve,
 )
 from .goodness import (
-    DualWitness,
     GoodnessReport,
     beta_bar,
     eta_j,

@@ -300,13 +300,13 @@ def certify(
         raise ValueError(
             f"weights have length {c.n}, the instance has {inst.n} columns"
         )
-    sf = to_standard_form(inst)
+    A1 = to_standard_form(inst)
     discrepancies = []
     iterations = []
     certified = False
 
     if config.beta_override is not None:
-        bb = beta_bar(sf, c)
+        bb = beta_bar(A1, c)
         if abs(config.beta_override - bb) > ZERO_TOL:
             discrepancies.append(
                 f"beta override {config.beta_override:g} differs from "
@@ -330,7 +330,7 @@ def certify(
         reason = PassReason.NON_UNIQUE
         if case is CaseKind.UNIQUE_OPTIMUM:
             certified, report = sufficient_verdict(
-                sf, c, config.beta_override, s_observed=s_observed
+                A1, c, config.beta_override, s_observed=s_observed
             )
             if certified:
                 reason = PassReason.CERTIFIED

@@ -25,8 +25,6 @@ from .certify import (
 )
 from .goodness import sufficient_verdict
 from .instance import (
-    InstanceError,
-    ParseError,
     Weights,
     ZeroOneInstance,
     format_instance,
@@ -66,21 +64,17 @@ def _load_instance(args):
         with open(args.input, encoding="utf-8") as fh:
             inst, file_weights = parse_instance(fh.read())
     except OSError as exc:
-        raise SystemExit2(f"cannot read {args.input}: {exc.strerror}")
+        raise ValueError(f"cannot read {args.input}: {exc.strerror}")
     weights = file_weights
     if getattr(args, "weights", None):
         try:
             vals = [float(t) for t in args.weights.split(",")]
         except ValueError:
-            raise SystemExit2(f"bad --weights list {args.weights!r}")
+            raise ValueError(f"bad --weights list {args.weights!r}")
         if len(vals) != inst.n:
-            raise SystemExit2(f"--weights needs {inst.n} entries")
+            raise ValueError(f"--weights needs {inst.n} entries")
         weights = Weights(c=np.array(vals))
     return inst, weights
-
-
-class SystemExit2(Exception):
-    """Input error; mapped to exit code 2."""
 
 
 def _instance_doc(inst: ZeroOneInstance) -> dict:
@@ -186,10 +180,10 @@ def cmd_certify(args) -> int:
 
 def cmd_eta(args) -> int:
     inst, weights = _load_instance(args)
-    sf = to_standard_form(inst)
+    A1 = to_standard_form(inst)
     c = weights if weights is not None else Weights(c=np.ones(inst.n))
     t0 = time.perf_counter()
-    _, report = sufficient_verdict(sf, c, args.beta)
+    _, report = sufficient_verdict(A1, c, args.beta)
     timings = {"eta": (time.perf_counter() - t0) * 1000.0}
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -244,7 +238,7 @@ def cmd_gen(args) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise SystemExit2(f"cannot write {args.output}: {exc.strerror}")
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}")
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
@@ -256,8 +250,8 @@ def cmd_mis(args) -> int:
         with open(args.graph, encoding="utf-8") as fh:
             vertex_count, edges = parse_graph(fh.read())
     except OSError as exc:
-        raise SystemExit2(f"cannot read {args.graph}: {exc.strerror}")
-    inst, ctx = from_independent_set(vertex_count, edges)
+        raise ValueError(f"cannot read {args.graph}: {exc.strerror}")
+    inst = from_independent_set(vertex_count, edges)
     t0 = time.perf_counter()
     cert = certify(inst, _config_from(args))
     if cert.certified:
@@ -271,7 +265,7 @@ def cmd_mis(args) -> int:
             _, x_tilde = branch_and_bound_ip(inst)
         source = "branch_and_bound"
     timings = {"mis": (time.perf_counter() - t0) * 1000.0}
-    indicator = mis_recover(x_tilde, ctx)
+    indicator = mis_recover(x_tilde, inst)
     members = [i + 1 for i, v in enumerate(indicator) if v]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -359,7 +353,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SystemExit2, ParseError, InstanceError, ValueError) as exc:
+    except ValueError as exc:  # input errors, ParseError and InstanceError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LpError as exc:

@@ -13,19 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import StandardForm, Weights, ZERO_TOL
+from .instance import Weights, ZERO_TOL
 from .lp import INF, LinearProgram, LpError, Status, solve
 
 # Strict-inequality guard band for threshold comparisons.
 STRICT_GUARD = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class DualWitness:
-    """Candidate multiplier vector for one per-column subproblem."""
-
-    q: np.ndarray
-    achieved_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,22 +31,22 @@ class GoodnessReport:
     gamma_hat: float
     threshold: float
     certified: bool
-    witnesses: tuple
+    witnesses: tuple  # eta_j's q for each column solved
 
 
-def beta_bar(sf: StandardForm, c: Weights) -> float:
+def beta_bar(A1: np.ndarray, c: Weights) -> float:
     """(max c + min c / 2) / rho with rho = max column 1-norm of A1.
 
     The column-norm rho is a heuristic default; callers may override the
     radius entirely when a different beta is wanted.
     """
-    rho = float(np.max(np.abs(sf.A1).sum(axis=0)))
+    rho = float(np.max(np.abs(A1).sum(axis=0)))
     return (float(np.max(c.c)) + 0.5 * float(np.min(c.c))) / rho
 
 
-def eta_j(sf: StandardForm, c: Weights, beta: float, col: int) -> tuple:
-    """min ||c_col e_col - A1^T q||_inf over q = (u, v) with u in [0, beta]^m
-    and v in [-beta, 0]^n.
+def eta_j(A1: np.ndarray, c: Weights, beta: float, col: int) -> tuple:
+    """(eta_j, q): min ||c_col e_col - A1^T q||_inf over q = (u, v) with
+    u in [0, beta]^m and v in [-beta, 0]^n, and a q that attains it.
 
     A1^T q = A^T u + v, and for fixed u the best v is
     clip(c_col e_col - A^T u, -beta, 0) coordinatewise. So the LP runs over
@@ -64,12 +56,13 @@ def eta_j(sf: StandardForm, c: Weights, beta: float, col: int) -> tuple:
     The LP starts from the feasible point (u = 0, t = c_col): every row on
     its slack except row n, where t is basic.
     """
-    m, n = sf.m, sf.n
+    n = A1.shape[1]
+    m = A1.shape[0] - n
     if not 0 <= col < n:
         raise ValueError(f"column index {col} out of range")
     if not 0 < beta < INF:
         raise ValueError("box bound must be positive and finite")
-    At = sf.A1[:m].T
+    At = A1[:m].T
     cj = float(c.c[col])
     ineq = np.hstack([np.vstack([At, -At[col]]), -np.ones((n + 1, 1))])
     rhs = np.full(n + 1, beta)
@@ -95,7 +88,7 @@ def eta_j(sf: StandardForm, c: Weights, beta: float, col: int) -> tuple:
     q = np.concatenate([u, np.clip(target - At @ u, -beta, 0.0)])
     # A minimum of an inf-norm is >= 0; round-off can leave it just below.
     value = max(0.0, sol.value)
-    return value, DualWitness(q=q, achieved_residual=value)
+    return value, q
 
 
 def _s_star_from(eta1: float, min_c: float, n: int) -> int:
@@ -106,15 +99,15 @@ def _s_star_from(eta1: float, min_c: float, n: int) -> int:
     return max(0, min(n, int(math.floor(threshold / eta1 + ZERO_TOL))))
 
 
-def gamma_hat_closed_form(sf: StandardForm, c: Weights, beta: float) -> float:
+def gamma_hat_closed_form(A1: np.ndarray, c: Weights, beta: float) -> float:
     """max(0, max_j c_j - beta * ||A1 e_j||_1); valid because A1 >= 0 and
     x >= 0 make the 1-norm term linear. Independent of s >= 1."""
-    col_norms = np.abs(sf.A1).sum(axis=0)
+    col_norms = np.abs(A1).sum(axis=0)
     return float(max(0.0, np.max(c.c - beta * col_norms)))
 
 
 def sufficient_verdict(
-    sf: StandardForm,
+    A1: np.ndarray,
     c: Weights,
     beta: float | None = None,
     s_observed: int = 0,
@@ -122,7 +115,7 @@ def sufficient_verdict(
     """Certification verdict s_star * eta1 < (1/2) min c and
     s_star >= s_observed, with a report.
 
-    beta = None uses the default radius beta_bar(sf, c), which the report
+    beta = None uses the default radius beta_bar(A1, c), which the report
     records as its beta_bar whatever beta is used.
 
     eta_j is solved in column order, stopping after the first column
@@ -136,23 +129,24 @@ def sufficient_verdict(
     the arguments alone: certify's verdicts equal standalone ones bit for
     bit.
     """
-    if c.n != sf.n:
-        raise ValueError(f"weights have length {c.n}, the instance has {sf.n} columns")
-    default = beta_bar(sf, c)
+    n = A1.shape[1]
+    if c.n != n:
+        raise ValueError(f"weights have length {c.n}, the instance has {n} columns")
+    default = beta_bar(A1, c)
     if beta is None:
         beta = default
     min_c = float(np.min(c.c))
     etas = []
     witnesses = []
-    for j in range(sf.n):
-        value, witness = eta_j(sf, c, beta, j)
+    for j in range(n):
+        value, q = eta_j(A1, c, beta, j)
         etas.append(value)
-        witnesses.append(witness)
-        if _s_star_from(value, min_c, sf.n) < s_observed:
+        witnesses.append(q)
+        if _s_star_from(value, min_c, n) < s_observed:
             break
     eta1 = max(etas)
     threshold = 0.5 * min_c
-    star = _s_star_from(eta1, min_c, sf.n)
+    star = _s_star_from(eta1, min_c, n)
     bound = star * eta1
     certified = bound < threshold - STRICT_GUARD and star >= s_observed
     report = GoodnessReport(
@@ -162,7 +156,7 @@ def sufficient_verdict(
         eta1=eta1,
         s_star=star,
         eta_s_bound=bound,
-        gamma_hat=gamma_hat_closed_form(sf, c, beta),
+        gamma_hat=gamma_hat_closed_form(A1, c, beta),
         threshold=threshold,
         certified=certified,
         witnesses=tuple(witnesses),

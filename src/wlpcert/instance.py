@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lp import PIVOT_TOL
+
 # Absolute zero-tolerance for support counting and ceiling, covering
-# feasibility of 0-1 points, and the s_star floor; matches the simplex
-# pivot/cost tolerances so counts are stable.
-ZERO_TOL = 1e-9
+# feasibility of 0-1 points, and the s_star floor. It is the simplex's
+# own, so a value the simplex treats as zero is counted as zero.
+ZERO_TOL = PIVOT_TOL
 BOUND_TOL = 1e-6
 
 
@@ -92,37 +94,15 @@ class Weights:
         return self.c.size
 
 
-@dataclass(frozen=True, eq=False)
-class StandardForm:
-    """The stacked matrix A1 = [A; I_n] that beta_bar, eta_j and
+def to_standard_form(inst: ZeroOneInstance) -> np.ndarray:
+    """The read-only stacked matrix A1 = [A; I_n] that beta_bar, eta_j and
     gamma_hat read."""
-
-    A1: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.A1.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.A1.shape[0] - self.n
-
-
-@dataclass(frozen=True, eq=False)
-class MisContext:
-    """Graph bookkeeping for recovering an independent set."""
-
-    vertex_count: int
-
-
-def to_standard_form(inst: ZeroOneInstance) -> StandardForm:
-    """Stack A over the identity."""
     A1 = np.vstack([inst.A, np.eye(inst.n)])
     A1.setflags(write=False)
-    return StandardForm(A1=A1)
+    return A1
 
 
-def from_independent_set(vertex_count: int, edges) -> tuple:
+def from_independent_set(vertex_count: int, edges) -> ZeroOneInstance:
     """Complemented covering instance of a maximum-independent-set query.
 
     Each edge (u, v) becomes the constraint x~_u + x~_v >= 1 on the
@@ -148,19 +128,15 @@ def from_independent_set(vertex_count: int, edges) -> tuple:
         rows.append(row)
     if not rows:
         raise InstanceError("graph has no edges; covering instance is empty")
-    M = np.array(rows)
-    inst = ZeroOneInstance(A=M, b=np.ones(len(rows)))
-    ctx = MisContext(vertex_count=vertex_count)
-    return inst, ctx
+    return ZeroOneInstance(A=np.array(rows), b=np.ones(len(rows)))
 
 
-def mis_recover(x_tilde, ctx: MisContext) -> np.ndarray:
-    """Map a complement-variable vector back to an independent-set indicator."""
+def mis_recover(x_tilde, inst: ZeroOneInstance) -> np.ndarray:
+    """Map a complement-variable vector of inst, an instance made by
+    from_independent_set, back to an independent-set indicator."""
     x = np.asarray(x_tilde, dtype=float).reshape(-1)
-    if x.size != ctx.vertex_count:
-        raise InstanceError(
-            f"expected {ctx.vertex_count} entries, got {x.size}"
-        )
+    if x.size != inst.n:
+        raise InstanceError(f"expected {inst.n} entries, got {x.size}")
     rounded = np.rint(x)
     if np.any(np.abs(x - rounded) > BOUND_TOL) or np.any(
         (rounded != 0) & (rounded != 1)

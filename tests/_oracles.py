@@ -45,7 +45,6 @@ from wlpcert.certify import (
 from wlpcert.goodness import beta_bar, sufficient_verdict
 from wlpcert.instance import (
     ZERO_TOL,
-    StandardForm,
     Weights,
     ceil_recover,
     to_standard_form,
@@ -400,11 +399,10 @@ def reference_case(sol: LpSolution, lp: LinearProgram) -> CaseKind:
     return CaseKind.MULTIPLE_DIFFERENT_SPARSITY
 
 
-def _inner_gamma_lp(sf: StandardForm, c: Weights, beta: float, support) -> float:
+def _inner_gamma_lp(A1: np.ndarray, c: Weights, beta: float, support) -> float:
     """max sum_{i in support} c_i x_i - beta ||A1 x||_1 over the unit
     simplex, via the epigraph form of the 1-norm term."""
-    n = sf.n
-    rows = sf.A1.shape[0]
+    rows, n = A1.shape
     sel = np.zeros(n)
     sel[list(support)] = 1.0
     if math.isinf(beta):
@@ -413,7 +411,7 @@ def _inner_gamma_lp(sf: StandardForm, c: Weights, beta: float, support) -> float
         obj = np.concatenate([-(sel * c.c)])
         lp = LinearProgram(
             objective=obj,
-            ineq_matrix=np.vstack([sf.A1, np.ones((1, n))]),
+            ineq_matrix=np.vstack([A1, np.ones((1, n))]),
             ineq_rhs=np.concatenate([np.zeros(rows), [1.0]]),
         )
     else:
@@ -421,8 +419,8 @@ def _inner_gamma_lp(sf: StandardForm, c: Weights, beta: float, support) -> float
         obj = np.concatenate([-(sel * c.c), beta * np.ones(rows)])
         ineq = np.vstack(
             [
-                np.hstack([sf.A1, -np.eye(rows)]),
-                np.hstack([-sf.A1, -np.eye(rows)]),
+                np.hstack([A1, -np.eye(rows)]),
+                np.hstack([-A1, -np.eye(rows)]),
                 np.concatenate([np.ones(n), np.zeros(rows)])[None, :],
             ]
         )
@@ -434,14 +432,14 @@ def _inner_gamma_lp(sf: StandardForm, c: Weights, beta: float, support) -> float
     return -float(sol.value)
 
 
-def gamma_hat_exact(sf: StandardForm, c: Weights, beta: float, s: int) -> float:
+def gamma_hat_exact(A1: np.ndarray, c: Weights, beta: float, s: int) -> float:
     """Relaxed goodness constant by enumerating binary support patterns.
 
     Over the box-capped simplex of support selectors the objective is
     linear with nonnegative coefficients, so binary selectors with
     exactly min(s, n) ones attain the maximum.
     """
-    n = sf.n
+    n = A1.shape[1]
     if not 0 <= s <= n:
         raise ValueError("s out of range")
     if s == 0:
@@ -451,7 +449,7 @@ def gamma_hat_exact(sf: StandardForm, c: Weights, beta: float, s: int) -> float:
         raise ValueError("support enumeration guard exceeded")
     best = 0.0
     for support in combinations(range(n), k):
-        best = max(best, _inner_gamma_lp(sf, c, beta, support))
+        best = max(best, _inner_gamma_lp(A1, c, beta, support))
     return best
 
 
@@ -461,12 +459,12 @@ def eager_certify(inst, max_weight_iterations=10):
     by reference_case.
     Returns (certified, passes, recovered, case per pass,
     brute_force_value)."""
-    sf = to_standard_form(inst)
+    A1 = to_standard_form(inst)
     c = Weights(np.ones(inst.n))
     cases = []
     certified = False
     for _ in range(max_weight_iterations):
-        ok, report = sufficient_verdict(sf, c, beta_bar(sf, c))
+        ok, report = sufficient_verdict(A1, c, beta_bar(A1, c))
         lp = covering_lp(inst.A, inst.b, c.c)
         sol = solve(lp, start=covering_start(inst.m, inst.n))
         if sol.status is not Status.OPTIMAL:
@@ -501,13 +499,13 @@ def full_loop_certify(inst, config=CertifyConfig(), weights=None) -> Certificate
         raise ValueError(
             f"weights have length {c.n}, the instance has {inst.n} columns"
         )
-    sf = to_standard_form(inst)
+    A1 = to_standard_form(inst)
     discrepancies = []
     iterations = []
     certified = False
 
     if config.beta_override is not None:
-        bb = beta_bar(sf, c)
+        bb = beta_bar(A1, c)
         if abs(config.beta_override - bb) > ZERO_TOL:
             discrepancies.append(
                 f"beta override {config.beta_override:g} differs from "
@@ -530,7 +528,7 @@ def full_loop_certify(inst, config=CertifyConfig(), weights=None) -> Certificate
         reason = PassReason.NON_UNIQUE
         if case is CaseKind.UNIQUE_OPTIMUM:
             certified, report = sufficient_verdict(
-                sf, c, config.beta_override, s_observed=s_observed
+                A1, c, config.beta_override, s_observed=s_observed
             )
             if certified:
                 reason = PassReason.CERTIFIED

@@ -37,7 +37,7 @@ REFUTED_INSTANCES = (
 
 def cycle_instance(n):
     """Covering instance of maximum independent set on the n-cycle."""
-    return from_independent_set(n, [(i, i % n + 1) for i in range(1, n + 1)])[0]
+    return from_independent_set(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
 def workload_cases(workload, seed, monkeypatch):

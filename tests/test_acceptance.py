@@ -198,14 +198,14 @@ class TestAcceptance:
         start = time.perf_counter()
 
         def solve_mis(vertex_count, edges):
-            inst, ctx = from_independent_set(vertex_count, edges)
+            inst = from_independent_set(vertex_count, edges)
             cert = certify(inst, CertifyConfig())
             if cert.certified and cert.brute_force_verified:
                 x_tilde = cert.recovered
             else:
                 _, optima = enumerate_binary_minimum(inst.A, inst.b)
                 x_tilde = np.array(sorted(optima)[0])
-            return mis_recover(x_tilde, ctx)
+            return mis_recover(x_tilde, inst)
 
         def independent(indicator, edges):
             chosen = {i for i, v in enumerate(indicator) if v}

@@ -26,6 +26,7 @@ from wlpcert import (
     sufficient_verdict,
 )
 from wlpcert.certify import BRUTE_FORCE_BLOCK
+from wlpcert.instance import ZERO_TOL
 from wlpcert.lp import _standardize
 
 from _oracles import (
@@ -362,12 +363,12 @@ class TestVerdictIsReproducible:
         for sf, c, verdict, standalone in verdicts:
             assert _bits(verdict) == _bits(standalone)
             _, report = verdict
-            for j, (value, witness) in enumerate(
+            for j, (value, q) in enumerate(
                 zip(report.eta_per_column, report.witnesses, strict=True)
             ):
-                target = np.zeros(sf.n)
+                target = np.zeros(c.n)
                 target[j] = c.c[j]
-                attained = np.max(np.abs(target - sf.A1.T @ witness.q))
+                attained = np.max(np.abs(target - sf.T @ q))
                 assert abs(attained - value) <= 1e-9
 
 
@@ -490,6 +491,23 @@ class TestPassReason:
             PassReason.CERTIFIED,
         ]
 
+    def test_bound_not_strict_is_an_integer_tie(self, monkeypatch):
+        # s_star = floor((min c / 2) / eta1), so with eta1 > 0 the bound
+        # s_star * eta1 misses the threshold strictly only when that ratio
+        # sits on the integer s_star.
+        ties = 0
+        for case in workload_cases("small", 1, monkeypatch):
+            cert = certify(case.instance, case.config, weights=case.weights)
+            for p in cert.iterations:
+                if p.reason is not PassReason.BOUND_NOT_STRICT:
+                    continue
+                eta1 = p.report.eta1
+                assert eta1 > ZERO_TOL
+                ratio = 0.5 * float(np.min(p.weights.c)) / eta1
+                assert abs(ratio - p.report.s_star) <= max(1e-9, 1e-10 / eta1)
+                ties += 1
+        assert ties > 0
+
     def test_non_unique(self, ex3):
         cert = certify(ex3, CertifyConfig(max_weight_iterations=1))
         assert self.reasons(cert) == [PassReason.NON_UNIQUE]
@@ -541,7 +559,7 @@ def random_graph_instance(n, seed, density=0.3):
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     rng = np.random.default_rng([seed, n])
     chosen = rng.choice(len(pairs), size=round(density * len(pairs)), replace=False)
-    return from_independent_set(n, [pairs[i] for i in sorted(chosen)])[0]
+    return from_independent_set(n, [pairs[i] for i in sorted(chosen)])
 
 
 class TestRefutedCertificate:

@@ -8,6 +8,7 @@ from wlpcert import (
     Weights,
     ZeroOneInstance,
     beta_bar,
+    certify,
     eta_j,
     from_independent_set,
     gamma_hat_closed_form,
@@ -15,10 +16,11 @@ from wlpcert import (
     sufficient_verdict,
     to_standard_form,
 )
-from wlpcert.goodness import _s_star_from
+from wlpcert.goodness import STRICT_GUARD, _s_star_from
 from wlpcert.lp import LpSolution, _load_basis, _standardize
 
 from _oracles import gamma_hat_exact
+from conftest import workload_cases
 
 
 def _report(sf, c, beta):
@@ -41,19 +43,16 @@ class TestBetaBar:
 
 class TestEta:
     def test_example1_column1(self, sf1, ones3):
-        value, witness = eta_j(sf1, ones3, 0.5625, 0)
+        value, q = eta_j(sf1, ones3, 0.5625, 0)
         assert value == pytest.approx(0.21875, abs=1e-8)
-        q = witness.q
         assert np.all(q[:3] >= -1e-8) and np.all(q[3:] <= 1e-8)
         assert np.max(np.abs(q)) <= 0.5625 + 1e-8
 
     def test_example2_column1_exact_hit(self, sf2, ones3):
-        value, witness = eta_j(sf2, ones3, 0.5, 0)
+        value, q = eta_j(sf2, ones3, 0.5, 0)
         assert value == pytest.approx(0.0, abs=1e-9)
         target = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(
-            sf2.A1.T @ witness.q, target, atol=1e-8
-        )
+        np.testing.assert_allclose(sf2.T @ q, target, atol=1e-8)
 
     def test_example2_column3_capped(self, sf2, ones3):
         value, _ = eta_j(sf2, ones3, 0.5, 2)
@@ -150,13 +149,12 @@ class TestEtaDifferential:
         sf = to_standard_form(inst)
         values = []
         for j in range(inst.n):
-            value, witness = eta_j(sf, c, beta, j)
+            value, q = eta_j(sf, c, beta, j)
             reference = _full_epigraph_eta(inst.A, c.c[j], j, beta)
             assert abs(value - reference) <= 1e-8
-            q = witness.q
             target = np.zeros(inst.n)
             target[j] = c.c[j]
-            residual = np.max(np.abs(target - sf.A1.T @ q))
+            residual = np.max(np.abs(target - sf.T @ q))
             assert abs(residual - value) <= 1e-9
             assert np.all(q[: inst.m] >= -1e-9)
             assert np.all(q[inst.m :] <= 1e-9)
@@ -175,7 +173,7 @@ class TestEtaDifferential:
             self._check(inst, c, beta)
 
     def test_odd_cycle_reaches_zero(self):
-        inst, _ = from_independent_set(9, [(i, i % 9 + 1) for i in range(1, 10)])
+        inst = from_independent_set(9, [(i, i % 9 + 1) for i in range(1, 10)])
         c = Weights(np.ones(9))
         assert beta_bar(to_standard_form(inst), c) == pytest.approx(0.5)
         assert max(self._check(inst, c, 0.5)) == pytest.approx(0.0, abs=1e-9)
@@ -305,9 +303,10 @@ class TestSufficientVerdict:
     def test_default_is_the_full_report(self, example, ones3, request):
         sf = request.getfixturevalue(example)
         beta = beta_bar(sf, ones3)
-        solved = [eta_j(sf, ones3, beta, j) for j in range(sf.n)]
+        n = sf.shape[1]
+        solved = [eta_j(sf, ones3, beta, j) for j in range(n)]
         etas = tuple(value for value, _ in solved)
-        star = _s_star_from(max(etas), 1.0, sf.n)
+        star = _s_star_from(max(etas), 1.0, n)
         expected = dict(
             beta_bar=beta,
             beta_used=beta,
@@ -327,9 +326,8 @@ class TestSufficientVerdict:
             assert certified == expected["certified"]
             for name, value in expected.items():
                 assert getattr(report, name) == value, name
-            for witness, (_, reference) in zip(report.witnesses, solved, strict=True):
-                np.testing.assert_array_equal(witness.q, reference.q)
-                assert witness.achieved_residual == reference.achieved_residual
+            for q, (_, reference) in zip(report.witnesses, solved, strict=True):
+                np.testing.assert_array_equal(q, reference)
 
     def test_override_reports_the_default_radius(self, sf1, ones3):
         _, report = sufficient_verdict(sf1, ones3, 0.5625)
@@ -338,9 +336,61 @@ class TestSufficientVerdict:
 
     def test_witness_invariants(self, sf1, ones3):
         _, report = sufficient_verdict(sf1, ones3, 0.5625)
-        m = sf1.m
-        for witness in report.witnesses:
-            q = witness.q
+        m = sf1.shape[0] - sf1.shape[1]
+        for q in report.witnesses:
             assert np.all(q[:m] >= -1e-8)
             assert np.all(q[m:] <= 1e-8)
             assert np.max(np.abs(q)) <= 0.5625 + 1e-8
+
+
+class TestSingleRowLaw:
+    """u = (c_j / A_ij) e_i meets c_j e_j exactly in coordinate j and
+    leaves c_j A_ik / A_ij to v_k elsewhere, so it zeroes eta_j once
+    beta >= (c_j / A_ij) max(1, max_{k != j} A_ik)."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_eta_vanishes_at_the_single_row_radius(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        inst = random_instance(m, n, seed=900 + seed, max_entry=3)
+        c = Weights(rng.uniform(0.2, 1.0, size=n))
+        A1 = to_standard_form(inst)
+        for j in range(n):
+            for i in np.flatnonzero(inst.A[:, j]):
+                others = np.delete(inst.A[i], j).max(initial=0.0)
+                radius = c.c[j] / inst.A[i, j] * max(1.0, others)
+                for beta in (radius, 2 * radius):
+                    assert eta_j(A1, c, beta, j)[0] <= 1e-12
+
+
+class TestVerdictMonotoneInBeta:
+    """Every eta_j is nonincreasing in beta, and s_star does not shrink as
+    eta1 falls. So a verdict that certifies at beta still certifies at
+    every larger radius, unless s_star * eta1 lands on the threshold
+    (bound_not_strict)."""
+
+    FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0, 16.0, 1e3)
+
+    def test_small_workload_verdicts(self, monkeypatch):
+        module = importlib.import_module("wlpcert.certify")
+        verdicts = []
+
+        def record(A1, c, beta, **kwargs):
+            verdicts.append((A1, c, kwargs["s_observed"]))
+            return sufficient_verdict(A1, c, beta, **kwargs)
+
+        monkeypatch.setattr(module, "sufficient_verdict", record)
+        for case in workload_cases("small", 1, monkeypatch):
+            certify(case.instance, case.config, weights=case.weights)
+        certified = 0
+        for A1, c, s_observed in verdicts:
+            bb = beta_bar(A1, c)
+            was_certified = False
+            for factor in self.FACTORS:
+                ok, report = sufficient_verdict(A1, c, factor * bb, s_observed)
+                certified += ok
+                if was_certified and not ok:
+                    assert report.s_star >= s_observed
+                    assert report.eta_s_bound >= report.threshold - STRICT_GUARD
+                was_certified = ok
+        assert certified > 0

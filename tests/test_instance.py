@@ -91,16 +91,17 @@ class TestInstanceInvariants:
 class TestStandardForm:
     def test_example1_blocks(self, ex1):
         sf = to_standard_form(ex1)
-        assert sf.A1.shape == (6, 3)
+        assert sf.shape == (6, 3)
+        assert not sf.flags.writeable
         np.testing.assert_array_equal(
-            sf.A1,
+            sf,
             [[1, 2, 0], [0, 1, 1], [1, 0, 2], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
         )
 
     def test_one_by_one(self):
         inst = ZeroOneInstance(A=np.array([[2.0]]), b=np.array([1.0]))
         sf = to_standard_form(inst)
-        np.testing.assert_array_equal(sf.A1, [[2], [1]])
+        np.testing.assert_array_equal(sf, [[2], [1]])
         lp = covering_lp(inst.A, inst.b, np.ones(1))
         np.testing.assert_array_equal(lp.ineq_matrix, [[-2]])
         np.testing.assert_array_equal(lp.ineq_rhs, [-1])
@@ -109,8 +110,8 @@ class TestStandardForm:
     def test_reslice_roundtrip(self):
         inst = random_instance(4, 5, seed=11)
         sf = to_standard_form(inst)
-        np.testing.assert_array_equal(sf.A1[:4], inst.A)
-        np.testing.assert_array_equal(sf.A1[4:], np.eye(5))
+        np.testing.assert_array_equal(sf[:4], inst.A)
+        np.testing.assert_array_equal(sf[4:], np.eye(5))
         lp = covering_lp(inst.A, inst.b, np.ones(5))
         np.testing.assert_array_equal(lp.ineq_matrix, -inst.A)
         np.testing.assert_array_equal(lp.ineq_rhs, -inst.b)
@@ -119,19 +120,18 @@ class TestStandardForm:
 
 class TestIndependentSetFrontEnd:
     def test_triangle(self):
-        inst, ctx = from_independent_set(3, [(1, 2), (1, 3), (2, 3)])
+        inst = from_independent_set(3, [(1, 2), (1, 3), (2, 3)])
         assert inst.A.shape == (3, 3)
         np.testing.assert_array_equal(inst.A.sum(axis=1), [2, 2, 2])
         np.testing.assert_array_equal(inst.b, [1, 1, 1])
-        assert ctx.vertex_count == 3
 
     def test_single_edge(self):
-        inst, _ = from_independent_set(2, [(1, 2)])
+        inst = from_independent_set(2, [(1, 2)])
         np.testing.assert_array_equal(inst.A, [[1, 1]])
         np.testing.assert_array_equal(inst.b, [1])
 
     def test_path_complemented_optimum(self):
-        inst, _ = from_independent_set(3, [(1, 2), (2, 3)])
+        inst = from_independent_set(3, [(1, 2), (2, 3)])
         value, optima = enumerate_binary_minimum(inst.A, inst.b)
         assert value == 1
         assert (0, 1, 0) in optima  # vertex cover {2} => independent set size 2
@@ -149,17 +149,24 @@ class TestIndependentSetFrontEnd:
             from_independent_set(3, [(1, 2), (2, 1)])
 
     def test_recover_complement(self):
-        _, ctx = from_independent_set(3, [(1, 2), (1, 3), (2, 3)])
-        np.testing.assert_array_equal(mis_recover([1, 1, 0], ctx), [0, 0, 1])
-        np.testing.assert_array_equal(mis_recover([1, 1, 1], ctx), [0, 0, 0])
+        inst = from_independent_set(3, [(1, 2), (1, 3), (2, 3)])
+        np.testing.assert_array_equal(mis_recover([1, 1, 0], inst), [0, 0, 1])
+        np.testing.assert_array_equal(mis_recover([1, 1, 1], inst), [0, 0, 0])
 
     def test_recover_rejects_fractional(self):
-        _, ctx = from_independent_set(2, [(1, 2)])
+        inst = from_independent_set(2, [(1, 2)])
         with pytest.raises(InstanceError, match="non-binary"):
-            mis_recover([0.4, 1.0], ctx)
+            mis_recover([0.4, 1.0], inst)
+
+    def test_isolated_vertex_keeps_its_column(self):
+        inst = from_independent_set(4, [(1, 2)])
+        assert inst.n == 4
+        np.testing.assert_array_equal(mis_recover([1, 0, 0, 0], inst), [0, 1, 1, 1])
+        with pytest.raises(InstanceError, match="expected 4 entries, got 2"):
+            mis_recover([1, 0], inst)
 
     def test_incidence_rows_sum_to_two(self):
-        inst, _ = from_independent_set(5, [(1, 2), (2, 3), (4, 5), (1, 5)])
+        inst = from_independent_set(5, [(1, 2), (2, 3), (4, 5), (1, 5)])
         np.testing.assert_array_equal(inst.A.sum(axis=1), 2 * np.ones(4))
 
 

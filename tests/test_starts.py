@@ -86,10 +86,10 @@ def test_eta_start_matches_slack_start(drawn):
     weights = Weights(c=c)
     beta = beta_bar(sf, weights)
     for col in range(inst.n):
-        value, witness = eta_j(sf, weights, beta, col)
+        value, q = eta_j(sf, weights, beta, col)
         slack, _ = _slack_start_eta(sf, weights, beta, col)
         assert value == pytest.approx(slack, rel=0, abs=1e-12)
         target = np.zeros(inst.n)
         target[col] = c[col]
-        attained = np.max(np.abs(target - sf.A1.T @ witness.q))
+        attained = np.max(np.abs(target - sf.T @ q))
         assert attained == pytest.approx(value, rel=0, abs=1e-9)
