@@ -74,6 +74,19 @@ class TestCertifyCommand:
         assert code == 1
         assert "certified: False" in capsys.readouterr().out
 
+    def test_uncovered_instance_exit_one(self, tmp_path, capsys):
+        # x = 1 leaves the row x0 + x1 >= 3 uncovered, so the weighted LP's
+        # start proves it infeasible and the one pass ends on lp_status.
+        path = tmp_path / "uncovered.txt"
+        path.write_text("1 2\n1 1\n3\n")
+        assert main(["certify", "--input", str(path), "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certified"] is False
+        assert [p["reason"] for p in doc["iterations"]] == ["lp_status"]
+        assert doc["discrepancies"] == [
+            "weighted relaxation ended with status infeasible"
+        ]
+
     def test_json_non_unique_final_pass(self, ex2_file, capsys):
         code = main(
             ["certify", "--input", ex2_file, "--max-iters", "1", "--json"]

@@ -1,9 +1,16 @@
 """Smoke test of tools/outcome_digest.py, the outcome-identity recorder."""
 
+import importlib
 import importlib.util
 import json
 import re
 from pathlib import Path
+
+import numpy as np
+
+from wlpcert import Status, certify
+
+from conftest import workload_cases
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "outcome_digest.py"
 
@@ -23,6 +30,54 @@ def test_ladder_digest_is_repeatable(capsys):
     assert re.fullmatch(r"ladder seed 1: [0-9a-f]{16}\n", first)
     assert tool.main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_solves_digest_is_repeatable(capsys):
+    tool = _tool()
+    argv = ["--workload", "ladder", "--seed", "1", "--solves"]
+    assert tool.main(argv) == 0
+    first = capsys.readouterr().out
+    assert re.fullmatch(r"ladder seed 1: [0-9a-f]{16} over 18 solves\n", first)
+    assert tool.main(argv) == 0
+    assert capsys.readouterr().out == first
+    # The wrappers are gone once the digest is taken.
+    lp = importlib.import_module("wlpcert.lp")
+    for name in tool.SOLVE_MODULES:
+        assert importlib.import_module(name).solve is lp.solve
+
+
+def test_certify_solves_take_no_phase1_pivot(monkeypatch):
+    # Every LP that certify solves on the seed-1 ladder and small inputs
+    # starts from a feasible basis, or from one whose negative rows prove
+    # the LP infeasible before phase 1 pivots. A start that needs a phase-1
+    # pivot fails here.
+    lp = importlib.import_module("wlpcert.lp")
+    original, phase1 = lp._phase1, []
+
+    def recording(T, basis, max_iters):
+        negative = bool(np.any(T[:, -1] < -lp.PIVOT_TOL))
+        result = original(T, basis, max_iters)
+        phase1.append((negative, result[0], result[1]))
+        return result
+
+    monkeypatch.setattr(lp, "_phase1", recording)
+    infeasible = []
+    with _tool().recorded_solves() as solves:
+        for workload in ("ladder", "small"):
+            for case in workload_cases(workload, 1, monkeypatch):
+                before = len(solves)
+                certify(case.instance, case.config, weights=case.weights)
+                infeasible += [
+                    case.name
+                    for sol in solves[before:]
+                    if sol.status is Status.INFEASIBLE
+                ]
+    assert len(solves) == len(phase1) == 18 + 423
+    # One branch-and-bound node of the exact check that refutes
+    # random_2x2_s35's certificate: x = 1 leaves one of its rows uncovered,
+    # and phase 1 ends INFEASIBLE without a pivot.
+    assert infeasible == ["random_2x2_s35"]
+    assert [p for p in phase1 if p[0]] == [(True, Status.INFEASIBLE, 0)]
 
 
 def test_outcomes_are_pinned(capsys):

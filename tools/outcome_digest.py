@@ -2,6 +2,7 @@
 
     python3 tools/outcome_digest.py --workload ladder small --seed 1 2 [--list]
     python3 tools/outcome_digest.py --workload ladder --seed 1 --compare before.txt
+    python3 tools/outcome_digest.py --workload ladder small --seed 1 --solves
 
 Run from anywhere inside a source checkout: the package is imported from
 its `src/` and the inputs are built by its `perfbench/workloads.py`. For
@@ -20,6 +21,10 @@ reported input by input. --compare LIST_FILE reads the output of an
 earlier --list run and prints, in place of the digests, only the inputs
 whose outcome differs from it (workload, seed, name, before, after), then
 their count; an input missing from the file counts as differing.
+--solves prints, in place of the outcome digest, a digest of every
+`lp.solve` result that the inputs' runs produce, in call order: its
+status, iterations, basis, repr(value) and the bytes of x + 0.0. Equal
+solve digests mean that every LP took the same pivots to the same point.
 """
 
 from __future__ import annotations
@@ -82,6 +87,49 @@ def outcomes(workloads, workload: str, seed: int) -> list:
         return [(case.name, mis_outcome(case, Path(tmp))) for case in cases]
 
 
+# The modules whose `solve` global the program calls, each rebound by
+# recorded_solves (the names perfbench/spans.py traces).
+SOLVE_MODULES = ("wlpcert.lp", "wlpcert.goodness", "wlpcert.certify")
+
+
+@contextlib.contextmanager
+def recorded_solves():
+    """Rebind `solve` in SOLVE_MODULES to a wrapper that appends each
+    result, an LpSolution, to the yielded list; the originals are restored
+    on exit."""
+    solves, saved = [], []
+
+    def wrap(original):
+        def recording(*args, **kwargs):
+            sol = original(*args, **kwargs)
+            solves.append(sol)
+            return sol
+
+        return recording
+
+    for name in SOLVE_MODULES:
+        module = importlib.import_module(name)
+        saved.append((module, module.solve))
+        module.solve = wrap(module.solve)
+    try:
+        yield solves
+    finally:
+        for module, original in saved:
+            module.solve = original
+
+
+def solves_digest(workloads, workload: str, seed: int) -> str:
+    with recorded_solves() as solves:
+        outcomes(workloads, workload, seed)
+    h = hashlib.sha256()
+    for sol in solves:
+        head = (sol.status.value, sol.iterations, sol.basis, repr(sol.value))
+        x = b"" if sol.x is None else (sol.x + 0.0).tobytes()
+        record = repr(head).encode() + x
+        h.update(len(record).to_bytes(8, "little") + record)
+    return f"{h.hexdigest()[:16]} over {len(solves)} solves"
+
+
 def read_list(path) -> dict:
     """{(workload, seed, name): outcome} from the output of a --list run:
     each input's line comes before its workload's digest line."""
@@ -119,11 +167,20 @@ def main(argv=None) -> int:
         metavar="LIST_FILE",
         help="print only the inputs whose outcome differs from a saved --list run",
     )
+    mode.add_argument(
+        "--solves",
+        action="store_true",
+        help="digest every lp.solve result instead of the outcomes",
+    )
     args = parser.parse_args(argv)
     saved = None if args.compare is None else read_list(args.compare)
     moved = total = 0
     for workload in args.workload:
         for seed in args.seed:
+            if args.solves:
+                digest_line = solves_digest(workloads, workload, seed)
+                print(f"{workload} seed {seed}: {digest_line}")
+                continue
             results = outcomes(workloads, workload, seed)
             if saved is None:
                 if args.list:
