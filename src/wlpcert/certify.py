@@ -25,6 +25,7 @@ from .instance import (
 )
 from .goodness import GoodnessReport, beta_bar, sufficient_verdict
 from .lp import (
+    ELIM_TOL,
     UNIQUE_TOL,
     LinearProgram,
     LpError,
@@ -117,16 +118,39 @@ def covering_lp(A, b, c) -> LinearProgram:
     )
 
 
-def covering_start(m: int, n: int) -> np.ndarray:
-    """The basis of x = 1 in covering_lp's standard form for m rows and n
-    columns: each covering row stays on its slack, which then holds
-    A 1 - b, and x_j is basic in its bound row. Since A >= 0 this start
-    is feasible exactly when the LP is."""
-    return np.concatenate([np.arange(n, n + m), np.arange(n)])
+def ones_tableau(A, b) -> tuple:
+    """The start (tableau, basis) of covering_lp(A, b, c) at x = 1, built in
+    closed form for solve: each covering row stays on its slack, which
+    then holds A 1 - b, and x_j is basic in bound row j. Since A >= 0 this
+    start is feasible exactly when the LP is.
+
+    It is the slack-basis tableau after pivoting x_0, .., x_{n-1} into
+    their bound rows in turn, byte for byte up to the sign of a zero
+    entry: the covering rows [0 | I_m | A | A 1 - b] over the bound rows
+    [I_n | 0 | I_n | 1]. Each pivot leaves alone an entry A_ij at most
+    ELIM_TOL, which keeps -A_ij in column j and 0 in bound slack j, and
+    adds the others to the right-hand side -b_i in column order.
+    """
+    m, n = A.shape
+    moved = np.abs(A) > ELIM_TOL
+    added = np.where(moved, A, 0.0)
+    rhs = -b
+    T = np.zeros((m + n, 2 * n + m + 1))
+    T[:m, :n] = np.where(moved, 0.0, -A)
+    T[:m, n + m : -1] = added
+    # A row with no moved entry keeps -b_i, even a -0.0.
+    T[:m, -1] = np.where(
+        moved.any(axis=1), np.hstack([rhs[:, None], added]).cumsum(axis=1)[:, -1], rhs
+    )
+    T[m:, :n] = np.eye(n)
+    T[m:, n + m : -1] = np.eye(n)
+    T[m:, -1] = 1.0
+    np.fill_diagonal(T[:m, n:], 1.0)
+    return T, np.concatenate([np.arange(n, n + m), np.arange(n)])
 
 
 def solve_weighted_lp(
-    inst: ZeroOneInstance, c: Weights, start: LpSolution | np.ndarray | None = None
+    inst: ZeroOneInstance, c: Weights, start: LpSolution | tuple | None = None
 ) -> LpSolution:
     return solve(covering_lp(inst.A, inst.b, c.c), start=start)
 
@@ -211,7 +235,7 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
     no smaller than the LP value. A >= 0, so the LP point rounded up is
     feasible and becomes the incumbent when it is better. The node branches
     on its most fractional variable, x_j = 1 first. Each node LP starts
-    from x = 1 (covering_start), so an infeasible node ends INFEASIBLE in
+    from x = 1 (ones_tableau), so an infeasible node ends INFEASIBLE in
     phase 1. Raises LpError after BRANCH_NODE_LIMIT nodes.
     """
     n = inst.n
@@ -232,11 +256,9 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
         if rows.any():
             if not free.size:
                 continue
+            A, b = inst.A[np.ix_(rows, free)], rhs[rows]
             sol = solve(
-                covering_lp(
-                    inst.A[np.ix_(rows, free)], rhs[rows], np.ones(free.size)
-                ),
-                start=covering_start(int(rows.sum()), free.size),
+                covering_lp(A, b, np.ones(free.size)), start=ones_tableau(A, b)
             )
             if sol.status is Status.INFEASIBLE:
                 continue
@@ -270,7 +292,7 @@ def certify(
     """Run the adjust-and-certify loop.
 
     Each pass solves the weighted relaxation and classifies its optimal
-    face; pass 1 starts from x = 1 (covering_start), and passes 2..k
+    face; pass 1 starts from x = 1 (ones_tableau), and passes 2..k
     start phase 2 from the previous pass's optimal tableau, which stays
     feasible because only the cost changes. Only a unique optimum reaches
     the verdict, which certifies when the support count is within the
@@ -316,7 +338,7 @@ def certify(
     budget = config.max_weight_iterations
     for k in range(1, budget + 1):
         sol = solve_weighted_lp(
-            inst, c, covering_start(inst.m, inst.n) if sol is None else sol
+            inst, c, ones_tableau(inst.A, inst.b) if sol is None else sol
         )
         if sol.status is not Status.OPTIMAL:
             discrepancies.append(

@@ -54,7 +54,9 @@ def eta_j(A1: np.ndarray, c: Weights, beta: float, col: int) -> tuple:
     c_col - t <= (A^T u)_col <= c_col + beta + t.
 
     The LP starts from the feasible point (u = 0, t = c_col): every row on
-    its slack except row n, where t is basic.
+    its slack except row n, where t is basic. Its tableau is built in
+    closed form: the slack-basis tableau with row n negated, then added to
+    rows 0..n-1, which is the pivot on row n's entry -1 in t's column.
     """
     n = A1.shape[1]
     m = A1.shape[0] - n
@@ -72,13 +74,23 @@ def eta_j(A1: np.ndarray, c: Weights, beta: float, col: int) -> tuple:
     objective[m] = 1.0
     upper = np.full(m + 1, beta)
     upper[m] = INF
-    start = np.arange(m + 1, 2 * m + n + 2)
-    start[n] = m
+    # Rows: the n + 1 of ineq, then u <= beta; columns: (u, t), one slack
+    # per row, the right-hand side.
+    T = np.zeros((n + 1 + m, 2 * m + n + 3))
+    T[: n + 1, : m + 1] = ineq
+    T[n + 1 :, :m] = np.eye(m)
+    np.fill_diagonal(T[:, m + 1 :], 1.0)
+    T[: n + 1, -1] = rhs
+    T[n + 1 :, -1] = beta
+    T[n] = -T[n]
+    T[:n] += T[n]
+    basis = np.arange(m + 1, 2 * m + n + 2)
+    basis[n] = m
     sol = solve(
         LinearProgram(
             objective=objective, ineq_matrix=ineq, ineq_rhs=rhs, upper=upper
         ),
-        start=start,
+        start=(T, basis),
     )
     if sol.status is not Status.OPTIMAL:
         raise LpError(f"residual subproblem ended with status {sol.status.value}")

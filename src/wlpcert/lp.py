@@ -2,11 +2,11 @@
 
 Two-phase primal simplex with Bland's rule (lowest-index tie-breaking,
 deterministic) and optimal-face probing for uniqueness analysis. Phase 1
-starts from a basis, either each inequality and bound row on its own
-slack or a basis the caller lists, and puts an artificial only on the
-rows whose right-hand side that basis leaves negative. A re-solve of the
-same LP under another cost starts from its earlier optimal basis, which
-is feasible, so phase 1 has nothing to do.
+starts from a tableau, either each inequality and bound row on its own
+slack or one the caller builds on another basis, and puts an artificial
+only on the rows whose right-hand side that basis leaves negative. A
+re-solve of the same LP under another cost starts from its earlier
+optimal basis, which is feasible, so phase 1 has nothing to do.
 """
 
 from __future__ import annotations
@@ -61,8 +61,10 @@ class LinearProgram:
             raise ValueError("bound vector must match variable count")
         if np.any(up < 0):
             raise ValueError("negative upper bound")
-        if np.isnan(c).any() or np.isnan(up).any():
-            raise ValueError("NaN in problem data")
+        if not np.isfinite(c).all():
+            raise ValueError("non-finite entry in the objective")
+        if np.isnan(up).any():
+            raise ValueError("NaN in the upper bounds")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "ineq_matrix", inM)
         object.__setattr__(self, "ineq_rhs", inr)
@@ -80,8 +82,10 @@ def _as_rows(M, r, n):
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.size != M.shape[0]:
         raise ValueError("ineq rhs length mismatch")
-    if np.isnan(M).any() or np.isnan(r).any():
-        raise ValueError("NaN in ineq constraints")
+    if not np.isfinite(M).all():
+        raise ValueError("non-finite entry in the ineq matrix")
+    if not np.isfinite(r).all():
+        raise ValueError("non-finite entry in the ineq rhs")
     return M, r
 
 
@@ -116,12 +120,13 @@ def _standardize(lp: LinearProgram):
 
 
 def _pivot(T, basis, row, col):
-    """Make column col basic in row: one rank-1 update over the rows whose
-    column-col entry exceeds ELIM_TOL in magnitude."""
+    """Make column col basic in row: one masked rank-1 update of T in
+    place, over the rows whose column-col entry exceeds ELIM_TOL in
+    magnitude. The other rows are left byte for byte."""
     T[row] /= T[row, col]
     rows = np.abs(T[:, col]) > ELIM_TOL
     rows[row] = False
-    T[rows] -= T[rows, col][:, None] * T[row]
+    np.subtract(T, np.outer(T[:, col], T[row]), out=T, where=rows[:, None])
     basis[row] = col
 
 
@@ -212,39 +217,37 @@ def _iteration_budget(A) -> int:
 def solve(
     lp: LinearProgram,
     max_iters: int | None = None,
-    start: LpSolution | np.ndarray | None = None,
+    start: LpSolution | tuple | None = None,
 ) -> LpSolution:
     """Two-phase simplex; deterministic for fixed input.
 
     Every solve runs phase 1 and then phase 2 from a start tableau, which
     start selects:
     - None: _standardize's tableau on the slack basis;
-    - a basis, one column index of z per row of _standardize's tableau (z
-      is x, then the slack of each inequality row, then the slack of each
-      finite upper bound): that tableau with each listed column pivoted
-      into its row, in row order (_load_basis; ValueError when a pivot
-      entry is not above PIVOT_TOL in magnitude). These pivots count in
-      the solution's iterations, and phases 1 and 2 get what is left of
-      max_iters;
+    - a (tableau, basis) pair that the caller built in closed form:
+      _standardize's tableau with basis[r] made basic in row r, one
+      column index of z per row (z is x, then the slack of each
+      inequality row, then the slack of each finite upper bound). solve
+      takes the pair over and overwrites it; it checks only the shapes
+      (ValueError otherwise; _check_start);
     - an earlier OPTIMAL solution of an LP with lp's constraint matrix,
       right-hand side and upper bounds (ValueError otherwise): a copy of
       its optimal tableau (_start_tableau). Only the cost may differ, so
       that tableau is feasible for lp.
     Phase 1 gives an artificial only to the rows the start leaves
     negative, so a start that is feasible for lp goes to phase 2 with no
-    pivot.
+    pivot. iterations counts the pivots of phases 1 and 2 alone, which
+    share max_iters.
     """
-    loaded = 0
-    if isinstance(start, LpSolution):
+    if start is None:
+        T, basis = _standardize(lp)
+    elif isinstance(start, LpSolution):
         T, basis = _start_tableau(lp, start)
     else:
-        T, basis = _standardize(lp)
-        if start is not None:
-            loaded = _load_basis(T, basis, start)
+        T, basis = _check_start(lp, *start)
     if max_iters is None:
         max_iters = _iteration_budget(T[:, :-1])
-    status, it1, T, basis = _phase1(T, basis, max_iters - loaded)
-    it1 += loaded
+    status, it1, T, basis = _phase1(T, basis, max_iters)
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, (), it1)
     c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
@@ -264,24 +267,27 @@ def solve(
     )
 
 
-def _load_basis(T, basis, columns) -> int:
-    """Pivot each listed column into its row of the slack-basis tableau T,
-    in row order, skipping a row whose column is already basic there.
-    Returns the number of pivots. T and basis are overwritten."""
-    columns = np.asarray(columns, dtype=int).reshape(-1)
-    if columns.shape != basis.shape:
+def _check_shape(lp: LinearProgram, T):
+    """ValueError unless T has the shape of lp's _standardize tableau."""
+    rows = lp.ineq_rhs.size + int(np.isfinite(lp.upper).sum())
+    if T.shape != (rows, lp.nvars + rows + 1):
         raise ValueError(
-            f"start basis lists {columns.size} columns, the LP has {basis.size} rows"
+            f"start tableau has {T.shape[0]} rows and {T.shape[1] - 1} columns, "
+            f"the LP needs {rows} and {lp.nvars + rows}"
         )
-    loaded = 0
-    for row, col in enumerate(columns.tolist()):
-        if basis[row] == col:
-            continue
-        if not 0 <= col < T.shape[1] - 1 or abs(T[row, col]) <= PIVOT_TOL:
-            raise ValueError(f"start basis cannot pivot column {col} into row {row}")
-        _pivot(T, basis, row, col)
-        loaded += 1
-    return loaded
+
+
+def _check_start(lp: LinearProgram, T, basis):
+    """The (tableau, basis) start of lp, with basis as an index array;
+    ValueError unless the tableau has lp's shape and basis lists one
+    column per row. The basic columns themselves are taken as built."""
+    _check_shape(lp, T)
+    basis = np.asarray(basis, dtype=np.intp)
+    if basis.shape != T.shape[:1]:
+        raise ValueError(
+            f"start basis lists {basis.size} columns, the LP has {T.shape[0]} rows"
+        )
+    return T, basis
 
 
 def _start_tableau(lp: LinearProgram, start: LpSolution):
@@ -298,12 +304,7 @@ def _start_tableau(lp: LinearProgram, start: LpSolution):
             f"no optimal tableau to start from: the LP status is {start.status.value}"
         )
     T, basis, _ = start._optimum
-    rows = lp.ineq_rhs.size + int(np.isfinite(lp.upper).sum())
-    if T.shape != (rows, lp.nvars + rows + 1):
-        raise ValueError(
-            f"start tableau has {T.shape[0]} rows and {T.shape[1] - 1} columns, "
-            f"the LP needs {rows} and {lp.nvars + rows}"
-        )
+    _check_shape(lp, T)
     prev = start._lp
     if not (
         np.array_equal(lp.ineq_matrix, prev.ineq_matrix)
@@ -327,9 +328,14 @@ def optimal_face_range(sol: LpSolution, variables) -> list:
     cost exceeds COST_TOL and the face is the basic point alone
     (Mangasarian's uniqueness condition), read off the right-hand side.
     Otherwise each probe minimizes or maximizes its variable by phase 2 on
-    a copy of the tableau restricted to the kept columns, starting from
-    the optimum. A variable whose column is dropped has range (0, 0). sol
-    is not modified.
+    the tableau restricted to the kept columns, starting from the optimum.
+    A probe whose objective has no improving reduced cost there ends at
+    the optimum with no pivot, so its end is read off the right-hand side
+    with no copy of the tableau: for a variable basic in row r, the
+    minimum when no nonbasic kept entry of row r exceeds COST_TOL and the
+    maximum when none is below -COST_TOL; for a nonbasic one, the minimum.
+    Every other probe runs on its own copy. A variable whose column is
+    dropped has range (0, 0). sol is not modified.
     """
     if sol._optimum is None:
         raise ValueError(f"no optimal face: the LP status is {sol.status.value}")
@@ -345,18 +351,33 @@ def optimal_face_range(sol: LpSolution, variables) -> list:
     position = keep.cumsum() - 1
     face_basis = position[basis]
     max_iters = _iteration_budget(face[:, :-1])
+    # The optimum over the kept columns, as phase 2 returns it.
+    z = np.zeros(face.shape[1] - 1)
+    z[face_basis] = T[:, -1]
+    free = keep.copy()
+    free[basis] = False
+    entries = T[:, :-1][:, free]
+    min_stays = ~(entries > COST_TOL).any(axis=1)
+    max_stays = ~(entries < -COST_TOL).any(axis=1)
+    row_of = np.full(keep.size, -1)
+    row_of[basis] = np.arange(basis.size)
     ranges = []
     for var in variables:
         if not keep[var]:
             ranges.append((0.0, 0.0))
             continue
-        e = np.zeros(face.shape[1] - 1)
+        e = np.zeros(z.size)
         e[position[var]] = 1.0
+        row = row_of[var]
+        stays = (True, False) if row < 0 else (min_stays[row], max_stays[row])
         ends = []
-        for obj in (e, -e):
-            status, _, z = _phase2(face.copy(), face_basis.copy(), obj, max_iters)
-            if status is Status.OPTIMAL:
+        for obj, stay in zip((e, -e), stays):
+            if stay:
                 ends.append(float(obj @ z))
+                continue
+            status, _, end = _phase2(face.copy(), face_basis.copy(), obj, max_iters)
+            if status is Status.OPTIMAL:
+                ends.append(float(obj @ end))
             elif status is Status.UNBOUNDED:
                 ends.append(-INF)
             else:

@@ -5,13 +5,16 @@ LP minima come from enumerating candidate vertices as solutions of n
 active constraints chosen from the stacked constraint rows.
 `reference_solve` is the row-by-row two-phase simplex that the
 vectorised `wlpcert.lp.solve` must reproduce pivot for pivot, cold, from
-a listed basis and from an earlier optimal tableau of the same LP under
-another cost; it builds its own tableau and shares no code with
-`wlpcert.lp`. `all_artificial_solve` starts the same simplex with an
-artificial on every row. `residual` is the largest constraint
-violation of a point.
-`reference_face_range` probes the optimal face on the LP with its
-objective pinned to the optimal value, from a fresh phase 1.
+a basis (listed here, built in closed form there) and from an earlier
+optimal tableau of the same LP under another cost; it builds its own
+tableau and shares no code with `wlpcert.lp`. `all_artificial_solve`
+starts the same simplex with an artificial on every row. `residual` is
+the largest constraint violation of a point.
+`reference_loaded_tableau` is that simplex's start tableau on a listed
+basis, loaded by pivots. `reference_face_range` probes the optimal face
+on the LP with its objective pinned to the optimal value, from a fresh
+phase 1; `probe_every_face_range` runs every probe of
+`wlpcert.optimal_face_range` from the optimal tableau.
 `gamma_hat_exact` re-derives `wlpcert.gamma_hat_closed_form` by one
 simplex LP per support pattern. `eager_certify` runs the certify loop in
 its earlier order, with the full verdict on every pass; its weighted LP
@@ -39,7 +42,7 @@ from wlpcert.certify import (
     brute_force_ip,
     classify_case,
     covering_lp,
-    covering_start,
+    ones_tableau,
     solve_weighted_lp,
 )
 from wlpcert.goodness import beta_bar, sufficient_verdict
@@ -264,27 +267,36 @@ def _budget(T):
     return 50 * (m + N + m)
 
 
+def reference_loaded_tableau(lp, start):
+    """(T, basis, loaded): _reference_tableau with each column listed in
+    start pivoted, row by row, into its row where it is not already
+    basic; loaded counts those pivots."""
+    T, basis = _reference_tableau(lp)
+    loaded = 0
+    for row, col in enumerate(start):
+        if basis[row] != col:
+            _reference_pivot(T, basis, row, int(col))
+            loaded += 1
+    return T, basis, loaded
+
+
 def reference_solve(lp, max_iters=None, start=None):
     """Two-phase simplex with Bland's rule, one tableau row at a time.
 
     Without start, phase 1 starts on _reference_tableau's slack basis. With
-    start a list of one column per row, it starts on that tableau after
-    pivoting, row by row, each listed column into its row where it is not
-    already basic; those pivots count as iterations. With start an earlier
-    optimal solution of lp under another cost, it starts on a copy of
-    start's optimal tableau and basis. Either way each row whose entry is
-    below -PIVOT_TOL is negated and gets an artificial, and phase 2 runs
-    under lp's cost."""
+    start a list of one column per row, it starts on
+    reference_loaded_tableau's tableau; those loading pivots count as
+    iterations and spend max_iters. With start an earlier optimal solution
+    of lp under another cost, it starts on a copy of start's optimal
+    tableau and basis. Either way each row whose entry is below -PIVOT_TOL
+    is negated and gets an artificial, and phase 2 runs under lp's cost."""
     loaded = 0
     if isinstance(start, LpSolution):
         T, basis = _reference_start(lp, start)
+    elif start is not None:
+        T, basis, loaded = reference_loaded_tableau(lp, start)
     else:
         T, basis = _reference_tableau(lp)
-        if start is not None:
-            for row, col in enumerate(start):
-                if basis[row] != col:
-                    _reference_pivot(T, basis, row, int(col))
-                    loaded += 1
     if max_iters is None:
         max_iters = _budget(T)
     art_rows = [i for i in range(T.shape[0]) if T[i, -1] < -PIVOT_TOL]
@@ -387,6 +399,43 @@ def reference_face_range(lp: LinearProgram, opt_value: float, variables) -> list
     return ranges
 
 
+def probe_every_face_range(sol: LpSolution, variables) -> list:
+    """`wlpcert.optimal_face_range(sol, variables)` with every probe run.
+
+    The face is sol's optimal tableau restricted to the columns whose
+    reduced cost is at most COST_TOL; a variable outside it has range
+    (0, 0). Each variable in it is minimized and maximized by the row-loop
+    phase 2 on a copy of that face, from the optimal basis, even where the
+    basis already proves the end."""
+    T, basis, cost = sol._optimum
+    reduced = cost - cost[basis] @ T[:, :-1]
+    reduced[basis] = 0.0
+    keep = reduced <= COST_TOL
+    columns = [k for k in range(keep.size) if keep[k]]
+    face = T[:, columns + [T.shape[1] - 1]]
+    face_basis = [columns.index(k) for k in basis.tolist()]
+    ranges = []
+    for var in variables:
+        if not keep[var]:
+            ranges.append((0.0, 0.0))
+            continue
+        e = np.zeros(len(columns))
+        e[columns.index(var)] = 1.0
+        ends = []
+        for obj in (e, -e):
+            status, _, z = _reference_phase2(
+                face.copy(), list(face_basis), obj, _budget(face)
+            )
+            if status is Status.OPTIMAL:
+                ends.append(float(obj @ z))
+            elif status is Status.UNBOUNDED:
+                ends.append(-INF)
+            else:
+                raise LpError(f"face probe ended with status {status.value}")
+        ranges.append((ends[0], -ends[1]))
+    return ranges
+
+
 def reference_case(sol: LpSolution, lp: LinearProgram) -> CaseKind:
     """`wlpcert.classify_case(sol)` on the face ranges of
     reference_face_range, which re-solves lp, the weighted LP that sol
@@ -466,7 +515,7 @@ def eager_certify(inst, max_weight_iterations=10):
     for _ in range(max_weight_iterations):
         ok, report = sufficient_verdict(A1, c, beta_bar(A1, c))
         lp = covering_lp(inst.A, inst.b, c.c)
-        sol = solve(lp, start=covering_start(inst.m, inst.n))
+        sol = solve(lp, start=ones_tableau(inst.A, inst.b))
         if sol.status is not Status.OPTIMAL:
             cases.append(None)
             break
@@ -514,7 +563,7 @@ def full_loop_certify(inst, config=CertifyConfig(), weights=None) -> Certificate
     sol = None
     for _ in range(config.max_weight_iterations):
         sol = solve_weighted_lp(
-            inst, c, covering_start(inst.m, inst.n) if sol is None else sol
+            inst, c, ones_tableau(inst.A, inst.b) if sol is None else sol
         )
         if sol.status is not Status.OPTIMAL:
             discrepancies.append(

@@ -17,9 +17,7 @@ from wlpcert import (
     to_standard_form,
 )
 from wlpcert.goodness import STRICT_GUARD, _s_star_from
-from wlpcert.lp import LpSolution, _load_basis, _standardize
-
-from _oracles import gamma_hat_exact
+from _oracles import gamma_hat_exact, reference_loaded_tableau
 from conftest import workload_cases
 
 
@@ -96,24 +94,26 @@ class TestEta:
             )
 
     def test_every_solve_starts_from_closed_form_point(self, sf1, ones3, monkeypatch):
-        # Each LP starts from a listed basis whose point is the feasible
-        # (u = 0, t = c_j), in a verdict and on its own.
+        # Each LP starts from a tableau whose point is the feasible
+        # (u = 0, t = c_j), in a verdict and on its own: the slack-basis
+        # tableau with t loaded into row n by one pivot.
         goodness = importlib.import_module("wlpcert.goodness")
         solve = goodness.solve
         calls = []
 
-        def counted(lp, *args, **kwargs):
-            calls.append((lp, kwargs.get("start")))
-            return solve(lp, *args, **kwargs)
+        def counted(lp, *args, start, **kwargs):
+            calls.append((lp, tuple(a.copy() for a in start)))
+            return solve(lp, *args, start=start, **kwargs)
 
         monkeypatch.setattr(goodness, "solve", counted)
         sufficient_verdict(sf1, ones3)
         eta_j(sf1, ones3, 0.5, 2)
         assert len(calls) == 4
-        for lp, used in calls:
-            assert not isinstance(used, LpSolution)
-            T, basis = _standardize(lp)
-            assert _load_basis(T, basis, used) == 1
+        for lp, (T, basis) in calls:
+            loaded_T, loaded_basis, loaded = reference_loaded_tableau(lp, basis)
+            assert loaded == 1
+            assert (T + 0.0).tobytes() == (loaded_T + 0.0).tobytes()
+            assert basis.tolist() == loaded_basis
             assert np.all(T[:, -1] >= 0)
             z = np.zeros(T.shape[1] - 1)
             z[basis] = T[:, -1]

@@ -22,13 +22,12 @@ from wlpcert import (
     solve_weighted_lp,
     to_standard_form,
 )
-from wlpcert.certify import covering_start
+from wlpcert.certify import ones_tableau
 from wlpcert.lp import (
     COST_TOL,
     INF,
     PIVOT_TOL,
     _iteration_budget,
-    _load_basis,
     _phase1,
     _phase2,
     _standardize,
@@ -39,6 +38,7 @@ from _oracles import (
     enumerate_lp_minimum,
     pin_objective,
     reference_face_range,
+    reference_loaded_tableau,
     reference_solve,
     residual,
 )
@@ -128,6 +128,33 @@ class TestSolve:
             assert residual(lp, sol.x) <= 1e-8
 
 
+class TestNonFiniteData:
+    """LinearProgram rejects a non-finite entry in its objective, constraint
+    matrix or right-hand side; an upper bound may be +inf."""
+
+    @pytest.mark.parametrize("value", [INF, -INF, np.nan])
+    def test_objective_raises(self, value):
+        # With [inf, 1] solve returned OPTIMAL with value nan.
+        with pytest.raises(ValueError, match="non-finite entry in the objective"):
+            LinearProgram(objective=[value, 1.0])
+
+    @pytest.mark.parametrize("value", [INF, -INF, np.nan])
+    def test_ineq_matrix_raises(self, value):
+        with pytest.raises(ValueError, match="non-finite entry in the ineq matrix"):
+            LinearProgram(objective=[1.0], ineq_matrix=[[value]], ineq_rhs=[1.0])
+
+    @pytest.mark.parametrize("value", [INF, -INF, np.nan])
+    def test_ineq_rhs_raises(self, value):
+        # With rhs inf solve returned OPTIMAL with x = [inf] and value -inf
+        # for this LP, which is unbounded.
+        with pytest.raises(ValueError, match="non-finite entry in the ineq rhs"):
+            LinearProgram(objective=[-1.0], ineq_matrix=[[1.0]], ineq_rhs=[value])
+
+    def test_infinite_upper_bound_is_no_bound(self):
+        lp = LinearProgram(objective=[-1.0], upper=[INF])
+        assert solve(lp).status is Status.UNBOUNDED
+
+
 class TestOptimalFace:
     def test_unique_vertex_has_zero_width(self, ex1, ones3):
         ranges = optimal_face_range(solve_weighted_lp(ex1, ones3), range(3))
@@ -154,12 +181,13 @@ class TestOptimalFace:
             assert hi == pytest.approx(1.0, abs=1e-9)
 
 
-def _fingerprint(sol, lp):
+def _fingerprint(sol, lp, loaded=0):
+    """sol's status, iterations plus loaded, basis, value, x and residual."""
     if sol.x is None:
         x = res = None
     else:
         x, res = (sol.x + 0.0).tobytes(), repr(residual(lp, sol.x))
-    return sol.status, sol.iterations, sol.basis, repr(sol.value), x, res
+    return sol.status, sol.iterations + loaded, sol.basis, repr(sol.value), x, res
 
 
 @pytest.fixture
@@ -193,12 +221,13 @@ def _small_cases(monkeypatch):
 def _started_solves(monkeypatch, module_names, cases, warm=True):
     """(lp, start) of every solve that the named modules make from a start
     while certify runs on each (instance, config, weights) case: from an
-    earlier optimum when warm, from a listed basis otherwise."""
+    earlier optimum when warm, otherwise a copy of the (tableau, basis)
+    start, which solve overwrites."""
     solves = []
 
     def record(lp, *args, start=None, **kwargs):
         if start is not None and isinstance(start, LpSolution) == warm:
-            solves.append((lp, start))
+            solves.append((lp, start if warm else tuple(a.copy() for a in start)))
         return solve(lp, *args, start=start, **kwargs)
 
     for name in module_names:
@@ -227,9 +256,9 @@ def warm_passes(warm_cases, monkeypatch):
 
 @pytest.fixture
 def basis_solves(warm_cases, monkeypatch):
-    """(lp, start) of every solve that certify starts from a listed basis
-    on warm_cases: each first pass and branch-and-bound node from x = 1,
-    each eta_j from (u = 0, t = c_j)."""
+    """(lp, (tableau, basis)) of every solve that certify starts from a
+    closed-form tableau on warm_cases: each first pass and branch-and-bound
+    node from x = 1, each eta_j from (u = 0, t = c_j)."""
     return _started_solves(
         monkeypatch, ["wlpcert.certify", "wlpcert.goodness"], warm_cases, warm=False
     )
@@ -261,15 +290,22 @@ class TestPivotIdentity:
     def test_basis_starts(self, basis_solves):
         # From x = 1: 9 weighted and node LPs on the first five inputs and
         # 144 on the small inputs, one of them infeasible. From
-        # (u = 0, t = c_j): every eta_j LP, 19 and 190.
+        # (u = 0, t = c_j): every eta_j LP, 19 and 190. The reference loads
+        # the same tableau, up to signed zeros, by pivots, which count in its
+        # iterations: n for x = 1, 1 for an eta_j LP. Its budget is raised
+        # by as many, so both simplexes have the same budget left.
         assert len(basis_solves) == 9 + 144 + 19 + 190
         statuses = []
-        for lp, start in basis_solves:
-            sol = solve(lp, start=start)
+        for lp, (T, basis) in basis_solves:
+            listed = basis.tolist()
+            loaded_T, _, loaded = reference_loaded_tableau(lp, listed)
+            assert (T + 0.0).tobytes() == (loaded_T + 0.0).tobytes()
+            assert loaded == (1 if lp.upper[-1] == INF else lp.nvars)
+            budget = _iteration_budget(T[:, :-1])
+            sol = solve(lp, start=(T, basis))
             statuses.append(sol.status)
-            assert _fingerprint(sol, lp) == _fingerprint(
-                reference_solve(lp, start=start), lp
-            )
+            reference = reference_solve(lp, budget + loaded, start=listed)
+            assert _fingerprint(sol, lp, loaded) == _fingerprint(reference, lp)
         assert statuses.count(Status.INFEASIBLE) == 1
 
     @pytest.mark.parametrize("max_iters", range(1, 6))
@@ -449,57 +485,58 @@ class TestSlackStart:
 
 
 class TestBasisStart:
-    """solve(lp, start=basis) pivots each listed column into its row of the
-    slack-basis tableau, counts those pivots, and then runs phase 1 only on
-    the rows that basis leaves negative."""
+    """solve(lp, start=(tableau, basis)) starts from a tableau built on
+    another basis, counts no loading pivot, and runs phase 1 only on the
+    rows that basis leaves negative."""
 
     def test_slack_basis_is_the_slack_start(self, certificate_lps):
         for lp in certificate_lps:
-            _, basis = _standardize(lp)
-            listed = solve(lp, start=basis)
+            listed = solve(lp, start=_standardize(lp))
             assert _fingerprint(listed, lp) == _fingerprint(solve(lp), lp)
 
     def test_feasible_basis_skips_phase1(self, ex1):
-        # x = 1 covers example 1, so its start takes 3 loading pivots and
-        # phase 1 none; every pivot after them is phase 2's.
+        # x = 1 covers example 1, so phase 1 takes no pivot from its
+        # tableau; every pivot is phase 2's, and the reference takes 3
+        # loading pivots more.
         lp = covering_lp(ex1.A, ex1.b, np.ones(3))
-        T, basis = _standardize(lp)
-        assert _load_basis(T, basis, covering_start(3, 3)) == 3
+        T, basis = ones_tableau(ex1.A, ex1.b)
         assert np.all(T[:, -1] >= 0)
+        listed = basis.tolist()
         status, used, _, _ = _phase1(T, basis, 100)
         assert status is Status.OPTIMAL and used == 0
-        sol = solve(lp, start=covering_start(3, 3))
+        sol = solve(lp, start=ones_tableau(ex1.A, ex1.b))
         assert sol.value == pytest.approx(solve(lp).value, rel=0, abs=1e-12)
-        assert sol.iterations >= 3
+        reference = reference_solve(lp, start=listed)
+        assert _fingerprint(sol, lp, 3) == _fingerprint(reference, lp)
 
     @pytest.mark.parametrize("max_iters", range(1, 8))
     def test_loading_pivots_spend_the_budget(self, max_iters, ex1, ex2, ex3):
-        # The last LP is infeasible, so phase 1 runs after its 2 loading
-        # pivots. Loading always completes; phases 1 and 2 then take at
-        # most what is left of max_iters.
+        # The reference's n loading pivots spend its budget; the closed-form
+        # tableau has none to spend, so phases 1 and 2 get all of max_iters
+        # and match the reference given n more. The last LP is infeasible,
+        # so phase 1 runs.
         cover = ZeroOneInstance(A=np.ones((1, 2)), b=np.array([3.0]))
         for inst in (ex1, ex2, ex3, cycle_instance(9), cover):
             lp = covering_lp(inst.A, inst.b, np.ones(inst.n))
-            start = covering_start(inst.m, inst.n)
-            sol = solve(lp, max_iters, start=start)
-            assert sol.iterations <= max(max_iters, inst.n)
-            assert _fingerprint(sol, lp) == _fingerprint(
-                reference_solve(lp, max_iters, start=start), lp
+            T, basis = ones_tableau(inst.A, inst.b)
+            listed = basis.tolist()
+            sol = solve(lp, max_iters, start=(T, basis))
+            assert sol.iterations <= max_iters
+            assert _fingerprint(sol, lp, inst.n) == _fingerprint(
+                reference_solve(lp, max_iters + inst.n, start=listed), lp
             )
 
     def test_wrong_length_raises(self, ex1):
         lp = covering_lp(ex1.A, ex1.b, np.ones(3))
+        T, _ = ones_tableau(ex1.A, ex1.b)
         with pytest.raises(ValueError, match="lists 5 columns"):
-            solve(lp, start=np.arange(5))
+            solve(lp, start=(T, np.arange(5)))
 
-    @pytest.mark.parametrize("column", [4, 9, -1])
-    def test_unpivotable_column_raises(self, ex1, column):
-        # Column 4 is row 1's slack, basic there, so its row-0 entry is 0;
-        # the LP has columns 0..8, x and six slacks.
+    def test_wrong_shape_raises(self, ex1, ex2):
         lp = covering_lp(ex1.A, ex1.b, np.ones(3))
-        start = np.concatenate([[column], np.arange(4, 9)])
-        with pytest.raises(ValueError, match=f"column {column} into row 0"):
-            solve(lp, start=start)
+        T, basis = ones_tableau(ex2.A[:2], ex2.b[:2])
+        with pytest.raises(ValueError, match="5 rows and 8 columns"):
+            solve(lp, start=(T, basis))
 
 
 class TestFaceRangeMatchesProbes:

@@ -131,3 +131,40 @@ def test_compare_prints_only_moved_inputs(capsys, tmp_path):
         f"  after  {outcome.strip()}",
         "1 of 5 outcomes differ",
     ]
+
+
+def test_solves_compare_prints_only_moved_solves(capsys, tmp_path):
+    tool = _tool()
+    argv = ["--workload", "ladder", "--seed", "1", "--solves"]
+    assert tool.main(argv + ["--list"]) == 0
+    saved = capsys.readouterr().out
+    *records, last = saved.splitlines(keepends=True)
+    assert len(records) == 18
+    assert last.startswith("ladder seed 1: ") and last.endswith(" over 18 solves\n")
+    name, record = records[0].split(maxsplit=1)
+    assert name == "0"
+    assert sorted(json.loads(record)) == ["basis", "iterations", "status", "value", "x"]
+    path = tmp_path / "before.txt"
+    path.write_text(saved, encoding="utf-8")
+    compare = argv + ["--compare", str(path)]
+    assert tool.main(compare) == 0
+    assert capsys.readouterr().out == "0 of 18 solves differ\n"
+
+    # Move one saved record's iterations and add a solve the run lacks:
+    # each is printed with the fields that moved.
+    edited = json.loads(record)
+    edited["iterations"] += 1
+    extra = dict(edited, status="infeasible")
+    lines = [f"  0 {json.dumps(edited, sort_keys=True)}\n", *records[1:]]
+    lines += [f"  18 {json.dumps(extra, sort_keys=True)}\n", last]
+    path.write_text("".join(lines), encoding="utf-8")
+    assert tool.main(compare) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ladder seed 1 solve 0: iterations",
+        f"  before {json.dumps(edited, sort_keys=True)}",
+        f"  after  {record.strip()}",
+        "ladder seed 1 solve 18: basis iterations status value x",
+        f"  before {json.dumps(extra, sort_keys=True)}",
+        "  after  null",
+        "2 of 19 solves differ",
+    ]

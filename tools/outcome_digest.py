@@ -3,6 +3,8 @@
     python3 tools/outcome_digest.py --workload ladder small --seed 1 2 [--list]
     python3 tools/outcome_digest.py --workload ladder --seed 1 --compare before.txt
     python3 tools/outcome_digest.py --workload ladder small --seed 1 --solves
+    python3 tools/outcome_digest.py --workload ladder --seed 1 --solves --list
+    python3 tools/outcome_digest.py --workload ladder --seed 1 --solves --compare before.txt
 
 Run from anywhere inside a source checkout: the package is imported from
 its `src/` and the inputs are built by its `perfbench/workloads.py`. For
@@ -20,11 +22,14 @@ Two commits with equal digests gave the same outcome on every input.
 reported input by input. --compare LIST_FILE reads the output of an
 earlier --list run and prints, in place of the digests, only the inputs
 whose outcome differs from it (workload, seed, name, before, after), then
-their count; an input missing from the file counts as differing.
---solves prints, in place of the outcome digest, a digest of every
-`lp.solve` result that the inputs' runs produce, in call order: its
-status, iterations, basis, repr(value) and the bytes of x + 0.0. Equal
-solve digests mean that every LP took the same pivots to the same point.
+their count; an input missing from either side counts as differing.
+--solves puts solves in place of inputs: one record per `lp.solve`
+result that the inputs' runs produce, named by its place in call order,
+with its status, iterations, basis, repr(value) and a sha256 prefix of
+the bytes of x + 0.0. It prints a digest of the records and their count;
+equal solve digests mean that every LP took the same pivots to the same
+point. --list also prints each record, and --compare each solve whose
+record moved, with the fields that moved.
 """
 
 from __future__ import annotations
@@ -118,16 +123,15 @@ def recorded_solves():
             module.solve = original
 
 
-def solves_digest(workloads, workload: str, seed: int) -> str:
-    with recorded_solves() as solves:
-        outcomes(workloads, workload, seed)
-    h = hashlib.sha256()
-    for sol in solves:
-        head = (sol.status.value, sol.iterations, sol.basis, repr(sol.value))
-        x = b"" if sol.x is None else (sol.x + 0.0).tobytes()
-        record = repr(head).encode() + x
-        h.update(len(record).to_bytes(8, "little") + record)
-    return f"{h.hexdigest()[:16]} over {len(solves)} solves"
+def solve_record(sol) -> dict:
+    x = b"" if sol.x is None else (sol.x + 0.0).tobytes()
+    return {
+        "status": sol.status.value,
+        "iterations": sol.iterations,
+        "basis": list(sol.basis),
+        "value": repr(sol.value),
+        "x": hashlib.sha256(x).hexdigest()[:16],
+    }
 
 
 def read_list(path) -> dict:
@@ -167,10 +171,10 @@ def main(argv=None) -> int:
         metavar="LIST_FILE",
         help="print only the inputs whose outcome differs from a saved --list run",
     )
-    mode.add_argument(
+    parser.add_argument(
         "--solves",
         action="store_true",
-        help="digest every lp.solve result instead of the outcomes",
+        help="digest, list or compare every lp.solve result instead of the outcomes",
     )
     args = parser.parse_args(argv)
     saved = None if args.compare is None else read_list(args.compare)
@@ -178,26 +182,45 @@ def main(argv=None) -> int:
     for workload in args.workload:
         for seed in args.seed:
             if args.solves:
-                digest_line = solves_digest(workloads, workload, seed)
-                print(f"{workload} seed {seed}: {digest_line}")
-                continue
-            results = outcomes(workloads, workload, seed)
+                with recorded_solves() as solves:
+                    outcomes(workloads, workload, seed)
+                results = [(str(i), solve_record(sol)) for i, sol in enumerate(solves)]
+                digest_line = f"{digest(results)} over {len(results)} solves"
+            else:
+                results = outcomes(workloads, workload, seed)
+                digest_line = digest(results)
             if saved is None:
                 if args.list:
                     for name, outcome in results:
                         print(f"  {name} {json.dumps(outcome, sort_keys=True)}")
-                print(f"{workload} seed {seed}: {digest(results)}")
+                print(f"{workload} seed {seed}: {digest_line}")
                 continue
-            total += len(results)
-            for name, outcome in results:
+            names = [name for name, _ in results]
+            gone = [
+                key[2]
+                for key in saved
+                if key[:2] == (workload, seed) and key[2] not in names
+            ]
+            after = dict(results)
+            total += len(names) + len(gone)
+            for name in names + gone:
                 before = saved.get((workload, seed, name))
-                if before != outcome:
-                    moved += 1
+                outcome = after.get(name)
+                if before == outcome:
+                    continue
+                moved += 1
+                if args.solves:
+                    was, now = before or {}, outcome or {}
+                    fields = sorted(
+                        key for key in was.keys() | now.keys() if was.get(key) != now.get(key)
+                    )
+                    print(f"{workload} seed {seed} solve {name}: {' '.join(fields)}")
+                else:
                     print(f"{workload} seed {seed} {name}")
-                    print(f"  before {json.dumps(before, sort_keys=True)}")
-                    print(f"  after  {json.dumps(outcome, sort_keys=True)}")
+                print(f"  before {json.dumps(before, sort_keys=True)}")
+                print(f"  after  {json.dumps(outcome, sort_keys=True)}")
     if saved is not None:
-        print(f"{moved} of {total} outcomes differ")
+        print(f"{moved} of {total} {'solves' if args.solves else 'outcomes'} differ")
     return 0
 
 
