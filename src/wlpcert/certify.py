@@ -152,7 +152,12 @@ def ones_tableau(A, b) -> tuple:
 def solve_weighted_lp(
     inst: ZeroOneInstance, c: Weights, start: LpSolution | tuple | None = None
 ) -> LpSolution:
-    return solve(covering_lp(inst.A, inst.b, c.c), start=start)
+    """covering_lp(inst.A, inst.b, c.c) solved from start: a (tableau,
+    basis) of that LP, such as ones_tableau's, or an earlier optimal
+    solution of it; from the slack basis when start is None."""
+    if start is None:
+        return solve(covering_lp(inst.A, inst.b, c.c))
+    return solve(c.c, start=start)
 
 
 def classify_case(sol: LpSolution) -> CaseKind:
@@ -189,10 +194,9 @@ def adjust_weights(x_star) -> Weights:
     """
     x = np.asarray(x_star, dtype=float).reshape(-1)
     n = x.size
-    order = sorted(range(n), key=lambda i: (-x[i], i))
     weights = np.empty(n)
-    for rank, idx in enumerate(order):
-        weights[idx] = 1.0 + 0.25 * (rank / (n - 1) if n > 1 else 0.0)
+    ranks = np.arange(n) / max(n - 1, 1)
+    weights[np.argsort(-x, kind="stable")] = 1.0 + 0.25 * ranks
     return Weights(c=weights / weights.max())
 
 
@@ -257,9 +261,7 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
             if not free.size:
                 continue
             A, b = inst.A[np.ix_(rows, free)], rhs[rows]
-            sol = solve(
-                covering_lp(A, b, np.ones(free.size)), start=ones_tableau(A, b)
-            )
+            sol = solve(np.ones(free.size), start=ones_tableau(A, b))
             if sol.status is Status.INFEASIBLE:
                 continue
             if sol.status is not Status.OPTIMAL:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Weights, ZERO_TOL
-from .lp import INF, LinearProgram, LpError, Status, solve
+from .lp import INF, LpError, Status, solve
 
 # Strict-inequality guard band for threshold comparisons.
 STRICT_GUARD = 1e-10
@@ -66,32 +66,25 @@ def eta_j(A1: np.ndarray, c: Weights, beta: float, col: int) -> tuple:
         raise ValueError("box bound must be positive and finite")
     At = A1[:m].T
     cj = float(c.c[col])
-    ineq = np.hstack([np.vstack([At, -At[col]]), -np.ones((n + 1, 1))])
-    rhs = np.full(n + 1, beta)
-    rhs[col] += cj
-    rhs[n] = -cj
-    objective = np.zeros(m + 1)
-    objective[m] = 1.0
-    upper = np.full(m + 1, beta)
-    upper[m] = INF
-    # Rows: the n + 1 of ineq, then u <= beta; columns: (u, t), one slack
-    # per row, the right-hand side.
+    # Rows: (A^T u)_k - t <= beta (+ c_col in row col), -(A^T u)_col - t <=
+    # -c_col in row n, then u <= beta; columns: (u, t), one slack per row,
+    # the right-hand side.
     T = np.zeros((n + 1 + m, 2 * m + n + 3))
-    T[: n + 1, : m + 1] = ineq
-    T[n + 1 :, :m] = np.eye(m)
+    T[:n, :m] = At
+    T[n, :m] = -At[col]
+    T[: n + 1, m] = -1.0
+    np.fill_diagonal(T[n + 1 :, :m], 1.0)
     np.fill_diagonal(T[:, m + 1 :], 1.0)
-    T[: n + 1, -1] = rhs
-    T[n + 1 :, -1] = beta
+    T[:, -1] = beta
+    T[col, -1] += cj
+    T[n, -1] = -cj
     T[n] = -T[n]
     T[:n] += T[n]
     basis = np.arange(m + 1, 2 * m + n + 2)
     basis[n] = m
-    sol = solve(
-        LinearProgram(
-            objective=objective, ineq_matrix=ineq, ineq_rhs=rhs, upper=upper
-        ),
-        start=(T, basis),
-    )
+    cost = np.zeros(m + 1)
+    cost[m] = 1.0
+    sol = solve(cost, start=(T, basis))
     if sol.status is not Status.OPTIMAL:
         raise LpError(f"residual subproblem ended with status {sol.status.value}")
     u = sol.x[:m]

@@ -100,9 +100,6 @@ class LpSolution:
     # read by `optimal_face_range` and by a solve started from it; None
     # unless the status is OPTIMAL.
     _optimum: tuple | None = field(default=None, repr=False)
-    # The LP solved, set with _optimum: a solve started from this solution
-    # checks that only the cost differs from it.
-    _lp: LinearProgram | None = field(default=None, repr=False)
 
 
 def _standardize(lp: LinearProgram):
@@ -126,37 +123,39 @@ def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
     rows = np.abs(T[:, col]) > ELIM_TOL
     rows[row] = False
-    np.subtract(T, np.outer(T[:, col], T[row]), out=T, where=rows[:, None])
+    np.subtract(T, T[:, col, None] * T[row], out=T, where=rows[:, None])
     basis[row] = col
 
 
 def _iterate(T, basis, cost, max_iters):
     """Bland's rule loop on a tableau whose basic columns are identified."""
     used = 0
-    ncols = T.shape[1] - 1
+    body, rhs = T[:, :-1], T[:, -1]
     while used < max_iters:
-        reduced = cost - cost[basis] @ T[:, :ncols]
-        candidates = reduced < -COST_TOL
-        candidates[basis] = False
-        entering = int(candidates.argmax())
-        if not candidates[entering]:
+        reduced = cost - cost[basis] @ body
+        reduced[basis] = 0.0
+        eligible = (reduced < -COST_TOL).nonzero()[0]
+        if not eligible.size:
             return Status.OPTIMAL, used
-        col = T[:, entering]
+        entering = int(eligible[0])
+        col = body[:, entering]
         rows = (col > PIVOT_TOL).nonzero()[0]
         if not rows.size:
             return Status.UNBOUNDED, used
-        ratios = (T[rows, -1] / col[rows]).tolist()
-        keys = basis[rows].tolist()
-        # Bland's sequential scan: a ratio within PIVOT_TOL of the best so
-        # far ties, and a tie goes to the lower basic variable index.
-        best, best_ratio = 0, ratios[0]
-        for k in range(1, len(ratios)):
-            ratio = ratios[k]
-            if ratio < best_ratio - PIVOT_TOL or (
-                abs(ratio - best_ratio) <= PIVOT_TOL and keys[k] < keys[best]
-            ):
-                best_ratio = ratio
-                best = k
+        best = 0
+        if rows.size > 1:
+            ratios = (rhs[rows] / col[rows]).tolist()
+            keys = basis[rows].tolist()
+            # Bland's sequential scan: a ratio within PIVOT_TOL of the best
+            # so far ties, and a tie goes to the lower basic variable index.
+            best_ratio = ratios[0]
+            for k in range(1, len(ratios)):
+                ratio = ratios[k]
+                if ratio < best_ratio - PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= PIVOT_TOL and keys[k] < keys[best]
+                ):
+                    best_ratio = ratio
+                    best = k
         _pivot(T, basis, int(rows[best]), entering)
         used += 1
     return Status.ITERATION_LIMIT, used
@@ -215,107 +214,75 @@ def _iteration_budget(A) -> int:
 
 
 def solve(
-    lp: LinearProgram,
+    problem: LinearProgram | np.ndarray,
     max_iters: int | None = None,
     start: LpSolution | tuple | None = None,
 ) -> LpSolution:
     """Two-phase simplex; deterministic for fixed input.
 
-    Every solve runs phase 1 and then phase 2 from a start tableau, which
-    start selects:
-    - None: _standardize's tableau on the slack basis;
-    - a (tableau, basis) pair that the caller built in closed form:
-      _standardize's tableau with basis[r] made basic in row r, one
-      column index of z per row (z is x, then the slack of each
+    Every solve runs phase 1 and then phase 2 from a start tableau:
+    - solve(lp) with lp a LinearProgram: _standardize's tableau on the
+      slack basis, the only form that builds a tableau;
+    - solve(cost, start=(tableau, basis)): a tableau that the caller built
+      in closed form, _standardize's tableau with basis[r] made basic in
+      row r, one column index of z per row (z is x, then the slack of each
       inequality row, then the slack of each finite upper bound). solve
-      takes the pair over and overwrites it; it checks only the shapes
-      (ValueError otherwise; _check_start);
-    - an earlier OPTIMAL solution of an LP with lp's constraint matrix,
-      right-hand side and upper bounds (ValueError otherwise): a copy of
-      its optimal tableau (_start_tableau). Only the cost may differ, so
-      that tableau is feasible for lp.
-    Phase 1 gives an artificial only to the rows the start leaves
-    negative, so a start that is feasible for lp goes to phase 2 with no
-    pivot. iterations counts the pivots of phases 1 and 2 alone, which
-    share max_iters.
+      takes the pair over and overwrites it;
+    - solve(cost, start=sol) with sol an earlier OPTIMAL solution: a copy
+      of its optimal tableau, which holds the constraints. Only the cost
+      is new, and the right-hand side is nonnegative up to rounding far
+      below PIVOT_TOL, so phase 1 negates no row of the copy.
+    x is the first cost.size entries of z. A LinearProgram with a start,
+    or a cost without one, raises ValueError. A started solve checks only
+    the shapes (ValueError otherwise): one basis entry per row, and a cost
+    no longer than the columns. Phase 1 gives an artificial only to the
+    rows the start leaves negative, so a feasible start goes to phase 2
+    with no pivot. iterations counts the pivots of phases 1 and 2 alone,
+    which share max_iters.
     """
-    if start is None:
-        T, basis = _standardize(lp)
-    elif isinstance(start, LpSolution):
-        T, basis = _start_tableau(lp, start)
+    if isinstance(problem, LinearProgram):
+        if start is not None:
+            raise ValueError("a LinearProgram starts from its slack basis; pass a cost")
+        T, basis = _standardize(problem)
+        cost = problem.objective
+    elif start is None:
+        raise ValueError("a cost needs a start: a (tableau, basis) pair or a solution")
     else:
-        T, basis = _check_start(lp, *start)
+        if isinstance(start, LpSolution):
+            if start._optimum is None:
+                raise ValueError(
+                    "no optimal tableau to start from: "
+                    f"the LP status is {start.status.value}"
+                )
+            T, basis = start._optimum[0].copy(), start._optimum[1].copy()
+        else:
+            T, basis = start[0], np.asarray(start[1], dtype=np.intp)
+        cost = np.asarray(problem, dtype=float)
+        if basis.shape != T.shape[:1] or cost.size > T.shape[1] - 1:
+            raise ValueError(
+                f"start tableau has {T.shape[0]} rows and {T.shape[1] - 1} "
+                f"columns, its basis lists {basis.size} columns and the cost "
+                f"has {cost.size} entries"
+            )
     if max_iters is None:
         max_iters = _iteration_budget(T[:, :-1])
     status, it1, T, basis = _phase1(T, basis, max_iters)
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, (), it1)
-    c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
+    c = np.concatenate([cost, np.zeros(T.shape[1] - 1 - cost.size)])
     status, it2, z = _phase2(T, basis, c, max_iters - it1)
     iters = it1 + it2
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, (), iters)
-    x = z[: lp.nvars]
+    x = z[: cost.size]
     return LpSolution(
         Status.OPTIMAL,
         x,
-        float(lp.objective @ x),
+        float(cost @ x),
         tuple(sorted(basis.tolist())),
         iters,
         (T, basis, c),
-        lp,
     )
-
-
-def _check_shape(lp: LinearProgram, T):
-    """ValueError unless T has the shape of lp's _standardize tableau."""
-    rows = lp.ineq_rhs.size + int(np.isfinite(lp.upper).sum())
-    if T.shape != (rows, lp.nvars + rows + 1):
-        raise ValueError(
-            f"start tableau has {T.shape[0]} rows and {T.shape[1] - 1} columns, "
-            f"the LP needs {rows} and {lp.nvars + rows}"
-        )
-
-
-def _check_start(lp: LinearProgram, T, basis):
-    """The (tableau, basis) start of lp, with basis as an index array;
-    ValueError unless the tableau has lp's shape and basis lists one
-    column per row. The basic columns themselves are taken as built."""
-    _check_shape(lp, T)
-    basis = np.asarray(basis, dtype=np.intp)
-    if basis.shape != T.shape[:1]:
-        raise ValueError(
-            f"start basis lists {basis.size} columns, the LP has {T.shape[0]} rows"
-        )
-    return T, basis
-
-
-def _start_tableau(lp: LinearProgram, start: LpSolution):
-    """Copies of start's optimal tableau and basis, for lp, which must be
-    start's LP under another cost.
-
-    Its constraint matrix, right-hand side and upper bounds must be
-    start's, or ValueError is raised. An optimal tableau's right-hand side
-    is nonnegative up to rounding far below PIVOT_TOL, so phase 1 negates
-    no row of the copy and phase 2 starts at once.
-    """
-    if start._optimum is None:
-        raise ValueError(
-            f"no optimal tableau to start from: the LP status is {start.status.value}"
-        )
-    T, basis, _ = start._optimum
-    _check_shape(lp, T)
-    prev = start._lp
-    if not (
-        np.array_equal(lp.ineq_matrix, prev.ineq_matrix)
-        and np.array_equal(lp.ineq_rhs, prev.ineq_rhs)
-        and np.array_equal(lp.upper, prev.upper)
-    ):
-        raise ValueError(
-            "start LP has another constraint matrix, right-hand side, "
-            "or upper-bound pattern or values"
-        )
-    return T.copy(), basis.copy()
 
 
 def optimal_face_range(sol: LpSolution, variables) -> list:
@@ -334,7 +301,8 @@ def optimal_face_range(sol: LpSolution, variables) -> list:
     with no copy of the tableau: for a variable basic in row r, the
     minimum when no nonbasic kept entry of row r exceeds COST_TOL and the
     maximum when none is below -COST_TOL; for a nonbasic one, the minimum.
-    Every other probe runs on its own copy. A variable whose column is
+    Every other probe runs on its own copy of the face tableau, which is
+    built only when some probe must pivot. A variable whose column is
     dropped has range (0, 0). sol is not modified.
     """
     if sol._optimum is None:
@@ -343,17 +311,17 @@ def optimal_face_range(sol: LpSolution, variables) -> list:
     reduced = cost - cost[basis] @ T[:, :-1]
     reduced[basis] = 0.0
     keep = reduced <= COST_TOL
-    if keep.sum() == basis.size:
+    kept = int(keep.sum())
+    if kept == basis.size:
         z = np.zeros(keep.size)
         z[basis] = T[:, -1]
         return [(float(z[var]), float(z[var])) for var in variables]
-    face = T[:, np.append(keep, True)]
     position = keep.cumsum() - 1
     face_basis = position[basis]
-    max_iters = _iteration_budget(face[:, :-1])
     # The optimum over the kept columns, as phase 2 returns it.
-    z = np.zeros(face.shape[1] - 1)
+    z = np.zeros(kept)
     z[face_basis] = T[:, -1]
+    face = None
     free = keep.copy()
     free[basis] = False
     entries = T[:, :-1][:, free]
@@ -375,6 +343,9 @@ def optimal_face_range(sol: LpSolution, variables) -> list:
             if stay:
                 ends.append(float(obj @ z))
                 continue
+            if face is None:
+                face = T[:, np.append(keep, True)]
+                max_iters = _iteration_budget(face[:, :-1])
             status, _, end = _phase2(face.copy(), face_basis.copy(), obj, max_iters)
             if status is Status.OPTIMAL:
                 ends.append(float(obj @ end))

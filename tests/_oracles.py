@@ -7,9 +7,10 @@ active constraints chosen from the stacked constraint rows.
 vectorised `wlpcert.lp.solve` must reproduce pivot for pivot, cold, from
 a basis (listed here, built in closed form there) and from an earlier
 optimal tableau of the same LP under another cost; it builds its own
-tableau and shares no code with `wlpcert.lp`. `all_artificial_solve`
-starts the same simplex with an artificial on every row. `residual` is
-the largest constraint violation of a point.
+tableau and shares no code with `wlpcert.lp`. `eta_lp` is the LP that
+`wlpcert.eta_j` solves, written out as a `LinearProgram`.
+`all_artificial_solve` starts the same simplex with an artificial on
+every row. `residual` is the largest constraint violation of a point.
 `reference_loaded_tableau` is that simplex's start tableau on a listed
 basis, loaded by pivots. `reference_face_range` probes the optimal face
 on the LP with its objective pinned to the optimal value, from a fresh
@@ -292,7 +293,7 @@ def reference_solve(lp, max_iters=None, start=None):
     is negated and gets an artificial, and phase 2 runs under lp's cost."""
     loaded = 0
     if isinstance(start, LpSolution):
-        T, basis = _reference_start(lp, start)
+        T, basis = _reference_start(start)
     elif start is not None:
         T, basis, loaded = reference_loaded_tableau(lp, start)
     else:
@@ -332,15 +333,33 @@ def all_artificial_solve(lp):
     return status, None if z is None else float(lp.objective @ z[: lp.nvars])
 
 
-def _reference_start(lp, start):
-    """Copies of start's optimal tableau and of its basis; ValueError unless
-    lp has start's constraint matrix, right-hand side and upper bounds."""
-    prev = start._lp
-    for name in ("ineq_matrix", "ineq_rhs", "upper"):
-        if getattr(lp, name).tolist() != getattr(prev, name).tolist():
-            raise ValueError(f"start LP has another {name}")
+def _reference_start(start):
+    """Copies of start's optimal tableau and of its basis."""
     T, basis, _ = start._optimum
     return T.copy(), basis.tolist()
+
+
+def eta_lp(A1, c: Weights, beta: float, col: int) -> LinearProgram:
+    """The LP that `wlpcert.eta_j(A1, c, beta, col)` solves over (u, t):
+    min t s.t. (A^T u)_k - t <= beta for k != col,
+    (A^T u)_col - t <= beta + c_col, -(A^T u)_col - t <= -c_col and
+    0 <= u <= beta, with t unbounded above. eta_j builds the tableau of
+    its (u = 0, t = c_col) start in closed form instead."""
+    n = A1.shape[1]
+    m = A1.shape[0] - n
+    At = A1[:m].T
+    cj = float(c.c[col])
+    ineq = np.hstack([np.vstack([At, -At[col]]), -np.ones((n + 1, 1))])
+    rhs = np.full(n + 1, beta)
+    rhs[col] += cj
+    rhs[n] = -cj
+    objective = np.zeros(m + 1)
+    objective[m] = 1.0
+    upper = np.full(m + 1, beta)
+    upper[m] = INF
+    return LinearProgram(
+        objective=objective, ineq_matrix=ineq, ineq_rhs=rhs, upper=upper
+    )
 
 
 def residual(lp: LinearProgram, x: np.ndarray) -> float:
@@ -515,7 +534,7 @@ def eager_certify(inst, max_weight_iterations=10):
     for _ in range(max_weight_iterations):
         ok, report = sufficient_verdict(A1, c, beta_bar(A1, c))
         lp = covering_lp(inst.A, inst.b, c.c)
-        sol = solve(lp, start=ones_tableau(inst.A, inst.b))
+        sol = solve(c.c, start=ones_tableau(inst.A, inst.b))
         if sol.status is not Status.OPTIMAL:
             cases.append(None)
             break

@@ -9,6 +9,7 @@ import pytest
 from wlpcert import (
     CaseKind,
     CertifyConfig,
+    LinearProgram,
     LpError,
     PassReason,
     Weights,
@@ -58,15 +59,23 @@ class TestWeightedLp:
 
     def test_unit_weights_is_the_root_node_lp(self, ex1, monkeypatch):
         # Where every b_i > 0 the root node keeps every row, so at c = 1
-        # the two LPs standardise to the same tableau.
-        lps = []
-
-        def record(lp, *args, **kwargs):
-            lps.append(lp)
-            return solve(lp, *args, **kwargs)
-
+        # the two LPs standardise to the same tableau. The root node gives
+        # solve only its cost, with the start ones_tableau(A, b), so its LP
+        # is rebuilt as covering_lp(A, b, cost).
         module = importlib.import_module("wlpcert.certify")
+        ones_tableau = module.ones_tableau
+        lps, rows = [], []
+
+        def record(problem, *args, start=None, **kwargs):
+            lps.append(problem if start is None else covering_lp(*rows[-1], problem))
+            return solve(problem, *args, start=start, **kwargs)
+
+        def tableau(A, b):
+            rows.append((A, b))
+            return ones_tableau(A, b)
+
         monkeypatch.setattr(module, "solve", record)
+        monkeypatch.setattr(module, "ones_tableau", tableau)
         for inst in (ex1, cycle_instance(9)):
             lps.clear()
             solve_weighted_lp(inst, Weights(np.ones(inst.n)))
@@ -75,6 +84,24 @@ class TestWeightedLp:
             for a, b in zip(_standardize(weighted), _standardize(root), strict=True):
                 np.testing.assert_array_equal(a, b)
 
+
+    def test_certify_builds_no_linear_program(self, monkeypatch):
+        # Every LP certify solves, branch-and-bound nodes included, is a
+        # started solve given only a cost.
+        original, built = LinearProgram.__post_init__, []
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(LinearProgram, "__post_init__", counting)
+        LinearProgram(objective=[1.0])
+        assert len(built) == 1
+        built.clear()
+        for workload in ("ladder", "small"):
+            for case in workload_cases(workload, 1, monkeypatch):
+                certify(case.instance, case.config, weights=case.weights)
+        assert built == []
 
     def test_residual_across_warm_passes(self, monkeypatch):
         # Each solved pass starts from the previous pass's tableau, so

@@ -17,7 +17,7 @@ from wlpcert import (
     to_standard_form,
 )
 from wlpcert.goodness import STRICT_GUARD, _s_star_from
-from _oracles import gamma_hat_exact, reference_loaded_tableau
+from _oracles import eta_lp, gamma_hat_exact, reference_loaded_tableau
 from conftest import workload_cases
 
 
@@ -97,17 +97,26 @@ class TestEta:
         # Each LP starts from a tableau whose point is the feasible
         # (u = 0, t = c_j), in a verdict and on its own: the slack-basis
         # tableau with t loaded into row n by one pivot.
+        # eta_j gives solve only the LP's cost, so the LP is rebuilt by
+        # eta_lp from the arguments of the eta_j call that made the solve.
         goodness = importlib.import_module("wlpcert.goodness")
-        solve = goodness.solve
-        calls = []
+        solve, eta = goodness.solve, goodness.eta_j
+        args, calls = [], []
 
-        def counted(lp, *args, start, **kwargs):
+        def counted(cost, *rest, start, **kwargs):
+            lp = eta_lp(*args[-1])
+            np.testing.assert_array_equal(cost, lp.objective)
             calls.append((lp, tuple(a.copy() for a in start)))
-            return solve(lp, *args, start=start, **kwargs)
+            return solve(cost, *rest, start=start, **kwargs)
+
+        def recorded(*eta_args):
+            args.append(eta_args)
+            return eta(*eta_args)
 
         monkeypatch.setattr(goodness, "solve", counted)
+        monkeypatch.setattr(goodness, "eta_j", recorded)
         sufficient_verdict(sf1, ones3)
-        eta_j(sf1, ones3, 0.5, 2)
+        goodness.eta_j(sf1, ones3, 0.5, 2)
         assert len(calls) == 4
         for lp, (T, basis) in calls:
             loaded_T, loaded_basis, loaded = reference_loaded_tableau(lp, basis)

@@ -36,6 +36,7 @@ from wlpcert.lp import (
 from _oracles import (
     all_artificial_solve,
     enumerate_lp_minimum,
+    eta_lp,
     pin_objective,
     reference_face_range,
     reference_loaded_tableau,
@@ -191,22 +192,15 @@ def _fingerprint(sol, lp, loaded=0):
 
 
 @pytest.fixture
-def certificate_lps(ex1, ex2, ex3, monkeypatch):
+def certificate_lps(ex1, ex2, ex3):
     """The weighted LP and every eta_j LP at beta = 1/2 of examples 1-3
     and the 9-cycle, at unit weights."""
     lps = []
-
-    def record(lp, **kwargs):
-        lps.append(lp)
-        return solve(lp, **kwargs)
-
-    monkeypatch.setattr(goodness, "solve", record)
     for inst in (ex1, ex2, ex3, cycle_instance(9)):
         sf = to_standard_form(inst)
         c = Weights(np.ones(inst.n))
         lps.append(covering_lp(inst.A, inst.b, c.c))
-        for j in range(inst.n):
-            eta_j(sf, c, 0.5, j)
+        lps += [eta_lp(sf, c, 0.5, j) for j in range(inst.n)]
     return lps
 
 
@@ -222,16 +216,39 @@ def _started_solves(monkeypatch, module_names, cases, warm=True):
     """(lp, start) of every solve that the named modules make from a start
     while certify runs on each (instance, config, weights) case: from an
     earlier optimum when warm, otherwise a copy of the (tableau, basis)
-    start, which solve overwrites."""
-    solves = []
+    start, which solve overwrites. Each solve is given only a cost, so lp
+    is rebuilt under that cost: covering_lp on the rows of certify's last
+    ones_tableau call, or eta_lp on the arguments of the running eta_j."""
+    solves, rows, eta_args = [], [], []
+    certify_module = importlib.import_module("wlpcert.certify")
 
-    def record(lp, *args, start=None, **kwargs):
-        if start is not None and isinstance(start, LpSolution) == warm:
-            solves.append((lp, start if warm else tuple(a.copy() for a in start)))
-        return solve(lp, *args, start=start, **kwargs)
+    def tableau(A, b):
+        rows[:] = [(A, b)]
+        return ones_tableau(A, b)
 
+    def eta(*args):
+        eta_args[:] = [args]
+        return eta_j(*args)
+
+    def recorder(build):
+        def record(cost, *args, start=None, **kwargs):
+            if start is not None and isinstance(start, LpSolution) == warm:
+                lp = build(cost)
+                np.testing.assert_array_equal(lp.objective, cost)
+                solves.append((lp, start if warm else tuple(a.copy() for a in start)))
+            return solve(cost, *args, start=start, **kwargs)
+
+        return record
+
+    builders = {
+        "wlpcert.certify": lambda cost: covering_lp(*rows[0], cost),
+        "wlpcert.goodness": lambda cost: eta_lp(*eta_args[0]),
+    }
+    monkeypatch.setattr(certify_module, "ones_tableau", tableau)
+    monkeypatch.setattr(goodness, "eta_j", eta)
     for name in module_names:
-        monkeypatch.setattr(importlib.import_module(name), "solve", record)
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "solve", recorder(builders[name]))
     for inst, config, weights in cases:
         certify(inst, config, weights=weights)
     return solves
@@ -283,7 +300,8 @@ class TestPivotIdentity:
         # on pass 2; the small inputs start 89 passes warm.
         assert len(warm_passes) == 1 + 1 + 1 + 1 + 89
         for lp, start in warm_passes:
-            assert _fingerprint(solve(lp, start=start), lp) == _fingerprint(
+            warm = solve(lp.objective, start=start)
+            assert _fingerprint(warm, lp) == _fingerprint(
                 reference_solve(lp, start=start), lp
             )
 
@@ -302,7 +320,7 @@ class TestPivotIdentity:
             assert (T + 0.0).tobytes() == (loaded_T + 0.0).tobytes()
             assert loaded == (1 if lp.upper[-1] == INF else lp.nvars)
             budget = _iteration_budget(T[:, :-1])
-            sol = solve(lp, start=(T, basis))
+            sol = solve(lp.objective, start=(T, basis))
             statuses.append(sol.status)
             reference = reference_solve(lp, budget + loaded, start=listed)
             assert _fingerprint(sol, lp, loaded) == _fingerprint(reference, lp)
@@ -318,8 +336,8 @@ class TestPivotIdentity:
 
 class TestWarmStart:
     """A re-solve under a new cost from an earlier optimal tableau of the
-    same LP: no standardisation and no phase 1. A start from an LP with
-    another constraint matrix, right-hand side or upper bounds raises."""
+    same LP: no standardisation and no phase 1. The start holds the
+    constraints, so solve takes only the new cost with it."""
 
     @staticmethod
     def covering_pair(seed):
@@ -333,7 +351,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_cold_solve(self, seed):
         start, lp = self.covering_pair(seed)
-        warm, cold = solve(lp, start=start), solve(lp)
+        warm, cold = solve(lp.objective, start=start), solve(lp)
         assert warm.status is cold.status
         assert warm.value == pytest.approx(cold.value, rel=0, abs=1e-9)
         assert warm.iterations <= cold.iterations
@@ -342,29 +360,40 @@ class TestWarmStart:
     def test_start_is_not_modified(self):
         start, lp = self.covering_pair(0)
         before = [a.tobytes() for a in start._optimum]
-        solve(lp, start=start)
+        solve(lp.objective, start=start)
         assert [a.tobytes() for a in start._optimum] == before
 
-    def test_mismatched_width_raises(self, ex1):
+    def test_mismatched_width_raises(self):
+        # The start's tableau has 16 rows and 26 columns.
         start, _ = self.covering_pair(0)
-        with pytest.raises(ValueError, match="columns"):
-            solve(covering_lp(ex1.A, ex1.b, np.ones(ex1.n)), start=start)
+        with pytest.raises(ValueError, match="26 columns"):
+            solve(np.ones(27), start=start)
+
+    def test_lp_with_start_and_cost_without_start_raise(self, ex1):
+        start, lp = self.covering_pair(0)
+        with pytest.raises(ValueError, match="LinearProgram"):
+            solve(lp, start=start)
+        covering = covering_lp(ex1.A, ex1.b, np.ones(3))
+        with pytest.raises(ValueError, match="LinearProgram"):
+            solve(covering, start=ones_tableau(ex1.A, ex1.b))
+        with pytest.raises(ValueError, match="needs a start"):
+            solve(lp.objective)
 
     def test_other_matrix_of_same_width_raises(self):
-        # Started from the identity's tableau, this LP came out OPTIMAL
-        # with value 2.0; its optimum is 1.0.
+        # A start can no longer be paired with another LP's constraints:
+        # such an LP raises, and its cost alone is solved on the start's.
         start = solve(covering_lp(np.eye(2), np.ones(2), np.ones(2)))
         A = np.array([[1.0, 1.0], [0.0, 0.0]])
         lp = covering_lp(A, np.array([1.0, 0.0]), np.ones(2))
         assert solve(lp).value == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError, match="constraint matrix"):
+        with pytest.raises(ValueError, match="LinearProgram"):
             solve(lp, start=start)
         # The same matrix under another right-hand side.
-        lp = covering_lp(np.eye(2), np.array([1.0, 0.5]), np.ones(2))
-        with pytest.raises(ValueError, match="right-hand side"):
-            solve(lp, start=start)
-        with pytest.raises(ValueError, match="ineq_rhs"):
-            reference_solve(lp, start=start)
+        with pytest.raises(ValueError, match="LinearProgram"):
+            solve(covering_lp(np.eye(2), np.array([1.0, 0.5]), np.ones(2)), start=start)
+        warm = solve(lp.objective, start=start)
+        assert warm.status is Status.OPTIMAL
+        assert warm.value == pytest.approx(2.0, abs=1e-12)
 
     def test_other_bound_pattern_raises(self):
         def lp(upper):
@@ -376,13 +405,15 @@ class TestWarmStart:
             )
 
         start = solve(lp([1.0, INF]))
-        with pytest.raises(ValueError, match="upper-bound pattern"):
+        with pytest.raises(ValueError, match="LinearProgram"):
             solve(lp([INF, 1.0]), start=start)
         # The same pattern with another finite value.
-        with pytest.raises(ValueError, match="upper-bound pattern or values"):
+        with pytest.raises(ValueError, match="LinearProgram"):
             solve(lp([2.0, INF]), start=start)
-        with pytest.raises(ValueError, match="upper"):
-            reference_solve(lp([2.0, INF]), start=start)
+        # Under a cost that favours x0, the start's bound x0 <= 1 holds.
+        warm = solve(np.array([-2.0, -1.0]), start=start)
+        assert warm.value == pytest.approx(-4.0, abs=1e-12)
+        assert warm.x[0] == pytest.approx(1.0, abs=1e-12)
 
     @staticmethod
     def capped_cover(r):
@@ -397,16 +428,16 @@ class TestWarmStart:
     def test_start_with_missing_row_raises(self):
         solved = solve(self.capped_cover(2.0))
         T, basis, cost = solved._optimum
-        start = replace(solved, _optimum=(T[:-1], basis[:-1], cost))
-        with pytest.raises(ValueError, match="rows"):
-            solve(self.capped_cover(3.0), start=start)
+        start = replace(solved, _optimum=(T[:-1], basis, cost))
+        with pytest.raises(ValueError, match="1 rows and 4 columns, its basis lists 2"):
+            solve(self.capped_cover(3.0).objective, start=start)
 
     def test_start_without_optimum_raises(self, ex1):
         lp = covering_lp(ex1.A, ex1.b, np.ones(ex1.n))
         start = solve(lp, max_iters=1)
         assert start._optimum is None
         with pytest.raises(ValueError, match="no optimal tableau"):
-            solve(lp, start=start)
+            solve(lp.objective, start=start)
 
 
 class TestSlackStart:
@@ -485,13 +516,13 @@ class TestSlackStart:
 
 
 class TestBasisStart:
-    """solve(lp, start=(tableau, basis)) starts from a tableau built on
+    """solve(cost, start=(tableau, basis)) starts from a tableau built on
     another basis, counts no loading pivot, and runs phase 1 only on the
     rows that basis leaves negative."""
 
     def test_slack_basis_is_the_slack_start(self, certificate_lps):
         for lp in certificate_lps:
-            listed = solve(lp, start=_standardize(lp))
+            listed = solve(lp.objective, start=_standardize(lp))
             assert _fingerprint(listed, lp) == _fingerprint(solve(lp), lp)
 
     def test_feasible_basis_skips_phase1(self, ex1):
@@ -504,7 +535,7 @@ class TestBasisStart:
         listed = basis.tolist()
         status, used, _, _ = _phase1(T, basis, 100)
         assert status is Status.OPTIMAL and used == 0
-        sol = solve(lp, start=ones_tableau(ex1.A, ex1.b))
+        sol = solve(lp.objective, start=ones_tableau(ex1.A, ex1.b))
         assert sol.value == pytest.approx(solve(lp).value, rel=0, abs=1e-12)
         reference = reference_solve(lp, start=listed)
         assert _fingerprint(sol, lp, 3) == _fingerprint(reference, lp)
@@ -520,7 +551,7 @@ class TestBasisStart:
             lp = covering_lp(inst.A, inst.b, np.ones(inst.n))
             T, basis = ones_tableau(inst.A, inst.b)
             listed = basis.tolist()
-            sol = solve(lp, max_iters, start=(T, basis))
+            sol = solve(lp.objective, max_iters, start=(T, basis))
             assert sol.iterations <= max_iters
             assert _fingerprint(sol, lp, inst.n) == _fingerprint(
                 reference_solve(lp, max_iters + inst.n, start=listed), lp
@@ -530,13 +561,12 @@ class TestBasisStart:
         lp = covering_lp(ex1.A, ex1.b, np.ones(3))
         T, _ = ones_tableau(ex1.A, ex1.b)
         with pytest.raises(ValueError, match="lists 5 columns"):
-            solve(lp, start=(T, np.arange(5)))
+            solve(lp.objective, start=(T, np.arange(5)))
 
-    def test_wrong_shape_raises(self, ex1, ex2):
-        lp = covering_lp(ex1.A, ex1.b, np.ones(3))
+    def test_wrong_shape_raises(self, ex2):
         T, basis = ones_tableau(ex2.A[:2], ex2.b[:2])
         with pytest.raises(ValueError, match="5 rows and 8 columns"):
-            solve(lp, start=(T, basis))
+            solve(np.ones(9), start=(T, basis))
 
 
 class TestFaceRangeMatchesProbes:
@@ -649,13 +679,13 @@ class TestFaceFromOptimalTableau:
         module = importlib.import_module("wlpcert.certify")
         passes = []
 
-        def record(lp, *args, start=None, **kwargs):
-            sol = solve(lp, *args, start=start, **kwargs)
+        def record(inst, c, start=None):
+            sol = solve_weighted_lp(inst, c, start)
             if isinstance(start, LpSolution):
-                passes.append((lp, sol))
+                passes.append((covering_lp(inst.A, inst.b, c.c), sol))
             return sol
 
-        monkeypatch.setattr(module, "solve", record)
+        monkeypatch.setattr(module, "solve_weighted_lp", record)
         for m, n in ((3, 3), (5, 8), (8, 12), (10, 16), (15, 24)):
             certify(random_instance(m, n, 1))
         # (8, 12) repeats its weights on pass 3, the others on pass 2.

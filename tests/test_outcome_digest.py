@@ -37,13 +37,17 @@ def test_solves_digest_is_repeatable(capsys):
     argv = ["--workload", "ladder", "--seed", "1", "--solves"]
     assert tool.main(argv) == 0
     first = capsys.readouterr().out
-    assert re.fullmatch(r"ladder seed 1: [0-9a-f]{16} over 18 solves\n", first)
+    assert re.fullmatch(
+        r"ladder seed 1: [0-9a-f]{16} over 18 solves and 11 face ranges\n", first
+    )
     assert tool.main(argv) == 0
     assert capsys.readouterr().out == first
     # The wrappers are gone once the digest is taken.
     lp = importlib.import_module("wlpcert.lp")
     for name in tool.SOLVE_MODULES:
         assert importlib.import_module(name).solve is lp.solve
+    certify_module = importlib.import_module("wlpcert.certify")
+    assert certify_module.optimal_face_range is lp.optimal_face_range
 
 
 def test_certify_solves_take_no_phase1_pivot(monkeypatch):
@@ -139,23 +143,33 @@ def test_solves_compare_prints_only_moved_solves(capsys, tmp_path):
     assert tool.main(argv + ["--list"]) == 0
     saved = capsys.readouterr().out
     *records, last = saved.splitlines(keepends=True)
-    assert len(records) == 18
-    assert last.startswith("ladder seed 1: ") and last.endswith(" over 18 solves\n")
-    name, record = records[0].split(maxsplit=1)
+    assert len(records) == 18 + 11
+    assert last.startswith("ladder seed 1: ")
+    assert last.endswith(" over 18 solves and 11 face ranges\n")
+    solves, faces = records[:18], records[18:]
+    name, record = solves[0].split(maxsplit=1)
     assert name == "0"
     assert sorted(json.loads(record)) == ["basis", "iterations", "status", "value", "x"]
+    # Each face range certify computes, in call order, as the repr of its
+    # ranges: one per weighted LP that reached an optimum.
+    face_name, face = faces[0].split(maxsplit=1)
+    assert [line.split()[0] for line in faces] == [f"face{i}" for i in range(11)]
+    assert json.loads(face)["ranges"].startswith("[(")
     path = tmp_path / "before.txt"
     path.write_text(saved, encoding="utf-8")
     compare = argv + ["--compare", str(path)]
     assert tool.main(compare) == 0
-    assert capsys.readouterr().out == "0 of 18 solves differ\n"
+    assert capsys.readouterr().out == "0 of 29 solves and face ranges differ\n"
 
-    # Move one saved record's iterations and add a solve the run lacks:
-    # each is printed with the fields that moved.
+    # Move one saved record's iterations, move the first face range and
+    # add a solve the run lacks: each is printed with the fields that
+    # moved.
     edited = json.loads(record)
     edited["iterations"] += 1
     extra = dict(edited, status="infeasible")
-    lines = [f"  0 {json.dumps(edited, sort_keys=True)}\n", *records[1:]]
+    moved_face = {"ranges": "[]"}
+    lines = [f"  0 {json.dumps(edited, sort_keys=True)}\n", *solves[1:]]
+    lines += [f"  face0 {json.dumps(moved_face)}\n", *faces[1:]]
     lines += [f"  18 {json.dumps(extra, sort_keys=True)}\n", last]
     path.write_text("".join(lines), encoding="utf-8")
     assert tool.main(compare) == 0
@@ -163,8 +177,54 @@ def test_solves_compare_prints_only_moved_solves(capsys, tmp_path):
         "ladder seed 1 solve 0: iterations",
         f"  before {json.dumps(edited, sort_keys=True)}",
         f"  after  {record.strip()}",
+        "ladder seed 1 face0: ranges",
+        f"  before {json.dumps(moved_face)}",
+        f"  after  {face.strip()}",
         "ladder seed 1 solve 18: basis iterations status value x",
         f"  before {json.dumps(extra, sort_keys=True)}",
         "  after  null",
-        "2 of 19 solves differ",
+        "3 of 30 solves and face ranges differ",
     ]
+
+
+def test_traced_counts_match_recorded_solves(monkeypatch):
+    # The benchmark's tracer and recorded_solves both hook the `solve`
+    # globals. Their eta and weighted solve and pivot counts must agree
+    # on a traced ladder pass, and be above 0: a program LP that stopped
+    # calling `solve` by name would read 0 in both.
+    monkeypatch.syspath_prepend(TOOL.parent.parent / "perfbench")
+    run = importlib.import_module("run")
+    spans = importlib.import_module("spans")
+    cases = workload_cases("ladder", 1, monkeypatch)
+    _, attempts, trace_spans, root = run.traced_pass(run.LibraryRunner(cases))
+    assert [a.error for a in attempts] == [None] * len(cases)
+    layer = spans.pass_metrics(trace_spans, root)
+
+    recorded = {}
+    goodness = importlib.import_module("wlpcert.goodness")
+    module = importlib.import_module("wlpcert.certify")
+    with _tool().recorded_solves() as solves:
+
+        def counted(category, fn):
+            def call(*args, **kwargs):
+                before = len(solves)
+                result = fn(*args, **kwargs)
+                for sol in solves[before:]:
+                    for kind, value in (("solves", 1), ("pivots", sol.iterations)):
+                        key = f"lp.{kind}.{category}"
+                        recorded[key] = recorded.get(key, 0) + value
+                return result
+
+            return call
+
+        monkeypatch.setattr(goodness, "eta_j", counted("eta", goodness.eta_j))
+        monkeypatch.setattr(
+            module, "solve_weighted_lp", counted("weighted", module.solve_weighted_lp)
+        )
+        for case in cases:
+            certify(case.instance, case.config, weights=case.weights)
+    assert sorted(recorded) == [
+        "lp.pivots.eta", "lp.pivots.weighted", "lp.solves.eta", "lp.solves.weighted"
+    ]
+    assert {name: layer[name] for name in recorded} == recorded
+    assert all(value > 0 for value in recorded.values())

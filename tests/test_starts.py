@@ -28,6 +28,7 @@ from wlpcert.lp import ELIM_TOL, PIVOT_TOL, _pivot
 from _oracles import (
     _reference_pivot,
     enumerate_lp_minimum,
+    eta_lp,
     probe_every_face_range,
     reference_loaded_tableau,
 )
@@ -102,7 +103,7 @@ def test_covering_start_matches_vertex_enumeration(drawn):
     np.testing.assert_allclose(
         z[inst.n : inst.n + inst.m], inst.A.sum(axis=1) - inst.b, rtol=0, atol=1e-12
     )
-    ones = solve(lp, start=(T, basis))
+    ones = solve(c, start=(T, basis))
     oracle = lp_minimum(lp)
     # A >= 0, so the LP is feasible exactly when x = 1 is.
     assert (ones.status is Status.OPTIMAL) == (oracle is not None)
@@ -129,12 +130,15 @@ def test_ones_tableau_is_the_loaded_tableau(inst):
 
 
 def _recorded_eta(A1, c, beta, col):
-    """(eta_j, q, the LP that eta_j solved, a copy of its start)."""
+    """(eta_j, q, the LP that eta_j solved, a copy of its start). eta_j
+    gives solve only the LP's cost, which must be eta_lp's."""
     calls = []
 
-    def record(lp, start=None):
+    def record(cost, start=None):
+        lp = eta_lp(A1, c, beta, col)
+        np.testing.assert_array_equal(cost, lp.objective)
         calls.append((lp, tuple(a.copy() for a in start)))
-        return solve(lp, start=start)
+        return solve(cost, start=start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GOODNESS, "solve", record)
@@ -223,7 +227,7 @@ def degenerate_covers(draw):
 def test_face_range_matches_every_probe(drawn, from_ones):
     inst, c = drawn
     lp = covering_lp(inst.A, inst.b, c)
-    sol = solve(lp, start=ones_tableau(inst.A, inst.b) if from_ones else None)
+    sol = solve(c, start=ones_tableau(inst.A, inst.b)) if from_ones else solve(lp)
     assert sol.status is Status.OPTIMAL
     variables = range(inst.n)
     assert optimal_face_range(sol, variables) == probe_every_face_range(

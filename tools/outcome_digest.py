@@ -26,10 +26,12 @@ their count; an input missing from either side counts as differing.
 --solves puts solves in place of inputs: one record per `lp.solve`
 result that the inputs' runs produce, named by its place in call order,
 with its status, iterations, basis, repr(value) and a sha256 prefix of
-the bytes of x + 0.0. It prints a digest of the records and their count;
+the bytes of x + 0.0, then one record per `optimal_face_range` result
+that `certify` computes, named face0, face1, .. in call order, with the
+repr of its ranges. It prints a digest of the records and their counts;
 equal solve digests mean that every LP took the same pivots to the same
-point. --list also prints each record, and --compare each solve whose
-record moved, with the fields that moved.
+point and read the same optimal faces. --list also prints each record,
+and --compare each record that moved, with the fields that moved.
 """
 
 from __future__ import annotations
@@ -98,29 +100,39 @@ SOLVE_MODULES = ("wlpcert.lp", "wlpcert.goodness", "wlpcert.certify")
 
 
 @contextlib.contextmanager
-def recorded_solves():
-    """Rebind `solve` in SOLVE_MODULES to a wrapper that appends each
-    result, an LpSolution, to the yielded list; the originals are restored
+def recorded(targets):
+    """Rebind each (module name, attribute) in targets to a wrapper that
+    appends each result to the yielded list; the originals are restored
     on exit."""
-    solves, saved = [], []
+    results, saved = [], []
 
     def wrap(original):
         def recording(*args, **kwargs):
-            sol = original(*args, **kwargs)
-            solves.append(sol)
-            return sol
+            result = original(*args, **kwargs)
+            results.append(result)
+            return result
 
         return recording
 
-    for name in SOLVE_MODULES:
+    for name, attr in targets:
         module = importlib.import_module(name)
-        saved.append((module, module.solve))
-        module.solve = wrap(module.solve)
+        saved.append((module, attr, getattr(module, attr)))
+        setattr(module, attr, wrap(getattr(module, attr)))
     try:
-        yield solves
+        yield results
     finally:
-        for module, original in saved:
-            module.solve = original
+        for module, attr, original in saved:
+            setattr(module, attr, original)
+
+
+def recorded_solves():
+    """Every LpSolution that `solve` returns, through SOLVE_MODULES."""
+    return recorded([(name, "solve") for name in SOLVE_MODULES])
+
+
+def recorded_face_ranges():
+    """Every list of ranges that certify's `optimal_face_range` returns."""
+    return recorded([("wlpcert.certify", "optimal_face_range")])
 
 
 def solve_record(sol) -> dict:
@@ -182,10 +194,17 @@ def main(argv=None) -> int:
     for workload in args.workload:
         for seed in args.seed:
             if args.solves:
-                with recorded_solves() as solves:
+                with recorded_solves() as solves, recorded_face_ranges() as faces:
                     outcomes(workloads, workload, seed)
                 results = [(str(i), solve_record(sol)) for i, sol in enumerate(solves)]
-                digest_line = f"{digest(results)} over {len(results)} solves"
+                results += [
+                    (f"face{i}", {"ranges": repr(ranges)})
+                    for i, ranges in enumerate(faces)
+                ]
+                digest_line = (
+                    f"{digest(results)} over {len(solves)} solves "
+                    f"and {len(faces)} face ranges"
+                )
             else:
                 results = outcomes(workloads, workload, seed)
                 digest_line = digest(results)
@@ -214,13 +233,15 @@ def main(argv=None) -> int:
                     fields = sorted(
                         key for key in was.keys() | now.keys() if was.get(key) != now.get(key)
                     )
-                    print(f"{workload} seed {seed} solve {name}: {' '.join(fields)}")
+                    kind = "" if name.startswith("face") else "solve "
+                    print(f"{workload} seed {seed} {kind}{name}: {' '.join(fields)}")
                 else:
                     print(f"{workload} seed {seed} {name}")
                 print(f"  before {json.dumps(before, sort_keys=True)}")
                 print(f"  after  {json.dumps(outcome, sort_keys=True)}")
     if saved is not None:
-        print(f"{moved} of {total} {'solves' if args.solves else 'outcomes'} differ")
+        kind = "solves and face ranges" if args.solves else "outcomes"
+        print(f"{moved} of {total} {kind} differ")
     return 0
 
 
