@@ -15,7 +15,6 @@ from .instance import (
     to_standard_form,
 )
 from .lp import (
-    LinearProgram,
     LpError,
     LpSolution,
     Status,
@@ -40,7 +39,6 @@ from .certify import (
     brute_force_ip,
     certify,
     classify_case,
-    covering_lp,
     solve_weighted_lp,
 )
 

@@ -27,7 +27,6 @@ from .goodness import GoodnessReport, beta_bar, sufficient_verdict
 from .lp import (
     ELIM_TOL,
     UNIQUE_TOL,
-    LinearProgram,
     LpError,
     LpSolution,
     Status,
@@ -110,26 +109,20 @@ class Certificate:
         return self.iterations[-1].report
 
 
-def covering_lp(A, b, c) -> LinearProgram:
-    """min c^T x over A x >= b, 0 <= x <= 1: the weighted relaxation, and
-    each branch-and-bound node's LP."""
-    return LinearProgram(
-        objective=c, ineq_matrix=-A, ineq_rhs=-b, upper=np.ones(len(c))
-    )
-
-
 def ones_tableau(A, b) -> tuple:
-    """The start (tableau, basis) of covering_lp(A, b, c) at x = 1, built in
-    closed form for solve: each covering row stays on its slack, which
-    then holds A 1 - b, and x_j is basic in bound row j. Since A >= 0 this
-    start is feasible exactly when the LP is.
+    """The start (tableau, basis) at x = 1 of the covering LP min c^T x
+    over A x >= b, 0 <= x <= 1, built in closed form for solve: each
+    covering row stays on its slack, which then holds A 1 - b, and x_j is
+    basic in bound row j. Since A >= 0 this start is feasible exactly when
+    the LP is.
 
-    It is the slack-basis tableau after pivoting x_0, .., x_{n-1} into
-    their bound rows in turn, byte for byte up to the sign of a zero
-    entry: the covering rows [0 | I_m | A | A 1 - b] over the bound rows
-    [I_n | 0 | I_n | 1]. Each pivot leaves alone an entry A_ij at most
-    ELIM_TOL, which keeps -A_ij in column j and 0 in bound slack j, and
-    adds the others to the right-hand side -b_i in column order.
+    It is the slack-basis tableau of the rows -A x <= -b over x <= 1 after
+    pivoting x_0, .., x_{n-1} into their bound rows in turn, byte for byte
+    up to the sign of a zero entry: the covering rows [0 | I_m | A | A 1 -
+    b] over the bound rows [I_n | 0 | I_n | 1]. Each pivot leaves alone an
+    entry A_ij at most ELIM_TOL, which keeps -A_ij in column j and 0 in
+    bound slack j, and adds the others to the right-hand side -b_i in
+    column order.
     """
     m, n = A.shape
     moved = np.abs(A) > ELIM_TOL
@@ -152,11 +145,12 @@ def ones_tableau(A, b) -> tuple:
 def solve_weighted_lp(
     inst: ZeroOneInstance, c: Weights, start: LpSolution | tuple | None = None
 ) -> LpSolution:
-    """covering_lp(inst.A, inst.b, c.c) solved from start: a (tableau,
-    basis) of that LP, such as ones_tableau's, or an earlier optimal
-    solution of it; from the slack basis when start is None."""
+    """The weighted relaxation min c^T x over inst.A x >= inst.b,
+    0 <= x <= 1, solved from start: a (tableau, basis) of that LP or an
+    earlier optimal solution of it; from x = 1 (ones_tableau) when start
+    is None."""
     if start is None:
-        return solve(covering_lp(inst.A, inst.b, c.c))
+        start = ones_tableau(inst.A, inst.b)
     return solve(c.c, start=start)
 
 
@@ -239,8 +233,8 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
     no smaller than the LP value. A >= 0, so the LP point rounded up is
     feasible and becomes the incumbent when it is better. The node branches
     on its most fractional variable, x_j = 1 first. Each node LP starts
-    from x = 1 (ones_tableau), so an infeasible node ends INFEASIBLE in
-    phase 1. Raises LpError after BRANCH_NODE_LIMIT nodes.
+    from x = 1 (ones_tableau), so an infeasible node ends INFEASIBLE with
+    no pivot. Raises LpError after BRANCH_NODE_LIMIT nodes.
     """
     n = inst.n
     best_value, best = math.inf, None
@@ -295,8 +289,8 @@ def certify(
 
     Each pass solves the weighted relaxation and classifies its optimal
     face; pass 1 starts from x = 1 (ones_tableau), and passes 2..k
-    start phase 2 from the previous pass's optimal tableau, which stays
-    feasible because only the cost changes. Only a unique optimum reaches
+    start from the previous pass's optimal tableau, which stays feasible
+    because only the cost changes. Only a unique optimum reaches
     the verdict, which certifies when the support count is within the
     budget s_star and s_star * eta1 clears the threshold strictly; it
     stops solving eta_j as soon as s_star falls below the support count.
@@ -308,12 +302,10 @@ def certify(
     the weights pass k already had, passes k+1.. are filled with pass k's
     record and a discrepancy says so. This is exact. Under the same
     weights the next weighted LP starts from pass k's own optimal tableau
-    with the same cost and right-hand side. An optimal tableau's
-    right-hand side is nonnegative up to rounding far below PIVOT_TOL, so
-    phase 1 negates no row, and phase 2 computes the same reduced costs
-    and takes no pivot; classify_case then reads the same tableau. Each
-    eta_j repeats because it is solved from the same start under the same
-    c and beta. The next pass therefore equals pass k, and by induction so
+    with the same cost, so the simplex computes the same reduced costs and
+    takes no pivot, and classify_case reads the same tableau. Each eta_j
+    repeats because it is solved from the same start under the same c and
+    beta. The next pass therefore equals pass k, and by induction so
     does every later pass.
 
     With brute_force_verify, a certified recovery is then checked against
@@ -339,9 +331,7 @@ def certify(
     sol = None
     budget = config.max_weight_iterations
     for k in range(1, budget + 1):
-        sol = solve_weighted_lp(
-            inst, c, ones_tableau(inst.A, inst.b) if sol is None else sol
-        )
+        sol = solve_weighted_lp(inst, c, sol)
         if sol.status is not Status.OPTIMAL:
             discrepancies.append(
                 f"weighted relaxation ended with status {sol.status.value}"

@@ -3,12 +3,17 @@
 The brute-force oracles deliberately avoid the package's simplex path:
 LP minima come from enumerating candidate vertices as solutions of n
 active constraints chosen from the stacked constraint rows.
-`reference_solve` is the row-by-row two-phase simplex that the
-vectorised `wlpcert.lp.solve` must reproduce pivot for pivot, cold, from
-a basis (listed here, built in closed form there) and from an earlier
-optimal tableau of the same LP under another cost; it builds its own
-tableau and shares no code with `wlpcert.lp`. `eta_lp` is the LP that
-`wlpcert.eta_j` solves, written out as a `LinearProgram`.
+`LinearProgram` is a plain LP description, which the package no longer
+has: `wlpcert.solve` takes a cost and a start tableau. `covering_lp` is
+the weighted relaxation, and `eta_lp` the LP that `wlpcert.eta_j`
+solves, each written out as a `LinearProgram`. `reference_solve` is a
+row-by-row two-phase simplex on a `LinearProgram`, checked against
+vertex enumeration on general LPs; `wlpcert.lp.solve` must reproduce
+its pivots from a basis (listed here, built in closed form there) and
+from an earlier optimal tableau of the same LP under another cost. It
+builds its own tableau and shares no code with `wlpcert.lp`.
+`loaded_start` is its tableau on a listed basis, as a start for
+`wlpcert.solve`.
 `all_artificial_solve` starts the same simplex with an artificial on
 every row. `residual` is the largest constraint violation of a point.
 `reference_loaded_tableau` is that simplex's start tableau on a listed
@@ -27,7 +32,7 @@ enumeration.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
 import numpy as np
@@ -42,7 +47,6 @@ from wlpcert.certify import (
     branch_and_bound_ip,
     brute_force_ip,
     classify_case,
-    covering_lp,
     ones_tableau,
     solve_weighted_lp,
 )
@@ -56,10 +60,8 @@ from wlpcert.instance import (
 from wlpcert.lp import (
     COST_TOL,
     INF,
-    PHASE1_TOL,
     PIVOT_TOL,
     UNIQUE_TOL,
-    LinearProgram,
     LpError,
     LpSolution,
     Status,
@@ -67,9 +69,49 @@ from wlpcert.lp import (
 )
 
 TOL = 1e-9
+# The reference phase 1 declares the problem infeasible above this
+# artificial sum.
+PHASE1_TOL = 1e-7
 ENUM_GUARD = 10**6
 # Candidate vertices solved per np.linalg.solve call.
 CHUNK = 4096
+
+
+@dataclass(frozen=True, eq=False)
+class LinearProgram:
+    """min objective @ x  s.t.  ineq_matrix x <= ineq_rhs,
+    0 <= x <= upper (+inf allowed, the default)."""
+
+    objective: np.ndarray
+    ineq_matrix: np.ndarray | None = None
+    ineq_rhs: np.ndarray | None = None
+    upper: np.ndarray | None = None
+
+    def __post_init__(self):
+        c = np.asarray(self.objective, dtype=float).reshape(-1)
+        n = c.size
+        if self.ineq_matrix is None:
+            M, r = np.zeros((0, n)), np.zeros(0)
+        else:
+            M = np.asarray(self.ineq_matrix, dtype=float).reshape(-1, n)
+            r = np.asarray(self.ineq_rhs, dtype=float).reshape(-1)
+        up = np.full(n, INF) if self.upper is None else self.upper
+        object.__setattr__(self, "objective", c)
+        object.__setattr__(self, "ineq_matrix", M)
+        object.__setattr__(self, "ineq_rhs", r)
+        object.__setattr__(self, "upper", np.asarray(up, dtype=float).reshape(-1))
+
+    @property
+    def nvars(self) -> int:
+        return self.objective.size
+
+
+def covering_lp(A, b, c) -> LinearProgram:
+    """min c^T x over A x >= b, 0 <= x <= 1: the weighted relaxation, and
+    each branch-and-bound node's LP."""
+    return LinearProgram(
+        objective=c, ineq_matrix=-A, ineq_rhs=-b, upper=np.ones(len(c))
+    )
 
 
 def enumerate_lp_minimum(objective, ineq_matrix, ineq_rhs, lower, upper):
@@ -281,6 +323,13 @@ def reference_loaded_tableau(lp, start):
     return T, basis, loaded
 
 
+def loaded_start(lp, listed):
+    """(tableau, basis) that `wlpcert.solve` can start from:
+    reference_loaded_tableau's tableau with the listed columns basic."""
+    T, basis, _ = reference_loaded_tableau(lp, listed)
+    return T, np.array(basis)
+
+
 def reference_solve(lp, max_iters=None, start=None):
     """Two-phase simplex with Bland's rule, one tableau row at a time.
 
@@ -469,7 +518,8 @@ def reference_case(sol: LpSolution, lp: LinearProgram) -> CaseKind:
 
 def _inner_gamma_lp(A1: np.ndarray, c: Weights, beta: float, support) -> float:
     """max sum_{i in support} c_i x_i - beta ||A1 x||_1 over the unit
-    simplex, via the epigraph form of the 1-norm term."""
+    simplex, via the epigraph form of the 1-norm term, by reference_solve:
+    every right-hand side is 0 or 1, so the slack start is feasible."""
     rows, n = A1.shape
     sel = np.zeros(n)
     sel[list(support)] = 1.0
@@ -494,7 +544,7 @@ def _inner_gamma_lp(A1: np.ndarray, c: Weights, beta: float, support) -> float:
         )
         rhs = np.concatenate([np.zeros(2 * rows), [1.0]])
         lp = LinearProgram(objective=obj, ineq_matrix=ineq, ineq_rhs=rhs)
-    sol = solve(lp)
+    sol = reference_solve(lp)
     if sol.status is not Status.OPTIMAL:
         raise LpError(f"inner subproblem ended with status {sol.status.value}")
     return -float(sol.value)
@@ -581,9 +631,7 @@ def full_loop_certify(inst, config=CertifyConfig(), weights=None) -> Certificate
             )
     sol = None
     for _ in range(config.max_weight_iterations):
-        sol = solve_weighted_lp(
-            inst, c, ones_tableau(inst.A, inst.b) if sol is None else sol
-        )
+        sol = solve_weighted_lp(inst, c, sol)
         if sol.status is not Status.OPTIMAL:
             discrepancies.append(
                 f"weighted relaxation ended with status {sol.status.value}"

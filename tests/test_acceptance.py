@@ -14,7 +14,6 @@ import pytest
 from wlpcert import (
     CaseKind,
     CertifyConfig,
-    LinearProgram,
     Status,
     Weights,
     beta_bar,
@@ -29,7 +28,10 @@ from wlpcert import (
     to_standard_form,
 )
 
+from wlpcert.certify import ones_tableau
+
 from _oracles import (
+    LinearProgram,
     enumerate_binary_minimum,
     enumerate_lp_minimum,
     gamma_hat_exact,
@@ -176,7 +178,9 @@ class TestAcceptance:
                 ineq_rhs=-(G @ x0),
                 upper=np.full(n, 2.0),
             )
-            sol = solve(lp)
+            # solved from x = 2 1 through y = x / 2: min 2 objective @ y
+            # over 2 G y >= G x0, 0 <= y <= 1, started at y = 1
+            sol = solve(2 * objective, start=ones_tableau(2 * G, G @ x0))
             assert sol.status is Status.OPTIMAL
             assert sol.status is not Status.ITERATION_LIMIT
             oracle = enumerate_lp_minimum(

@@ -9,9 +9,9 @@ import pytest
 from wlpcert import (
     CaseKind,
     CertifyConfig,
-    LinearProgram,
     LpError,
     PassReason,
+    Status,
     Weights,
     ZeroOneInstance,
     adjust_weights,
@@ -19,18 +19,17 @@ from wlpcert import (
     brute_force_ip,
     certify,
     classify_case,
-    covering_lp,
     from_independent_set,
     random_instance,
     solve,
     solve_weighted_lp,
     sufficient_verdict,
 )
-from wlpcert.certify import BRUTE_FORCE_BLOCK
+from wlpcert.certify import BRUTE_FORCE_BLOCK, ones_tableau
 from wlpcert.instance import ZERO_TOL
-from wlpcert.lp import _standardize
 
 from _oracles import (
+    covering_lp,
     eager_certify,
     enumerate_binary_minimum,
     full_loop_certify,
@@ -57,51 +56,39 @@ class TestWeightedLp:
         np.testing.assert_allclose(sol.x, 0.0, atol=1e-9)
         assert sol.value == pytest.approx(0.0, abs=1e-9)
 
+    def test_start_short_of_a_row_is_infeasible(self):
+        # x = 1 covers the row short by 5e-8, so the LP is infeasible. The
+        # solve ends INFEASIBLE at once, rather than reaching an "optimum"
+        # with x_0 = 1 + 5e-8 outside its box, and certify stops there.
+        inst = ZeroOneInstance(A=np.array([[1.0, 1.0]]), b=np.array([2 + 5e-8]))
+        sol = solve(np.ones(2), start=ones_tableau(inst.A, inst.b))
+        assert sol.status is Status.INFEASIBLE
+        assert sol.iterations == 0
+        cert = certify(inst)
+        assert [p.reason for p in cert.iterations] == [PassReason.LP_STATUS]
+        assert cert.lp_solution.status is Status.INFEASIBLE
+        assert cert.recovered is None
+        assert not cert.certified
+
     def test_unit_weights_is_the_root_node_lp(self, ex1, monkeypatch):
         # Where every b_i > 0 the root node keeps every row, so at c = 1
-        # the two LPs standardise to the same tableau. The root node gives
-        # solve only its cost, with the start ones_tableau(A, b), so its LP
-        # is rebuilt as covering_lp(A, b, cost).
+        # the two LPs are one: each is solved under the same cost from the
+        # same x = 1 tableau.
         module = importlib.import_module("wlpcert.certify")
-        ones_tableau = module.ones_tableau
-        lps, rows = [], []
+        starts = []
 
-        def record(problem, *args, start=None, **kwargs):
-            lps.append(problem if start is None else covering_lp(*rows[-1], problem))
-            return solve(problem, *args, start=start, **kwargs)
-
-        def tableau(A, b):
-            rows.append((A, b))
-            return ones_tableau(A, b)
+        def record(cost, *args, start, **kwargs):
+            starts.append((np.array(cost), *(a.copy() for a in start)))
+            return solve(cost, *args, start=start, **kwargs)
 
         monkeypatch.setattr(module, "solve", record)
-        monkeypatch.setattr(module, "ones_tableau", tableau)
         for inst in (ex1, cycle_instance(9)):
-            lps.clear()
+            starts.clear()
             solve_weighted_lp(inst, Weights(np.ones(inst.n)))
             branch_and_bound_ip(inst)
-            weighted, root = lps[:2]
-            for a, b in zip(_standardize(weighted), _standardize(root), strict=True):
+            weighted, root = starts[:2]
+            for a, b in zip(weighted, root, strict=True):
                 np.testing.assert_array_equal(a, b)
-
-
-    def test_certify_builds_no_linear_program(self, monkeypatch):
-        # Every LP certify solves, branch-and-bound nodes included, is a
-        # started solve given only a cost.
-        original, built = LinearProgram.__post_init__, []
-
-        def counting(self):
-            built.append(self)
-            original(self)
-
-        monkeypatch.setattr(LinearProgram, "__post_init__", counting)
-        LinearProgram(objective=[1.0])
-        assert len(built) == 1
-        built.clear()
-        for workload in ("ladder", "small"):
-            for case in workload_cases(workload, 1, monkeypatch):
-                certify(case.instance, case.config, weights=case.weights)
-        assert built == []
 
     def test_residual_across_warm_passes(self, monkeypatch):
         # Each solved pass starts from the previous pass's tableau, so

@@ -13,12 +13,11 @@ from wlpcert import (
     parse_graph,
     parse_instance,
     random_instance,
-    covering_lp,
     to_standard_form,
 )
 
 from conftest import EX1_TEXT
-from _oracles import enumerate_binary_minimum
+from _oracles import covering_lp, enumerate_binary_minimum
 
 
 class TestParse:

@@ -6,14 +6,12 @@ import pytest
 
 from wlpcert import (
     CertifyConfig,
-    LinearProgram,
     LpError,
     LpSolution,
     Status,
     Weights,
     ZeroOneInstance,
     certify,
-    covering_lp,
     eta_j,
     goodness,
     optimal_face_range,
@@ -28,15 +26,17 @@ from wlpcert.lp import (
     INF,
     PIVOT_TOL,
     _iteration_budget,
-    _phase1,
     _phase2,
-    _standardize,
 )
 
 from _oracles import (
+    LinearProgram,
+    _reference_tableau,
     all_artificial_solve,
+    covering_lp,
     enumerate_lp_minimum,
     eta_lp,
+    loaded_start,
     pin_objective,
     reference_face_range,
     reference_loaded_tableau,
@@ -69,9 +69,38 @@ def random_lp(seed):
     )
 
 
+def random_box_cover(seed):
+    """Acceptance criterion 6's family of LPs, min objective @ x over
+    G x >= G x0 with G >= 0 and 0 <= x <= 2, as the covering LP in
+    y = x / 2, which ones_tableau starts at y = 1, that is x = 2 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(1, 9))
+    objective = rng.uniform(-1.0, 2.0, size=n)
+    G = rng.uniform(0.0, 2.0, size=(m, n))
+    x0 = rng.uniform(0.0, 1.0, size=n)
+    return covering_lp(2 * G, G @ x0, 2 * objective)
+
+
+def ones_start(lp):
+    """ones_tableau's start of lp, a covering_lp: x = 1."""
+    return ones_tableau(-lp.ineq_matrix, -lp.ineq_rhs)
+
+
+def slack_start(lp):
+    """lp's slack-basis tableau (the reference's) as a start for solve."""
+    return loaded_start(lp, _reference_tableau(lp)[1])
+
+
+def from_ones(lp, max_iters=None):
+    """solve on lp, a covering_lp, from x = 1."""
+    return solve(lp.objective, ones_start(lp), max_iters)
+
+
 class TestSolve:
     def test_trivial_nonnegativity(self):
-        sol = solve(LinearProgram(objective=np.array([1.0])))
+        lp = LinearProgram(objective=np.array([1.0]))
+        sol = solve(lp.objective, slack_start(lp))
         assert sol.status is Status.OPTIMAL
         assert sol.value == pytest.approx(0.0, abs=1e-12)
 
@@ -83,35 +112,32 @@ class TestSolve:
         assert residual(covering_lp(ex1.A, ex1.b, ones3.c), sol.x) <= 1e-8
 
     def test_unbounded(self):
-        sol = solve(LinearProgram(objective=np.array([-1.0])))
+        lp = LinearProgram(objective=np.array([-1.0]))
+        sol = solve(lp.objective, slack_start(lp))
         assert sol.status is Status.UNBOUNDED
 
     def test_infeasible(self):
-        sol = solve(
-            LinearProgram(
-                objective=np.array([1.0]),
-                ineq_matrix=np.array([[-1.0]]),
-                ineq_rhs=np.array([-2.0]),
-                upper=np.array([1.0]),
-            )
-        )
+        # x >= 2 with x <= 1: x = 1 leaves the covering row negative.
+        sol = from_ones(covering_lp(np.ones((1, 1)), np.array([2.0]), np.ones(1)))
         assert sol.status is Status.INFEASIBLE
 
     def test_deterministic_including_basis(self, ex1, ones3):
         lp = covering_lp(ex1.A, ex1.b, ones3.c)
-        a, b = solve(lp), solve(lp)
+        a, b = from_ones(lp), from_ones(lp)
         assert a.basis == b.basis
         np.testing.assert_array_equal(a.x, b.x)
         assert a.value == b.value
 
     def test_iteration_limit_is_explicit(self, ex1, ones3):
-        sol = solve(covering_lp(ex1.A, ex1.b, ones3.c), max_iters=1)
+        sol = from_ones(covering_lp(ex1.A, ex1.b, ones3.c), max_iters=1)
         assert sol.status is Status.ITERATION_LIMIT
 
+    # The reference simplex runs on general LPs, checked here against
+    # vertex enumeration; every pivot-identity test below trusts it.
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_vertex_enumeration(self, seed):
         lp = random_lp(seed)
-        sol = solve(lp)
+        sol = reference_solve(lp)
         oracle = enumerate_lp_minimum(
             lp.objective, lp.ineq_matrix, lp.ineq_rhs, np.zeros(lp.nvars), lp.upper
         )
@@ -124,36 +150,35 @@ class TestSolve:
     @pytest.mark.parametrize("seed", range(40))
     def test_optimal_solutions_respect_constraints(self, seed):
         lp = random_lp(seed)
-        sol = solve(lp)
+        sol = reference_solve(lp)
         if sol.status is Status.OPTIMAL:
             assert residual(lp, sol.x) <= 1e-8
 
 
 class TestNonFiniteData:
-    """LinearProgram rejects a non-finite entry in its objective, constraint
-    matrix or right-hand side; an upper bound may be +inf."""
+    """solve reads its tableau as given, so the LP data is kept finite where
+    it enters: Weights rejects a non-finite objective and ZeroOneInstance a
+    non-finite constraint matrix or right-hand side. An upper bound may be
+    +inf: it adds no bound row."""
 
     @pytest.mark.parametrize("value", [INF, -INF, np.nan])
     def test_objective_raises(self, value):
-        # With [inf, 1] solve returned OPTIMAL with value nan.
-        with pytest.raises(ValueError, match="non-finite entry in the objective"):
-            LinearProgram(objective=[value, 1.0])
+        with pytest.raises(ValueError, match="nonempty finite vector"):
+            Weights(c=[value, 1.0])
 
     @pytest.mark.parametrize("value", [INF, -INF, np.nan])
     def test_ineq_matrix_raises(self, value):
-        with pytest.raises(ValueError, match="non-finite entry in the ineq matrix"):
-            LinearProgram(objective=[1.0], ineq_matrix=[[value]], ineq_rhs=[1.0])
+        with pytest.raises(ValueError, match="A contains a non-finite entry"):
+            ZeroOneInstance(A=[[value]], b=[1.0])
 
     @pytest.mark.parametrize("value", [INF, -INF, np.nan])
     def test_ineq_rhs_raises(self, value):
-        # With rhs inf solve returned OPTIMAL with x = [inf] and value -inf
-        # for this LP, which is unbounded.
-        with pytest.raises(ValueError, match="non-finite entry in the ineq rhs"):
-            LinearProgram(objective=[-1.0], ineq_matrix=[[1.0]], ineq_rhs=[value])
+        with pytest.raises(ValueError, match="b contains a non-finite entry"):
+            ZeroOneInstance(A=[[1.0]], b=[value])
 
     def test_infinite_upper_bound_is_no_bound(self):
         lp = LinearProgram(objective=[-1.0], upper=[INF])
-        assert solve(lp).status is Status.UNBOUNDED
+        assert solve(lp.objective, slack_start(lp)).status is Status.UNBOUNDED
 
 
 class TestOptimalFace:
@@ -177,7 +202,8 @@ class TestOptimalFace:
             ineq_rhs=np.array([1.0]),
             upper=np.array([1.0, 1.0]),
         )
-        for lo, hi in optimal_face_range(solve(lp), range(2)):
+        sol = solve(lp.objective, slack_start(lp))
+        for lo, hi in optimal_face_range(sol, range(2)):
             assert lo == pytest.approx(0.0, abs=1e-9)
             assert hi == pytest.approx(1.0, abs=1e-9)
 
@@ -191,16 +217,30 @@ def _fingerprint(sol, lp, loaded=0):
     return sol.status, sol.iterations + loaded, sol.basis, repr(sol.value), x, res
 
 
+def eta_basis(lp):
+    """The basis of eta_j's (u = 0, t = c_j) start of lp, an eta_lp: each
+    row on its slack but row n, where t is basic."""
+    m = lp.nvars - 1
+    n = lp.ineq_matrix.shape[0] - 1
+    listed = list(range(m + 1, 2 * m + n + 2))
+    listed[n] = m
+    return listed
+
+
 @pytest.fixture
 def certificate_lps(ex1, ex2, ex3):
-    """The weighted LP and every eta_j LP at beta = 1/2 of examples 1-3
-    and the 9-cycle, at unit weights."""
+    """(lp, listed) of the weighted LP and of every eta_j LP at beta = 1/2
+    of examples 1-3 and the 9-cycle, at unit weights, each with the basis
+    that certify starts it from: x = 1 and (u = 0, t = c_j)."""
     lps = []
     for inst in (ex1, ex2, ex3, cycle_instance(9)):
         sf = to_standard_form(inst)
         c = Weights(np.ones(inst.n))
-        lps.append(covering_lp(inst.A, inst.b, c.c))
-        lps += [eta_lp(sf, c, 0.5, j) for j in range(inst.n)]
+        listed = ones_tableau(inst.A, inst.b)[1].tolist()
+        lps.append((covering_lp(inst.A, inst.b, c.c), listed))
+        for j in range(inst.n):
+            lp = eta_lp(sf, c, 0.5, j)
+            lps.append((lp, eta_basis(lp)))
     return lps
 
 
@@ -281,18 +321,33 @@ def basis_solves(warm_cases, monkeypatch):
     )
 
 
+def assert_same_pivots(lp, start, max_iters=None):
+    """solve on lp from start, a (tableau, basis) that it overwrites, takes
+    the reference's pivots from the same basis. The reference loads that
+    basis by pivots, which count in its iterations; its budget is raised
+    by as many, so both simplexes have the same budget left."""
+    T, basis = start
+    listed = basis.tolist()
+    if max_iters is None:
+        max_iters = _iteration_budget(T[:, :-1])
+    _, _, loaded = reference_loaded_tableau(lp, listed)
+    sol = solve(lp.objective, start, max_iters)
+    reference = reference_solve(lp, max_iters + loaded, start=listed)
+    assert _fingerprint(sol, lp, loaded) == _fingerprint(reference, lp)
+
+
 class TestPivotIdentity:
     """The vectorised simplex takes exactly the reference row loop's pivots."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_lp(self, seed):
-        lp = random_lp(seed)
-        assert _fingerprint(solve(lp), lp) == _fingerprint(reference_solve(lp), lp)
+        lp = random_box_cover(seed)
+        assert_same_pivots(lp, ones_start(lp))
 
     def test_certificate_lps(self, certificate_lps):
         assert len(certificate_lps) == 4 + 3 + 3 + 3 + 9
-        for lp in certificate_lps:
-            assert _fingerprint(solve(lp), lp) == _fingerprint(reference_solve(lp), lp)
+        for lp, listed in certificate_lps:
+            assert_same_pivots(lp, loaded_start(lp, listed))
 
     def test_warm_certify_passes(self, warm_passes):
         # Example 3 certifies on pass 2 and the 9-cycle ends on pass 1;
@@ -328,30 +383,31 @@ class TestPivotIdentity:
 
     @pytest.mark.parametrize("max_iters", range(1, 6))
     def test_iteration_budgets(self, max_iters, certificate_lps):
-        for lp in certificate_lps + [random_lp(seed) for seed in range(40)]:
-            assert _fingerprint(solve(lp, max_iters), lp) == _fingerprint(
-                reference_solve(lp, max_iters), lp
-            )
+        for lp, listed in certificate_lps:
+            assert_same_pivots(lp, loaded_start(lp, listed), max_iters)
+        for seed in range(40):
+            lp = random_box_cover(seed)
+            assert_same_pivots(lp, ones_start(lp), max_iters)
 
 
 class TestWarmStart:
     """A re-solve under a new cost from an earlier optimal tableau of the
-    same LP: no standardisation and no phase 1. The start holds the
-    constraints, so solve takes only the new cost with it."""
+    same LP. The start holds the constraints, so solve takes only the new
+    cost with it."""
 
     @staticmethod
     def covering_pair(seed):
-        """(cold unit-cost solution, LP with rank-spaced costs) on the
+        """(unit-cost solution from x = 1, LP with rank-spaced costs) on the
         constraints of random_instance(6, 10, seed)."""
         inst = random_instance(6, 10, seed)
-        start = solve(covering_lp(inst.A, inst.b, np.ones(inst.n)))
+        start = from_ones(covering_lp(inst.A, inst.b, np.ones(inst.n)))
         c = np.random.default_rng(seed).permutation(np.linspace(0.8, 1.0, inst.n))
         return start, covering_lp(inst.A, inst.b, c)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_cold_solve(self, seed):
         start, lp = self.covering_pair(seed)
-        warm, cold = solve(lp.objective, start=start), solve(lp)
+        warm, cold = solve(lp.objective, start=start), from_ones(lp)
         assert warm.status is cold.status
         assert warm.value == pytest.approx(cold.value, rel=0, abs=1e-9)
         assert warm.iterations <= cold.iterations
@@ -369,47 +425,25 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="26 columns"):
             solve(np.ones(27), start=start)
 
-    def test_lp_with_start_and_cost_without_start_raise(self, ex1):
-        start, lp = self.covering_pair(0)
-        with pytest.raises(ValueError, match="LinearProgram"):
-            solve(lp, start=start)
-        covering = covering_lp(ex1.A, ex1.b, np.ones(3))
-        with pytest.raises(ValueError, match="LinearProgram"):
-            solve(covering, start=ones_tableau(ex1.A, ex1.b))
-        with pytest.raises(ValueError, match="needs a start"):
-            solve(lp.objective)
-
-    def test_other_matrix_of_same_width_raises(self):
-        # A start can no longer be paired with another LP's constraints:
-        # such an LP raises, and its cost alone is solved on the start's.
-        start = solve(covering_lp(np.eye(2), np.ones(2), np.ones(2)))
+    def test_cost_is_solved_on_the_start_constraints(self):
+        # A start cannot be paired with another LP's constraints: solve
+        # takes only a cost, which it solves on the start's constraints.
+        start = from_ones(covering_lp(np.eye(2), np.ones(2), np.ones(2)))
         A = np.array([[1.0, 1.0], [0.0, 0.0]])
         lp = covering_lp(A, np.array([1.0, 0.0]), np.ones(2))
-        assert solve(lp).value == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError, match="LinearProgram"):
-            solve(lp, start=start)
-        # The same matrix under another right-hand side.
-        with pytest.raises(ValueError, match="LinearProgram"):
-            solve(covering_lp(np.eye(2), np.array([1.0, 0.5]), np.ones(2)), start=start)
+        assert from_ones(lp).value == pytest.approx(1.0, abs=1e-12)
         warm = solve(lp.objective, start=start)
         assert warm.status is Status.OPTIMAL
         assert warm.value == pytest.approx(2.0, abs=1e-12)
 
-    def test_other_bound_pattern_raises(self):
-        def lp(upper):
-            return LinearProgram(
-                objective=np.array([-1.0, -1.0]),
-                ineq_matrix=np.array([[1.0, 1.0]]),
-                ineq_rhs=np.array([3.0]),
-                upper=np.array(upper),
-            )
-
-        start = solve(lp([1.0, INF]))
-        with pytest.raises(ValueError, match="LinearProgram"):
-            solve(lp([INF, 1.0]), start=start)
-        # The same pattern with another finite value.
-        with pytest.raises(ValueError, match="LinearProgram"):
-            solve(lp([2.0, INF]), start=start)
+    def test_start_keeps_its_bounds(self):
+        lp = LinearProgram(
+            objective=np.array([-1.0, -1.0]),
+            ineq_matrix=np.array([[1.0, 1.0]]),
+            ineq_rhs=np.array([3.0]),
+            upper=np.array([1.0, INF]),
+        )
+        start = solve(lp.objective, slack_start(lp))
         # Under a cost that favours x0, the start's bound x0 <= 1 holds.
         warm = solve(np.array([-2.0, -1.0]), start=start)
         assert warm.value == pytest.approx(-4.0, abs=1e-12)
@@ -418,15 +452,20 @@ class TestWarmStart:
     @staticmethod
     def capped_cover(r):
         """min x0 + 2 x1 over x0 + x1 >= 1, x0 <= r. For r >= 1 the optimum
-        is x = (1, 0), with the slack of x0 <= r basic at r - 1."""
+        is x = (1, 0), with the slack of x0 <= r basic at r - 1: the basis
+        [0, 3], which is where capped_start starts."""
         return LinearProgram(
             objective=np.array([1.0, 2.0]),
             ineq_matrix=np.array([[-1.0, -1.0], [1.0, 0.0]]),
             ineq_rhs=np.array([-1.0, r]),
         )
 
+    @classmethod
+    def capped_start(cls, r):
+        return loaded_start(cls.capped_cover(r), [0, 3])
+
     def test_start_with_missing_row_raises(self):
-        solved = solve(self.capped_cover(2.0))
+        solved = solve(self.capped_cover(2.0).objective, self.capped_start(2.0))
         T, basis, cost = solved._optimum
         start = replace(solved, _optimum=(T[:-1], basis, cost))
         with pytest.raises(ValueError, match="1 rows and 4 columns, its basis lists 2"):
@@ -434,30 +473,30 @@ class TestWarmStart:
 
     def test_start_without_optimum_raises(self, ex1):
         lp = covering_lp(ex1.A, ex1.b, np.ones(ex1.n))
-        start = solve(lp, max_iters=1)
+        start = from_ones(lp, max_iters=1)
         assert start._optimum is None
         with pytest.raises(ValueError, match="no optimal tableau"):
             solve(lp.objective, start=start)
 
 
 class TestSlackStart:
-    """Phase 1 starts every inequality and bound row on its own slack, and
-    puts an artificial only on the rows whose right-hand side is below
-    -PIVOT_TOL."""
+    """The reference's phase 1 starts every inequality and bound row on its
+    own slack, and puts an artificial only on the rows whose right-hand
+    side is below -PIVOT_TOL. It ends where a phase 1 with an artificial
+    on every row ends, and so does solve from certify's starts."""
 
     @staticmethod
     def assert_starts_on_own_slack(lp):
         # Row i starts on slack column nvars + i, with its right-hand side
         # as given.
-        T, basis = _standardize(lp)
+        T, basis = _reference_tableau(lp)
         rhs = np.concatenate([lp.ineq_rhs, lp.upper[np.isfinite(lp.upper)]])
         np.testing.assert_array_equal(basis, lp.nvars + np.arange(rhs.size))
         np.testing.assert_array_equal(T[:, basis], np.eye(rhs.size))
         np.testing.assert_array_equal(T[:, -1], rhs)
 
     @staticmethod
-    def assert_matches_all_artificial(lp):
-        sol = solve(lp)
+    def assert_matches_all_artificial(lp, sol):
         status, value = all_artificial_solve(lp)
         assert sol.status is status
         if status is Status.OPTIMAL:
@@ -465,26 +504,27 @@ class TestSlackStart:
 
     @staticmethod
     def artificial_rows(lp):
-        T, _ = _standardize(lp)
+        T, _ = _reference_tableau(lp)
         return (T[:, -1] < -PIVOT_TOL).nonzero()[0].tolist()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_lp_matches_all_artificial(self, seed):
         lp = random_lp(seed)
         self.assert_starts_on_own_slack(lp)
-        self.assert_matches_all_artificial(lp)
+        self.assert_matches_all_artificial(lp, reference_solve(lp))
 
     def test_certificate_lps_match_all_artificial(self, certificate_lps):
-        for lp in certificate_lps:
+        for lp, listed in certificate_lps:
             self.assert_starts_on_own_slack(lp)
-            self.assert_matches_all_artificial(lp)
+            sol = solve(lp.objective, loaded_start(lp, listed))
+            self.assert_matches_all_artificial(lp, sol)
 
     def test_eta_lp_has_one_artificial(self, ex1, ex2, ex3, certificate_lps):
         # From the slack basis every eta_j LP puts an artificial on its row
         # n, and the weighted LP one on each covering row with b_i > 0; its
         # rows with b_i = 0 and its bound rows start on their slacks. (Their
-        # cold solves in certify start from feasible bases instead.)
-        lps = iter(certificate_lps)
+        # solves in certify start from feasible bases instead.)
+        lps = iter(lp for lp, _ in certificate_lps)
         for inst in (ex1, ex2, ex3, cycle_instance(9)):
             assert self.artificial_rows(next(lps)) == (inst.b > 0).nonzero()[0].tolist()
             for _ in range(inst.n):
@@ -492,76 +532,46 @@ class TestSlackStart:
                 assert self.artificial_rows(lp) == [lp.ineq_matrix.shape[0] - 1]
         assert next(lps, None) is None
 
-    def test_slack_start_needs_no_phase1_pivot(self):
-        lp = LinearProgram(
-            objective=np.array([-1.0, -2.0, 0.5]),
-            ineq_matrix=np.array([[1.0, 1.0, 1.0], [2.0, -1.0, 0.0]]),
-            ineq_rhs=np.array([4.0, 0.0]),
-            upper=np.array([3.0, INF, 1.0]),
-        )
-        T, basis = _standardize(lp)
-        status, used, T1, basis1 = _phase1(T, basis, _iteration_budget(T[:, :-1]))
-        assert status is Status.OPTIMAL and used == 0
-        assert T1 is T and basis1 is basis
-        np.testing.assert_array_equal(basis, [3, 4, 5, 6])
-        assert solve(lp).status is Status.OPTIMAL
-
-    def test_artificial_without_pivot_raises(self):
-        # Row 1 is negative, but round-off has left every entry of it at
-        # most PIVOT_TOL: its artificial ends phase 1 basic at 5e-8, within
-        # PHASE1_TOL, with no column to leave through.
-        T = np.array([[1.0, 0.0, 1.0], [0.0, 1e-10, -5e-8]])
-        with pytest.raises(LpError, match="artificial of row 1"):
-            _phase1(T, np.array([0, 1]), 10)
-
-
 class TestBasisStart:
     """solve(cost, start=(tableau, basis)) starts from a tableau built on
-    another basis, counts no loading pivot, and runs phase 1 only on the
-    rows that basis leaves negative."""
-
-    def test_slack_basis_is_the_slack_start(self, certificate_lps):
-        for lp in certificate_lps:
-            listed = solve(lp.objective, start=_standardize(lp))
-            assert _fingerprint(listed, lp) == _fingerprint(solve(lp), lp)
+    another basis, counts no loading pivot, and ends INFEASIBLE at once
+    when that basis leaves a row negative."""
 
     def test_feasible_basis_skips_phase1(self, ex1):
-        # x = 1 covers example 1, so phase 1 takes no pivot from its
-        # tableau; every pivot is phase 2's, and the reference takes 3
-        # loading pivots more.
+        # x = 1 covers example 1, so its tableau is feasible and needs no
+        # phase 1; the reference takes 3 loading pivots more. Its value is
+        # the reference's from the slack basis, through phase 1.
         lp = covering_lp(ex1.A, ex1.b, np.ones(3))
         T, basis = ones_tableau(ex1.A, ex1.b)
         assert np.all(T[:, -1] >= 0)
         listed = basis.tolist()
-        status, used, _, _ = _phase1(T, basis, 100)
-        assert status is Status.OPTIMAL and used == 0
-        sol = solve(lp.objective, start=ones_tableau(ex1.A, ex1.b))
-        assert sol.value == pytest.approx(solve(lp).value, rel=0, abs=1e-12)
+        sol = solve(lp.objective, start=(T, basis))
+        assert sol.value == pytest.approx(reference_solve(lp).value, rel=0, abs=1e-12)
         reference = reference_solve(lp, start=listed)
         assert _fingerprint(sol, lp, 3) == _fingerprint(reference, lp)
 
     @pytest.mark.parametrize("max_iters", range(1, 8))
     def test_loading_pivots_spend_the_budget(self, max_iters, ex1, ex2, ex3):
         # The reference's n loading pivots spend its budget; the closed-form
-        # tableau has none to spend, so phases 1 and 2 get all of max_iters
-        # and match the reference given n more. The last LP is infeasible,
-        # so phase 1 runs.
+        # tableau has none to spend, so solve gets all of max_iters and
+        # matches the reference given n more. x = 1 leaves the last LP's row
+        # negative: solve ends INFEASIBLE with no pivot, and so does the
+        # reference's phase 1.
         cover = ZeroOneInstance(A=np.ones((1, 2)), b=np.array([3.0]))
         for inst in (ex1, ex2, ex3, cycle_instance(9), cover):
             lp = covering_lp(inst.A, inst.b, np.ones(inst.n))
             T, basis = ones_tableau(inst.A, inst.b)
             listed = basis.tolist()
-            sol = solve(lp.objective, max_iters, start=(T, basis))
+            sol = solve(lp.objective, (T, basis), max_iters)
             assert sol.iterations <= max_iters
             assert _fingerprint(sol, lp, inst.n) == _fingerprint(
                 reference_solve(lp, max_iters + inst.n, start=listed), lp
             )
 
     def test_wrong_length_raises(self, ex1):
-        lp = covering_lp(ex1.A, ex1.b, np.ones(3))
         T, _ = ones_tableau(ex1.A, ex1.b)
         with pytest.raises(ValueError, match="lists 5 columns"):
-            solve(lp.objective, start=(T, np.arange(5)))
+            solve(np.ones(3), start=(T, np.arange(5)))
 
     def test_wrong_shape_raises(self, ex2):
         T, basis = ones_tableau(ex2.A[:2], ex2.b[:2])
@@ -570,19 +580,19 @@ class TestBasisStart:
 
 
 class TestFaceRangeMatchesProbes:
-    """Each face range is within 1e-12 of the two standalone solves of the
-    pinned-objective LP that it stands for."""
+    """Each face range is within 1e-12 of the two standalone reference
+    solves of the pinned-objective LP that it stands for."""
 
-    def check(self, lp):
-        sol = solve(lp)
+    def check(self, lp, start):
+        sol = solve(lp.objective, start)
         pinned = pin_objective(lp, sol.value)
         ranges = optimal_face_range(sol, range(lp.nvars))
         assert len(ranges) == lp.nvars
         for var, (lo, hi) in enumerate(ranges):
             e = np.zeros(lp.nvars)
             e[var] = 1.0
-            lo_sol = solve(replace(pinned, objective=e))
-            hi_sol = solve(replace(pinned, objective=-e))
+            lo_sol = reference_solve(replace(pinned, objective=e))
+            hi_sol = reference_solve(replace(pinned, objective=-e))
             expected_lo = -INF if lo_sol.status is Status.UNBOUNDED else lo_sol.value
             expected_hi = INF if hi_sol.status is Status.UNBOUNDED else -hi_sol.value
             np.testing.assert_allclose(
@@ -591,12 +601,14 @@ class TestFaceRangeMatchesProbes:
 
     def test_examples_and_cycle(self, ex1, ex2, ex3):
         for inst in (ex1, ex2, ex3, cycle_instance(9)):
-            self.check(covering_lp(inst.A, inst.b, np.ones(inst.n)))
+            lp = covering_lp(inst.A, inst.b, np.ones(inst.n))
+            self.check(lp, ones_start(lp))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_instances(self, seed):
         inst = random_instance(4, 6, seed)
-        self.check(covering_lp(inst.A, inst.b, np.ones(inst.n)))
+        lp = covering_lp(inst.A, inst.b, np.ones(inst.n))
+        self.check(lp, ones_start(lp))
 
     def test_unbounded_direction(self):
         # x0 - x1 = 0 with a zero objective: both variables are free upward.
@@ -605,8 +617,9 @@ class TestFaceRangeMatchesProbes:
             ineq_matrix=np.array([[1.0, -1.0], [-1.0, 1.0]]),
             ineq_rhs=np.zeros(2),
         )
-        self.check(lp)
-        assert optimal_face_range(solve(lp), range(2)) == [(0.0, INF), (0.0, INF)]
+        self.check(lp, slack_start(lp))
+        sol = solve(lp.objective, slack_start(lp))
+        assert optimal_face_range(sol, range(2)) == [(0.0, INF), (0.0, INF)]
 
 
 class TestFaceFromOptimalTableau:
@@ -618,14 +631,15 @@ class TestFaceFromOptimalTableau:
         np.testing.assert_allclose(ranges, expected, rtol=0, atol=1e-12)
 
     def test_degenerate_vertex_has_zero_width(self):
-        # min x0 + x1 with x0 + x1 >= 1 and x1 <= 0: x1 is basic at 0, so
-        # the slack of x1 <= 0 has reduced cost 0 yet cannot enter above 0.
+        # min x0 + x1 with x0 + x1 >= 1 and x1 <= 0, from x0 basic in row
+        # 0: the slack of x1 <= 0 is basic at 0, so x1 has reduced cost 0
+        # yet cannot enter above 0.
         lp = LinearProgram(
             objective=np.ones(2),
             ineq_matrix=np.array([[-1.0, -1.0], [0.0, 1.0]]),
             ineq_rhs=np.array([-1.0, 0.0]),
         )
-        sol = solve(lp)
+        sol = solve(lp.objective, loaded_start(lp, [0, 3]))
         T, basis, cost = sol._optimum
         reduced = cost - cost[basis] @ T[:, :-1]
         assert np.setdiff1d((reduced <= COST_TOL).nonzero()[0], basis).size
@@ -699,7 +713,7 @@ class TestFaceFromOptimalTableau:
 
     def test_repeat_call_leaves_solution_unchanged(self, ex2, ones3):
         lp = covering_lp(ex2.A, ex2.b, ones3.c)
-        sol = solve(lp)
+        sol = from_ones(lp)
         before = [a.tobytes() for a in sol._optimum]
         first = optimal_face_range(sol, range(lp.nvars))
         assert optimal_face_range(sol, range(lp.nvars)) == first
@@ -707,14 +721,13 @@ class TestFaceFromOptimalTableau:
         self.assert_matches_reference(lp, sol, first)
 
     def test_non_optimal_solution_raises(self):
-        infeasible = LinearProgram(
-            objective=np.array([1.0]),
-            ineq_matrix=np.array([[-1.0]]),
-            ineq_rhs=np.array([-2.0]),
-            upper=np.array([1.0]),
-        )
+        infeasible = covering_lp(np.ones((1, 1)), np.array([2.0]), np.ones(1))
         unbounded = LinearProgram(objective=np.array([-1.0]))
-        for sol in (solve(infeasible), solve(unbounded), solve(infeasible, 1)):
+        for sol in (
+            from_ones(infeasible),
+            solve(unbounded.objective, slack_start(unbounded)),
+            from_ones(infeasible, 1),
+        ):
             assert sol.status is not Status.OPTIMAL
             with pytest.raises(ValueError, match="no optimal face"):
                 optimal_face_range(sol, [0])

@@ -6,8 +6,6 @@ import json
 import re
 from pathlib import Path
 
-import numpy as np
-
 from wlpcert import Status, certify
 
 from conftest import workload_cases
@@ -52,36 +50,35 @@ def test_solves_digest_is_repeatable(capsys):
 
 def test_certify_solves_take_no_phase1_pivot(monkeypatch):
     # Every LP that certify solves on the seed-1 ladder and small inputs
-    # starts from a feasible basis, or from one whose negative rows prove
-    # the LP infeasible before phase 1 pivots. A start that needs a phase-1
-    # pivot fails here.
-    lp = importlib.import_module("wlpcert.lp")
-    original, phase1 = lp._phase1, []
-
-    def recording(T, basis, max_iters):
-        negative = bool(np.any(T[:, -1] < -lp.PIVOT_TOL))
-        result = original(T, basis, max_iters)
-        phase1.append((negative, result[0], result[1]))
-        return result
-
-    monkeypatch.setattr(lp, "_phase1", recording)
-    infeasible = []
+    # starts from a feasible basis and ends OPTIMAL, or from one that
+    # leaves a row negative and ends INFEASIBLE with no pivot. No solve
+    # needs a phase 1.
+    certify_module = importlib.import_module("wlpcert.certify")
+    exact_check = certify_module.branch_and_bound_ip
+    infeasible, checked = [], set()
     with _tool().recorded_solves() as solves:
+
+        def recorded_check(inst):
+            before = len(solves)
+            result = exact_check(inst)
+            checked.update(range(before, len(solves)))
+            return result
+
+        monkeypatch.setattr(certify_module, "branch_and_bound_ip", recorded_check)
         for workload in ("ladder", "small"):
             for case in workload_cases(workload, 1, monkeypatch):
                 before = len(solves)
                 certify(case.instance, case.config, weights=case.weights)
                 infeasible += [
-                    case.name
-                    for sol in solves[before:]
+                    (case.name, i in checked, sol.iterations)
+                    for i, sol in enumerate(solves[before:], before)
                     if sol.status is Status.INFEASIBLE
                 ]
-    assert len(solves) == len(phase1) == 18 + 423
+    assert len(solves) == 18 + 423
+    assert all(sol.status in (Status.OPTIMAL, Status.INFEASIBLE) for sol in solves)
     # One branch-and-bound node of the exact check that refutes
-    # random_2x2_s35's certificate: x = 1 leaves one of its rows uncovered,
-    # and phase 1 ends INFEASIBLE without a pivot.
-    assert infeasible == ["random_2x2_s35"]
-    assert [p for p in phase1 if p[0]] == [(True, Status.INFEASIBLE, 0)]
+    # random_2x2_s35's certificate: x = 1 leaves one of its rows uncovered.
+    assert infeasible == [("random_2x2_s35", True, 0)]
 
 
 def test_outcomes_are_pinned(capsys):

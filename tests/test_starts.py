@@ -16,7 +16,6 @@ from wlpcert import (
     Weights,
     ZeroOneInstance,
     beta_bar,
-    covering_lp,
     eta_j,
     optimal_face_range,
     solve,
@@ -27,6 +26,7 @@ from wlpcert.lp import ELIM_TOL, PIVOT_TOL, _pivot
 
 from _oracles import (
     _reference_pivot,
+    covering_lp,
     enumerate_lp_minimum,
     eta_lp,
     probe_every_face_range,
@@ -112,9 +112,9 @@ def test_covering_start_matches_vertex_enumeration(drawn):
         assert np.all(inst.A @ ones.x >= inst.b - 1e-9)
         assert np.all((ones.x >= -1e-9) & (ones.x <= 1 + 1e-9))
     # x = 1 ends INFEASIBLE, with no pivot, exactly when some row has
-    # A_i 1 < b_i - PIVOT_TOL: such a row keeps nonnegative nonbasic
-    # entries, so phase 1 stops at once. A drawn row misses b_i by 0 or by
-    # at least 0.25, far above PHASE1_TOL.
+    # A_i 1 < b_i - PIVOT_TOL, which leaves that row's right-hand side
+    # negative. A drawn row misses b_i by 0 or by at least 0.25, far above
+    # PIVOT_TOL.
     uncovered = bool(np.any(inst.A.sum(axis=1) < inst.b - PIVOT_TOL))
     assert (ones.status is Status.INFEASIBLE) == uncovered
     if uncovered:
@@ -224,10 +224,13 @@ def degenerate_covers(draw):
 
 @settings(max_examples=200)
 @given(degenerate_covers(), st.booleans())
-def test_face_range_matches_every_probe(drawn, from_ones):
+def test_face_range_matches_every_probe(drawn, warm):
+    # From x = 1, or warm from the optimum at unit cost.
     inst, c = drawn
-    lp = covering_lp(inst.A, inst.b, c)
-    sol = solve(c, start=ones_tableau(inst.A, inst.b)) if from_ones else solve(lp)
+    start = ones_tableau(inst.A, inst.b)
+    if warm:
+        start = solve(np.ones(inst.n), start=start)
+    sol = solve(c, start=start)
     assert sol.status is Status.OPTIMAL
     variables = range(inst.n)
     assert optimal_face_range(sol, variables) == probe_every_face_range(
