@@ -10,6 +10,7 @@ found by LP branch-and-bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -77,8 +78,12 @@ class CertifyConfig:
     brute_force_verify: bool = True
 
     def __post_init__(self):
-        if self.max_weight_iterations < 1:
-            raise ValueError("max_weight_iterations must be >= 1")
+        try:
+            budget = operator.index(self.max_weight_iterations)
+        except TypeError:
+            budget = 0
+        if budget < 1:
+            raise ValueError("max_weight_iterations must be an integer >= 1")
         beta = self.beta_override
         if beta is not None and not 0 < beta < math.inf:
             raise ValueError("beta override must be positive and finite")
@@ -86,7 +91,7 @@ class CertifyConfig:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    iterations: tuple  # one Pass per weight-adjustment pass
+    iterations: tuple  # one Pass per pass run
     lp_solution: LpSolution | None
     certified: bool
     recovered: np.ndarray | None
@@ -299,14 +304,11 @@ def certify(
     max_weight_iterations.
 
     The loop stops at a weight fixed point: when adjust_weights returns
-    the weights pass k already had, passes k+1.. are filled with pass k's
-    record and a discrepancy says so. This is exact. Under the same
-    weights the next weighted LP starts from pass k's own optimal tableau
-    with the same cost, so the simplex computes the same reduced costs and
-    takes no pivot, and classify_case reads the same tableau. Each eta_j
-    repeats because it is solved from the same start under the same c and
-    beta. The next pass therefore equals pass k, and by induction so
-    does every later pass.
+    the weights pass k already had, a discrepancy says so and no later
+    pass runs, since it would equal pass k. Its weighted LP would start
+    from pass k's optimal tableau under the same cost and take no pivot,
+    classify_case would read the same tableau, and each eta_j would be
+    solved from the same start under the same c and beta.
 
     With brute_force_verify, a certified recovery is then checked against
     branch_and_bound_ip, and a refuted one is not certified.
@@ -329,8 +331,7 @@ def certify(
                 f"column-norm default {bb:g}"
             )
     sol = None
-    budget = config.max_weight_iterations
-    for k in range(1, budget + 1):
+    for k in range(1, config.max_weight_iterations + 1):
         sol = solve_weighted_lp(inst, c, sol)
         if sol.status is not Status.OPTIMAL:
             discrepancies.append(
@@ -356,13 +357,8 @@ def certify(
         if certified:
             break
         nxt = adjust_weights(sol.x)
-        if k < budget and np.array_equal(nxt.c, c.c):
-            iterations += [iterations[-1]] * (budget - k)
-            discrepancies.append("weight-adjustment iteration budget exhausted")
-            discrepancies.append(
-                f"weights repeat from pass {k}; passes {k + 1}..{budget} "
-                "are identical"
-            )
+        if np.array_equal(nxt.c, c.c):
+            discrepancies.append(f"weights repeat from pass {k}")
             break
         c = nxt
     else:

@@ -37,7 +37,7 @@ from .instance import (
 )
 from .lp import LpError
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def _sig(x):

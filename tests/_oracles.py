@@ -139,9 +139,8 @@ def enumerate_lp_minimum(objective, ineq_matrix, ineq_rhs, lower, upper):
     opt_M = np.array([r for r, _ in optional]).reshape(-1, n)
     opt_rhs = np.array([v for _, v in optional]).reshape(-1)
     # Rows with equal coefficients share a key. A system that repeats a
-    # key is singular in exact arithmetic and mostly raises in
-    # np.linalg.solve, so such systems are stacked apart from the rest:
-    # mixed in, they would send every stack to one-at-a-time solves.
+    # key is singular in exact arithmetic, so it has no vertex of its own
+    # and is not solved.
     _, row_key = np.unique(opt_M, axis=0, return_inverse=True)
 
     best = None
@@ -153,9 +152,8 @@ def enumerate_lp_minimum(objective, ineq_matrix, ineq_rhs, lower, upper):
         rhs = opt_rhs[idx]
         keys = np.sort(row_key.reshape(-1)[idx], axis=1)
         repeated = np.any(keys[:, 1:] == keys[:, :-1], axis=1)
-        X = np.empty((k, n))
-        for part in (~repeated, repeated):
-            X[part] = _solve_each(M[part], rhs[part])
+        X = np.full((k, n), np.nan)
+        X[~repeated] = _solve_each(M[~repeated], rhs[~repeated])
         ok = np.all(np.isfinite(X), axis=1)
         if ineq_matrix.shape[0]:
             ok &= np.max(X @ ineq_matrix.T - ineq_rhs, axis=1) <= 1e-7

@@ -93,7 +93,8 @@ class TestWeightedLp:
     def test_residual_across_warm_passes(self, monkeypatch):
         # Each solved pass starts from the previous pass's tableau, so
         # rounding error is carried through every pass of a ladder input
-        # up to its weight fixed point.
+        # up to its weight fixed point, where certify stops and the full
+        # loop repeats that pass up to the budget.
         module = importlib.import_module("wlpcert.certify")
         weighted = module.solve_weighted_lp
         sols = []
@@ -106,8 +107,11 @@ class TestWeightedLp:
         monkeypatch.setattr(module, "solve_weighted_lp", record)
         for m, n in ((3, 3), (5, 8), (8, 12), (10, 16), (15, 24)):
             sols.clear()
-            cert = certify(random_instance(m, n, 1))
-            assert len(cert.iterations) == 10
+            inst = random_instance(m, n, 1)
+            cert = certify(inst)
+            full = full_loop_certify(inst).iterations
+            assert len(full) == 10
+            _assert_truncates(cert.iterations, full)
             assert len(sols) == len({id(p) for p in cert.iterations}) >= 2
             for lp, sol in sols:
                 assert residual(lp, sol.x) <= 1e-8
@@ -257,6 +261,17 @@ class TestCertify:
         with pytest.raises(ValueError, match="positive and finite"):
             CertifyConfig(beta_override=math.inf)
 
+    @pytest.mark.parametrize("budget", [0, 2.5, "3", None])
+    def test_config_rejects_non_integer_budget(self, budget):
+        # A budget that is not an integer would otherwise fail later,
+        # inside range.
+        with pytest.raises(ValueError, match="an integer >= 1"):
+            CertifyConfig(max_weight_iterations=budget)
+
+    def test_config_accepts_numpy_integer_budget(self):
+        config = CertifyConfig(max_weight_iterations=np.int64(2))
+        assert len(certify(random_instance(3, 3, 1), config).iterations) == 2
+
     def test_weights_of_wrong_length_raise(self):
         with pytest.raises(ValueError, match="length 2, the instance has 3"):
             certify(random_instance(2, 3, 1), weights=Weights(c=[1, 1]))
@@ -305,7 +320,12 @@ class TestLazyVerdict:
     def test_eta_j_calls_per_pass(self, monkeypatch):
         # Pass 1 has a non-unique optimum and solves no eta_j; on pass 2
         # the first column already gives s_star below the support. Pass 2's
-        # adjusted weights are its own, so pass 3 is pass 2's record.
+        # adjusted weights are its own, so the loop stops there, and the
+        # full loop's pass 3 repeats pass 2.
+        inst = random_instance(20, 32, 1)
+        config = CertifyConfig(max_weight_iterations=3)
+        full = full_loop_certify(inst, config).iterations
+        assert len(full) == 3
         goodness = importlib.import_module("wlpcert.goodness")
         module = importlib.import_module("wlpcert.certify")
         eta_j, solve_weighted_lp = goodness.eta_j, module.solve_weighted_lp
@@ -321,11 +341,10 @@ class TestLazyVerdict:
 
         monkeypatch.setattr(module, "solve_weighted_lp", next_pass)
         monkeypatch.setattr(goodness, "eta_j", counted)
-        cert = certify(
-            random_instance(20, 32, 1), CertifyConfig(max_weight_iterations=3)
-        )
+        cert = certify(inst, config)
         assert calls == [0, 1]
-        assert cert.iterations[2] is cert.iterations[1]
+        _assert_truncates(cert.iterations, full)
+        assert len(cert.iterations) == 2
         first, *rest = cert.iterations
         assert first.report is None and first.reason is PassReason.NON_UNIQUE
         for p in rest:
@@ -341,16 +360,22 @@ class TestLazyVerdict:
         + list(REFUTED_INSTANCES),
     )
     def test_matches_eager_order(self, m, n, seed):
+        # The eager loop runs every pass; past certify's fixed point at
+        # pass k each of its passes repeats pass k.
         inst = random_instance(m, n, seed)
         cert = certify(inst)
         recovered = None if cert.recovered is None else cert.recovered.tolist()
-        assert eager_certify(inst) == (
+        certified, passes, eager_recovered, cases, value = eager_certify(inst)
+        k = len(cert.iterations)
+        assert (certified, eager_recovered, cases[:k], value) == (
             cert.certified,
-            len(cert.iterations),
             recovered,
             [p.case for p in cert.iterations],
             cert.brute_force_value,
         )
+        assert cases[k:] == [cases[k - 1]] * (passes - k)
+        stopped = f"{REPEAT_NOTE} {k}" in cert.discrepancies
+        assert passes == (10 if stopped else k)
 
 
 class TestVerdictIsReproducible:
@@ -388,6 +413,7 @@ class TestVerdictIsReproducible:
 
 LADDER_SHAPES = ((3, 3), (5, 8), (8, 12), (10, 16), (15, 24))
 REPEAT_NOTE = "weights repeat from pass"
+BUDGET_NOTE = "weight-adjustment iteration budget exhausted"
 
 
 def _bits(value):
@@ -401,6 +427,21 @@ def _bits(value):
     if is_dataclass(value):
         return tuple(_bits(getattr(value, f.name)) for f in fields(value))
     return value
+
+
+def _pass_bits(p):
+    return _bits(p.weights.c), _bits(p.report), p.case, p.reason
+
+
+def _assert_truncates(passes, full):
+    """passes are the first k passes of full, a loop that ran every pass,
+    bit for bit, and each later pass of full equals pass k."""
+    k = len(passes)
+    assert 1 <= k <= len(full)
+    for a, b in zip(passes, full[:k], strict=True):
+        assert _pass_bits(a) == _pass_bits(b)
+    for b in full[k:]:
+        assert _pass_bits(b) == _pass_bits(passes[-1])
 
 
 class TestFixedPoint:
@@ -428,12 +469,10 @@ class TestFixedPoint:
             )
             calls.clear()
             cert = certify(inst)
-            assert len(calls) == k + 1
-            assert len(cert.iterations) == len(full) == 10
-            assert all(p is cert.iterations[k] for p in cert.iterations[k:])
-            assert cert.discrepancies[-1] == (
-                f"{REPEAT_NOTE} {k + 1}; passes {k + 2}..10 are identical"
-            )
+            assert len(calls) == len(cert.iterations) == k + 1
+            assert len(full) == 10
+            _assert_truncates(cert.iterations, full)
+            assert cert.discrepancies[-1] == f"{REPEAT_NOTE} {k + 1}"
 
     @staticmethod
     def full_loop_cases(ex1, ex2, ex3, monkeypatch):
@@ -453,14 +492,17 @@ class TestFixedPoint:
         for inst, config, weights in self.full_loop_cases(ex1, ex2, ex3, monkeypatch):
             cert = certify(inst, config, weights=weights)
             full = full_loop_certify(inst, config, weights=weights)
-            notes = [d for d in cert.discrepancies if not d.startswith(REPEAT_NOTE)]
-            repeats += len(notes) < len(cert.discrepancies)
+            k = len(cert.iterations)
+            # Where certify stops at a fixed point, the full loop runs on
+            # until the budget stops it.
+            repeat = f"{REPEAT_NOTE} {k}"
+            repeats += repeat in cert.discrepancies
+            notes = [BUDGET_NOTE if d == repeat else d for d in cert.discrepancies]
             assert notes == list(full.discrepancies)
-            assert len(cert.iterations) == len(full.iterations)
-            for a, b in zip(cert.iterations, full.iterations, strict=True):
-                assert _bits(a.weights.c) == _bits(b.weights.c)
-                assert _bits(a.report) == _bits(b.report)
-                assert (a.case, a.reason) == (b.case, b.reason)
+            if repeat not in cert.discrepancies:
+                assert len(full.iterations) == k
+            _assert_truncates(cert.iterations, full.iterations)
+            assert len({id(p) for p in cert.iterations}) == k
             for name in ("x", "value", "basis", "status"):
                 assert _bits(getattr(cert.lp_solution, name)) == _bits(
                     getattr(full.lp_solution, name)
@@ -477,14 +519,19 @@ class TestFixedPoint:
         # of small's 112 stop at a fixed point.
         assert repeats == 2 + 5 + 83
 
-    def test_note_only_when_passes_are_left(self):
-        # Pass 2 of random_instance(3, 3, 1) repeats its weights; with a
-        # budget of 2 no pass is left to fill.
+    def test_fixed_point_on_last_pass(self):
+        # Pass 2 of random_instance(3, 3, 1) repeats its weights. With a
+        # budget of 2 it is the last pass, and the note still names the
+        # fixed point, not the budget; with a budget of 1 the budget stops
+        # the loop first.
         inst = random_instance(3, 3, 1)
-        assert REPEAT_NOTE in certify(inst).discrepancies[-1]
+        assert certify(inst).discrepancies == (f"{REPEAT_NOTE} 2",)
         cert = certify(inst, CertifyConfig(max_weight_iterations=2))
-        assert cert.discrepancies == ("weight-adjustment iteration budget exhausted",)
+        assert cert.discrepancies == (f"{REPEAT_NOTE} 2",)
         assert cert.iterations[0] is not cert.iterations[1]
+        cert = certify(inst, CertifyConfig(max_weight_iterations=1))
+        assert cert.discrepancies == (BUDGET_NOTE,)
+        assert len(cert.iterations) == 1
 
 
 class TestPassReason:

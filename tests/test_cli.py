@@ -21,6 +21,7 @@ from wlpcert.cli import main
 
 CERTIFY_MODULE = importlib.import_module("wlpcert.certify")
 
+from _oracles import full_loop_certify
 from conftest import EX1_TEXT, REFUTED_INSTANCES
 
 EX2_TEXT = """\
@@ -111,18 +112,19 @@ class TestCertifyCommand:
         for key in ("eta1", "s_star", "eta_s_bound", "threshold", "certified"):
             assert entry[key] is None, key
 
-    def test_json_reports_weight_fixed_point(self, ex2_file, capsys):
-        # Pass 2's adjusted weights are its own, so passes 3-10 copy it and
-        # a larger --max-iters cannot help.
+    def test_json_reports_weight_fixed_point(self, ex2, ex2_file, capsys):
+        # Pass 2's adjusted weights are its own, so the loop stops there
+        # and a larger --max-iters cannot help: passes 3-10 of the full
+        # loop repeat pass 2.
         assert main(["certify", "--input", ex2_file, "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["discrepancies"] == [
-            "weight-adjustment iteration budget exhausted",
-            "weights repeat from pass 2; passes 3..10 are identical",
-        ]
+        assert doc["discrepancies"] == ["weights repeat from pass 2"]
         passes = doc["iterations"]
-        assert len(passes) == 10
-        assert all(entry == passes[1] for entry in passes[2:])
+        assert len(passes) == 2
+        full = cli._report_doc(ex2, full_loop_certify(ex2), {})["iterations"]
+        assert len(full) == 10
+        assert full[:2] == passes
+        assert all(entry == passes[1] for entry in full[2:])
 
     @pytest.mark.parametrize("command", ["certify", "mis"])
     def test_zero_max_iters_exit_two(self, command, ex1_file, tmp_path, capsys):
@@ -218,7 +220,7 @@ class TestCertifyCommand:
             "timings_ms",
         ):
             assert key in doc
-        assert doc["schema_version"] == "2"
+        assert doc["schema_version"] == "3"
         assert doc["instance"] == {"m": 3, "n": 3, "digest": ex1.digest()}
         assert doc["certified"] is True
         assert doc["recovered"] == [0, 1, 1]
