@@ -148,12 +148,11 @@ def ones_tableau(A, b) -> tuple:
 
 
 def solve_weighted_lp(
-    inst: ZeroOneInstance, c: Weights, start: LpSolution | tuple | None = None
+    inst: ZeroOneInstance, c: Weights, start: LpSolution | None = None
 ) -> LpSolution:
     """The weighted relaxation min c^T x over inst.A x >= inst.b,
-    0 <= x <= 1, solved from start: a (tableau, basis) of that LP or an
-    earlier optimal solution of it; from x = 1 (ones_tableau) when start
-    is None."""
+    0 <= x <= 1, solved from start, an earlier optimal solution of it;
+    from x = 1 (ones_tableau) when start is None."""
     if start is None:
         start = ones_tableau(inst.A, inst.b)
     return solve(c.c, start=start)

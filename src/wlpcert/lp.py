@@ -60,8 +60,12 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _iterate(T, basis, cost, max_iters):
-    """Bland's rule loop on a tableau whose basic columns are identified."""
+def _phase2(T, basis, cost, max_iters):
+    """Bland's rule phase 2 from the feasible basis of the tableau T, with
+    basis[r] basic in row r; T and basis are overwritten.
+
+    Returns (status, pivots, z), z the point read off the right-hand side
+    at the optimum, or None unless the status is OPTIMAL."""
     used = 0
     body, rhs = T[:, :-1], T[:, -1]
     while used < max_iters:
@@ -69,12 +73,14 @@ def _iterate(T, basis, cost, max_iters):
         reduced[basis] = 0.0
         eligible = (reduced < -COST_TOL).nonzero()[0]
         if not eligible.size:
-            return Status.OPTIMAL, used
+            z = np.zeros(body.shape[1])
+            z[basis] = rhs
+            return Status.OPTIMAL, used, z
         entering = int(eligible[0])
         col = body[:, entering]
         rows = (col > PIVOT_TOL).nonzero()[0]
         if not rows.size:
-            return Status.UNBOUNDED, used
+            return Status.UNBOUNDED, used, None
         best = 0
         if rows.size > 1:
             ratios = (rhs[rows] / col[rows]).tolist()
@@ -91,19 +97,7 @@ def _iterate(T, basis, cost, max_iters):
                     best = k
         _pivot(T, basis, int(rows[best]), entering)
         used += 1
-    return Status.ITERATION_LIMIT, used
-
-
-def _phase2(T, basis, cost, max_iters):
-    """Phase 2 from the feasible basis of the tableau T, which it overwrites.
-
-    Returns (status, iterations, z), z the optimal point or None."""
-    status, used = _iterate(T, basis, cost, max_iters)
-    if status is not Status.OPTIMAL:
-        return status, used, None
-    z = np.zeros(T.shape[1] - 1)
-    z[basis] = T[:, -1]
-    return status, used, z
+    return Status.ITERATION_LIMIT, used, None
 
 
 def _iteration_budget(A) -> int:
@@ -171,70 +165,66 @@ def solve(
 def optimal_face_range(sol: LpSolution, variables) -> list:
     """Range (lo, hi) of each given variable over the optimal solutions.
 
-    At the optimal basis that `solve` ended on every reduced cost d is
-    >= 0 and a feasible z costs value + d @ z, so the optimal face is the
-    feasible set with z_k = 0 wherever d_k > COST_TOL (basic columns have
-    d = 0). When only the basic columns are kept, every nonbasic reduced
-    cost exceeds COST_TOL and the face is the basic point alone
-    (Mangasarian's uniqueness condition), read off the right-hand side.
-    Otherwise each probe minimizes or maximizes its variable by phase 2 on
-    the tableau restricted to the kept columns, starting from the optimum.
-    A probe whose objective has no improving reduced cost there ends at
-    the optimum with no pivot, so its end is read off the right-hand side
-    with no copy of the tableau: for a variable basic in row r, the
-    minimum when no nonbasic kept entry of row r exceeds COST_TOL and the
-    maximum when none is below -COST_TOL; for a nonbasic one, the minimum.
-    Every other probe runs on its own copy of the face tableau, which is
-    built only when some probe must pivot. A variable whose column is
-    dropped has range (0, 0). sol is not modified.
+    variables is any iterable of indices into sol.x; any other index
+    raises ValueError. At the optimal basis that `solve` ended on every
+    reduced cost d is >= 0 and a feasible z costs value + d @ z, so the
+    optimal face is the feasible set with z_k = 0 wherever d_k > COST_TOL;
+    the other columns are kept (basic columns have d = 0). Each end is
+    read once off the right-hand side as the optimum's z[var], and then
+    probed where it can move: a probe minimizes or maximizes its variable
+    by phase 2 on the tableau restricted to the kept columns, from the
+    optimal basis. For a variable basic in row r its reduced costs there
+    are -T[r, k] (minimum) or T[r, k] (maximum) on the kept nonbasic
+    columns k, so a probe pivots or ends UNBOUNDED exactly for the minimum
+    of a basic variable whose row has a kept nonbasic entry above
+    COST_TOL, its maximum when one is below -COST_TOL, and the maximum of
+    a kept nonbasic variable; only those ends are probed. With no kept
+    nonbasic column no end moves, and the face is the optimum alone
+    (Mangasarian's uniqueness condition). A dropped column has range
+    (0, 0). The face tableau is built only when some end is probed, and
+    each probe runs on its own copy. sol is not modified.
     """
     if sol._optimum is None:
         raise ValueError(f"no optimal face: the LP status is {sol.status.value}")
+    variables = list(variables)
+    for var in variables:
+        if not 0 <= var < sol.x.size:
+            raise ValueError(f"variable index {var} out of range")
     T, basis, cost = sol._optimum
     reduced = cost - cost[basis] @ T[:, :-1]
     reduced[basis] = 0.0
     keep = reduced <= COST_TOL
-    kept = int(keep.sum())
-    if kept == basis.size:
-        z = np.zeros(keep.size)
-        z[basis] = T[:, -1]
-        return [(float(z[var]), float(z[var])) for var in variables]
-    position = keep.cumsum() - 1
-    face_basis = position[basis]
-    # The optimum over the kept columns, as phase 2 returns it.
-    z = np.zeros(kept)
-    z[face_basis] = T[:, -1]
-    face = None
+    z = np.zeros(keep.size)
+    z[basis] = T[:, -1]
+    z = z.tolist()
+    ranges = [[z[var], z[var]] for var in variables]
     free = keep.copy()
     free[basis] = False
     entries = T[:, :-1][:, free]
-    min_stays = ~(entries > COST_TOL).any(axis=1)
-    max_stays = ~(entries < -COST_TOL).any(axis=1)
-    row_of = np.full(keep.size, -1)
-    row_of[basis] = np.arange(basis.size)
-    ranges = []
-    for var in variables:
-        if not keep[var]:
-            ranges.append((0.0, 0.0))
-            continue
-        e = np.zeros(z.size)
-        e[position[var]] = 1.0
-        row = row_of[var]
-        stays = (True, False) if row < 0 else (min_stays[row], max_stays[row])
-        ends = []
-        for obj, stay in zip((e, -e), stays):
-            if stay:
-                ends.append(float(obj @ z))
-                continue
-            if face is None:
-                face = T[:, np.append(keep, True)]
-                max_iters = _iteration_budget(face[:, :-1])
-            status, _, end = _phase2(face.copy(), face_basis.copy(), obj, max_iters)
-            if status is Status.OPTIMAL:
-                ends.append(float(obj @ end))
-            elif status is Status.UNBOUNDED:
-                ends.append(-INF)
-            else:
-                raise LpError(f"face probe ended with status {status.value}")
-        ranges.append((ends[0], -ends[1]))
-    return ranges
+    # The (index into variables, side) of each end that a kept nonbasic
+    # column can move, side 0 the minimum and 1 the maximum; with no
+    # such column there is none.
+    probes = []
+    if entries.size:
+        moves = np.zeros((keep.size, 2), dtype=bool)
+        moves[basis, 0] = (entries > COST_TOL).any(axis=1)
+        moves[basis, 1] = (entries < -COST_TOL).any(axis=1)
+        moves[free, 1] = True
+        probes = np.argwhere(moves[variables]).tolist()
+    if probes:
+        position = keep.cumsum() - 1
+        face = T[:, np.append(keep, True)]
+        face_basis = position[basis]
+        max_iters = _iteration_budget(face[:, :-1])
+    for i, side in probes:
+        col = position[variables[i]]
+        obj = np.zeros(face.shape[1] - 1)
+        obj[col] = -1.0 if side else 1.0
+        status, _, end = _phase2(face.copy(), face_basis.copy(), obj, max_iters)
+        if status is Status.OPTIMAL:
+            ranges[i][side] = float(end[col])
+        elif status is Status.UNBOUNDED:
+            ranges[i][side] = INF if side else -INF
+        else:
+            raise LpError(f"face probe ended with status {status.value}")
+    return [tuple(r) for r in ranges]

@@ -19,8 +19,9 @@ every row. `residual` is the largest constraint violation of a point.
 `reference_loaded_tableau` is that simplex's start tableau on a listed
 basis, loaded by pivots. `reference_face_range` probes the optimal face
 on the LP with its objective pinned to the optimal value, from a fresh
-phase 1; `probe_every_face_range` runs every probe of
-`wlpcert.optimal_face_range` from the optimal tableau.
+phase 1; `face_probes` runs every probe of `wlpcert.optimal_face_range`
+from the optimal tableau, and `probe_every_face_range` reads the ranges
+off them.
 `gamma_hat_exact` re-derives `wlpcert.gamma_hat_closed_form` by one
 simplex LP per support pattern. `eager_certify` runs the certify loop in
 its earlier order, with the full verdict on every pass; its weighted LP
@@ -33,7 +34,7 @@ enumeration.
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
+from itertools import combinations, product
 
 import numpy as np
 
@@ -128,41 +129,65 @@ def enumerate_lp_minimum(objective, ineq_matrix, ineq_rhs, lower, upper):
     upper = np.asarray(upper, dtype=float)
 
     optional = [(ineq_matrix[i], ineq_rhs[i]) for i in range(ineq_matrix.shape[0])]
+    # bound_rows[i]: the rows of variable i's finite bounds.
+    bound_rows = []
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        if np.isfinite(lower[i]):
-            optional.append((e.copy(), lower[i]))
-        if np.isfinite(upper[i]):
-            optional.append((e.copy(), upper[i]))
+        bound_rows.append([])
+        for bound in (lower[i], upper[i]):
+            if np.isfinite(bound):
+                bound_rows[i].append(len(optional))
+                optional.append((e.copy(), bound))
 
     opt_M = np.array([r for r, _ in optional]).reshape(-1, n)
     opt_rhs = np.array([v for _, v in optional]).reshape(-1)
     # Rows with equal coefficients share a key. A system that repeats a
     # key is singular in exact arithmetic, so it has no vertex of its own
-    # and is not solved.
+    # and is not solved. The two bounds of a variable share a key, so no
+    # system lists both.
     _, row_key = np.unique(opt_M, axis=0, return_inverse=True)
 
     best = None
-    combos = combinations(range(len(optional)), n)
-    while chunk := list(islice(combos, CHUNK)):
-        idx = np.array(chunk, dtype=np.intp).reshape(len(chunk), n)
-        k = idx.shape[0]
-        M = opt_M[idx]
-        rhs = opt_rhs[idx]
-        keys = np.sort(row_key.reshape(-1)[idx], axis=1)
-        repeated = np.any(keys[:, 1:] == keys[:, :-1], axis=1)
-        X = np.full((k, n), np.nan)
-        X[~repeated] = _solve_each(M[~repeated], rhs[~repeated])
-        ok = np.all(np.isfinite(X), axis=1)
-        if ineq_matrix.shape[0]:
-            ok &= np.max(X @ ineq_matrix.T - ineq_rhs, axis=1) <= 1e-7
-        ok &= np.all((X >= lower - 1e-7) & (X <= upper + 1e-7), axis=1)
-        if ok.any():
-            val = float(np.min(X[ok] @ c))
-            if best is None or val < best:
-                best = val
+    for systems in _vertex_systems(ineq_matrix.shape[0], bound_rows):
+        for first in range(0, len(systems), CHUNK):
+            idx = systems[first : first + CHUNK]
+            k = idx.shape[0]
+            M = opt_M[idx]
+            rhs = opt_rhs[idx]
+            keys = np.sort(row_key.reshape(-1)[idx], axis=1)
+            repeated = np.any(keys[:, 1:] == keys[:, :-1], axis=1)
+            X = np.full((k, n), np.nan)
+            X[~repeated] = _solve_each(M[~repeated], rhs[~repeated])
+            ok = np.all(np.isfinite(X), axis=1)
+            if ineq_matrix.shape[0]:
+                ok &= np.max(X @ ineq_matrix.T - ineq_rhs, axis=1) <= 1e-7
+            ok &= np.all((X >= lower - 1e-7) & (X <= upper + 1e-7), axis=1)
+            if ok.any():
+                val = float(np.min(X[ok] @ c))
+                if best is None or val < best:
+                    best = val
     return best
+
+
+def _vertex_systems(ineq_count, bound_rows):
+    """The candidate vertex systems: every n-subset of the rows that takes
+    at most one bound row of each variable, in blocks, each an array with
+    one system per row, its row indices ascending. Inequality rows come
+    first, then each variable's lower and upper bound rows, in variable
+    order."""
+    n = len(bound_rows)
+    by_size = {}
+    for bounds in product(*([None] + rows for rows in bound_rows)):
+        chosen = [row for row in bounds if row is not None]
+        by_size.setdefault(len(chosen), []).append(chosen)
+    for k, chosen in by_size.items():
+        ineq = list(combinations(range(ineq_count), n - k))
+        ineq = np.array(ineq, dtype=np.intp).reshape(len(ineq), n - k)
+        chosen = np.array(chosen, dtype=np.intp).reshape(len(chosen), k)
+        yield np.hstack(
+            [np.repeat(ineq, len(chosen), axis=0), np.tile(chosen, (len(ineq), 1))]
+        )
 
 
 def _solve_each(M, rhs):
@@ -465,41 +490,55 @@ def reference_face_range(lp: LinearProgram, opt_value: float, variables) -> list
     return ranges
 
 
-def probe_every_face_range(sol: LpSolution, variables) -> list:
-    """`wlpcert.optimal_face_range(sol, variables)` with every probe run.
-
-    The face is sol's optimal tableau restricted to the columns whose
-    reduced cost is at most COST_TOL; a variable outside it has range
-    (0, 0). Each variable in it is minimized and maximized by the row-loop
-    phase 2 on a copy of that face, from the optimal basis, even where the
-    basis already proves the end."""
+def face_columns(sol: LpSolution) -> list:
+    """The columns of sol's optimal tableau whose reduced cost is at most
+    COST_TOL: the columns of the optimal face, in order."""
     T, basis, cost = sol._optimum
     reduced = cost - cost[basis] @ T[:, :-1]
     reduced[basis] = 0.0
-    keep = reduced <= COST_TOL
-    columns = [k for k in range(keep.size) if keep[k]]
+    return (reduced <= COST_TOL).nonzero()[0].tolist()
+
+
+def face_probes(sol: LpSolution, variables) -> dict:
+    """{(var, side): (status, pivots, end)} for every probe of
+    `wlpcert.optimal_face_range(sol, variables)`, even where the basis
+    already proves the end: side 0 minimizes var and side 1 maximizes it,
+    by the row-loop phase 2 on a copy of sol's optimal tableau restricted
+    to face_columns, from the optimal basis; end is the probe's end of
+    var's range. A variable outside the face has no probe."""
+    T, basis, _ = sol._optimum
+    columns = face_columns(sol)
     face = T[:, columns + [T.shape[1] - 1]]
     face_basis = [columns.index(k) for k in basis.tolist()]
-    ranges = []
+    probes = {}
     for var in variables:
-        if not keep[var]:
-            ranges.append((0.0, 0.0))
+        if var not in columns:
             continue
         e = np.zeros(len(columns))
         e[columns.index(var)] = 1.0
-        ends = []
-        for obj in (e, -e):
-            status, _, z = _reference_phase2(
+        for side, obj in enumerate((e, -e)):
+            status, used, z = _reference_phase2(
                 face.copy(), list(face_basis), obj, _budget(face)
             )
             if status is Status.OPTIMAL:
-                ends.append(float(obj @ z))
+                end = float(obj @ z)
             elif status is Status.UNBOUNDED:
-                ends.append(-INF)
+                end = -INF
             else:
                 raise LpError(f"face probe ended with status {status.value}")
-        ranges.append((ends[0], -ends[1]))
-    return ranges
+            probes[var, side] = (status, used, -end if side else end)
+    return probes
+
+
+def probe_every_face_range(sol: LpSolution, variables) -> list:
+    """`wlpcert.optimal_face_range(sol, variables)` from face_probes, with
+    every probe run; a variable outside the face has range (0, 0)."""
+    variables = list(variables)
+    probes = face_probes(sol, variables)
+    return [
+        (probes[var, 0][2], probes[var, 1][2]) if (var, 0) in probes else (0.0, 0.0)
+        for var in variables
+    ]
 
 
 def reference_case(sol: LpSolution, lp: LinearProgram) -> CaseKind:

@@ -16,10 +16,10 @@ def _tool():
     return module
 
 
-def _argv(parent, change):
+def _argv(parent, change, workload="ladder", passes=4):
     return [
         "--parent", str(parent), "--change", str(change),
-        "--workload", "ladder", "--seed", "1", "--passes", "4",
+        "--workload", workload, "--seed", "1", "--passes", str(passes),
     ]
 
 
@@ -31,6 +31,15 @@ def test_same_tree_on_both_sides(capsys):
     assert re.fullmatch(r"change median \d+\.\d{6} s", lines[2])
     assert re.fullmatch(r"ratio \d+\.\d{3}", lines[3])
     assert re.fullmatch(r"change faster in [0-4] of 4 passes", lines[4])
+    assert len(lines) == 5
+
+
+def test_mis_certifies_each_graph(capsys):
+    # One input per graph: five cycles, G(12, 0.3) and G(20, 0.3).
+    assert _tool().main(_argv(ROOT, ROOT, "mis", 2)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "mis seed 1: 7 inputs, same answers, 2 passes per side"
+    assert re.fullmatch(r"change faster in [0-2] of 2 passes", lines[4])
     assert len(lines) == 5
 
 

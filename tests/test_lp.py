@@ -720,6 +720,21 @@ class TestFaceFromOptimalTableau:
         assert [a.tobytes() for a in sol._optimum] == before
         self.assert_matches_reference(lp, sol, first)
 
+    def test_index_outside_the_variables_raises(self, ex1, ones3):
+        # Columns 3.. of the tableau are slacks, and -1 would index the
+        # last of them; neither is an LP variable.
+        sol = solve_weighted_lp(ex1, ones3)
+        with pytest.raises(ValueError, match="variable index -1 out of range"):
+            optimal_face_range(sol, [-1, 3, 5])
+        with pytest.raises(ValueError, match="variable index 99 out of range"):
+            optimal_face_range(sol, [0, 99])
+
+    def test_any_iterable_of_variables(self, ex1, ones3):
+        sol = solve_weighted_lp(ex1, ones3)
+        expected = optimal_face_range(sol, [0, 1, 2])
+        assert optimal_face_range(sol, (v for v in range(3))) == expected
+        assert optimal_face_range(sol, np.arange(3)) == expected
+
     def test_non_optimal_solution_raises(self):
         infeasible = covering_lp(np.ones((1, 1)), np.array([2.0]), np.ones(1))
         unbounded = LinearProgram(objective=np.array([-1.0]))

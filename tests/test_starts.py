@@ -1,7 +1,8 @@
 """Property tests of the closed-form start tableaus, x = 1 for covering LPs
 and (u = 0, t = c_j) for eta_j LPs: each against the reference row loop's
 loaded tableau and against vertex enumeration. Also the in-place pivot's
-untouched rows and the face probes read off the optimum."""
+untouched rows and the face probes read off the optimum, and which of
+those probes run."""
 
 import importlib
 
@@ -22,18 +23,21 @@ from wlpcert import (
     to_standard_form,
 )
 from wlpcert.certify import ones_tableau
-from wlpcert.lp import ELIM_TOL, PIVOT_TOL, _pivot
+from wlpcert.lp import ELIM_TOL, PIVOT_TOL, _phase2, _pivot
 
 from _oracles import (
     _reference_pivot,
     covering_lp,
     enumerate_lp_minimum,
     eta_lp,
+    face_columns,
+    face_probes,
     probe_every_face_range,
     reference_loaded_tableau,
 )
 
 GOODNESS = importlib.import_module("wlpcert.goodness")
+LP = importlib.import_module("wlpcert.lp")
 # b_i is its row sum times one of these.
 FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # Entries a loading pivot leaves alone (at or below ELIM_TOL), entries it
@@ -222,17 +226,51 @@ def degenerate_covers(draw):
     return ZeroOneInstance(A=A, b=A.sum(axis=1) * f), c
 
 
-@settings(max_examples=200)
-@given(degenerate_covers(), st.booleans())
-def test_face_range_matches_every_probe(drawn, warm):
-    # From x = 1, or warm from the optimum at unit cost.
+def degenerate_optimum(drawn, warm):
+    """The optimum of a drawn cover from x = 1, or warm from the optimum
+    at unit cost."""
     inst, c = drawn
     start = ones_tableau(inst.A, inst.b)
     if warm:
         start = solve(np.ones(inst.n), start=start)
     sol = solve(c, start=start)
     assert sol.status is Status.OPTIMAL
-    variables = range(inst.n)
+    return sol
+
+
+@settings(max_examples=200)
+@given(degenerate_covers(), st.booleans())
+def test_face_range_matches_every_probe(drawn, warm):
+    sol = degenerate_optimum(drawn, warm)
+    variables = range(sol.x.size)
     assert optimal_face_range(sol, variables) == probe_every_face_range(
         sol, variables
     )
+
+
+@settings(max_examples=200)
+@given(degenerate_covers(), st.booleans())
+def test_face_probe_runs_exactly_where_its_end_moves(drawn, warm):
+    # optimal_face_range runs phase 2 once for each (variable, side) end
+    # whose full probe pivots or ends UNBOUNDED, and for no other end.
+    sol = degenerate_optimum(drawn, warm)
+    objectives = []
+
+    def recording(T, basis, cost, max_iters):
+        objectives.append(cost.copy())
+        return _phase2(T, basis, cost, max_iters)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LP, "_phase2", recording)
+        optimal_face_range(sol, range(sol.x.size))
+    columns = face_columns(sol)
+    ran = []
+    for obj in objectives:
+        [position] = obj.nonzero()[0]
+        ran.append((columns[position], 0 if obj[position] > 0 else 1))
+    moves = {
+        end
+        for end, (status, pivots, _) in face_probes(sol, range(sol.x.size)).items()
+        if pivots or status is Status.UNBOUNDED
+    }
+    assert sorted(ran) == sorted(moves)

@@ -1,11 +1,14 @@
 """In-process A/B timing of two source trees on a library workload.
 
     python3 tools/ab_passes.py --parent DIR --change DIR \
-        --workload {ladder,small} --seed S --passes N
+        --workload {ladder,small,mis} --seed S --passes N
 
 Each DIR is the root of a source checkout. Its `src/wlpcert` is imported
 under a package name of its own (ab_parent, ab_change), and its
 `perfbench/workloads.py` builds its inputs at the seed with that package.
+Each mis graph becomes the covering instance that `from_independent_set`
+builds from it, certified at the default config: what `wlpcert mis`
+certifies before any branch-and-bound.
 The script first checks that both sides give the same (certified,
 recovered) answer on every input, or raise the same error. It then runs
 N whole passes of library `certify` over the inputs per side, one side
@@ -57,12 +60,21 @@ def build_cases(root: Path, package, workload: str, seed: int) -> list:
     saved = sys.modules.get("wlpcert")
     sys.modules["wlpcert"] = package
     try:
-        return workloads.build(workload, seed)
+        cases = workloads.build(workload, seed)
     finally:
         if saved is None:
             del sys.modules["wlpcert"]
         else:
             sys.modules["wlpcert"] = saved
+    if workload != "mis":
+        return cases
+    config = package.CertifyConfig()
+    return [
+        workloads.LibraryCase(
+            case.name, package.from_independent_set(case.vertex_count, case.edges), config
+        )
+        for case in cases
+    ]
 
 
 def answer(package, case):
@@ -86,7 +98,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", choices=("ladder", "small"), required=True)
+    parser.add_argument("--workload", choices=("ladder", "small", "mis"), required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--passes", type=int, required=True)
     args = parser.parse_args(argv)
