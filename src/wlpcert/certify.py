@@ -26,7 +26,6 @@ from .instance import (
 )
 from .goodness import GoodnessReport, beta_bar, sufficient_verdict
 from .lp import (
-    ELIM_TOL,
     UNIQUE_TOL,
     LpError,
     LpSolution,
@@ -116,34 +115,18 @@ class Certificate:
 
 def ones_tableau(A, b) -> tuple:
     """The start (tableau, basis) at x = 1 of the covering LP min c^T x
-    over A x >= b, 0 <= x <= 1, built in closed form for solve: each
-    covering row stays on its slack, which then holds A 1 - b, and x_j is
-    basic in bound row j. Since A >= 0 this start is feasible exactly when
-    the LP is.
-
-    It is the slack-basis tableau of the rows -A x <= -b over x <= 1 after
-    pivoting x_0, .., x_{n-1} into their bound rows in turn, byte for byte
-    up to the sign of a zero entry: the covering rows [0 | I_m | A | A 1 -
-    b] over the bound rows [I_n | 0 | I_n | 1]. Each pivot leaves alone an
-    entry A_ij at most ELIM_TOL, which keeps -A_ij in column j and 0 in
-    bound slack j, and adds the others to the right-hand side -b_i in
-    column order.
-    """
+    over A x >= b, 0 <= x <= 1, in closed form for solve: the covering
+    rows -A x <= -b on their slacks, [0 | I_m | A | A 1 - b] with A 1 - b
+    summed from -b_i in column order, over the bound rows x <= 1 with x_j
+    basic in row j, [I_n | 0 | I_n | 1]. Since A >= 0 this start is
+    feasible exactly when the LP is."""
     m, n = A.shape
-    moved = np.abs(A) > ELIM_TOL
-    added = np.where(moved, A, 0.0)
-    rhs = -b
     T = np.zeros((m + n, 2 * n + m + 1))
-    T[:m, :n] = np.where(moved, 0.0, -A)
-    T[:m, n + m : -1] = added
-    # A row with no moved entry keeps -b_i, even a -0.0.
-    T[:m, -1] = np.where(
-        moved.any(axis=1), np.hstack([rhs[:, None], added]).cumsum(axis=1)[:, -1], rhs
-    )
-    T[m:, :n] = np.eye(n)
-    T[m:, n + m : -1] = np.eye(n)
-    T[m:, -1] = 1.0
     np.fill_diagonal(T[:m, n:], 1.0)
+    T[:m, n + m : -1] = A
+    T[:m, -1] = np.hstack([-b[:, None], A]).cumsum(axis=1)[:, -1]
+    T[m:, :n] = T[m:, n + m : -1] = np.eye(n)
+    T[m:, -1] = 1.0
     return T, np.concatenate([np.arange(n, n + m), np.arange(n)])
 
 
@@ -166,18 +149,10 @@ def classify_case(sol: LpSolution) -> CaseKind:
     support with the possibly-positive support, which is a heuristic for
     faces of dimension > 1.
     """
-    hi_support = set()
-    lo_support = set()
-    width = 0.0
-    for j, (lo, hi) in enumerate(optimal_face_range(sol, range(sol.x.size))):
-        width = max(width, hi - lo)
-        if hi > ZERO_TOL:
-            hi_support.add(j)
-        if lo > ZERO_TOL:
-            lo_support.add(j)
-    if width <= UNIQUE_TOL:
+    ranges = optimal_face_range(sol)
+    if max(hi - lo for lo, hi in ranges) <= UNIQUE_TOL:
         return CaseKind.UNIQUE_OPTIMUM
-    if hi_support == lo_support:
+    if all((hi > ZERO_TOL) == (lo > ZERO_TOL) for lo, hi in ranges):
         return CaseKind.MULTIPLE_SAME_SPARSITY
     return CaseKind.MULTIPLE_DIFFERENT_SPARSITY
 

@@ -43,9 +43,9 @@ class LpSolution:
     value: float | None
     basis: tuple
     iterations: int = 0
-    # (tableau, basis, cost) of the optimal basis that `solve` ended on,
-    # read by `optimal_face_range` and by a solve started from it; None
-    # unless the status is OPTIMAL.
+    # (tableau, basis) that `solve` ended on, reduced costs in the last
+    # row, read by `optimal_face_range` and by a solve started from it;
+    # None unless the status is OPTIMAL.
     _optimum: tuple | None = field(default=None, repr=False)
 
 
@@ -60,24 +60,38 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _phase2(T, basis, cost, max_iters):
+def _price(T, basis, cost):
+    """T with the row c - c_B T of reduced costs appended, basis[r] basic
+    in row r and c the cost padded with zeros; basic entries read 0."""
+    c = np.zeros(T.shape[1])
+    c[: cost.size] = cost
+    # C order whatever the layout of T (a face is column-major): pivots use rows.
+    priced = np.empty((T.shape[0] + 1, T.shape[1]))
+    priced[:-1] = T
+    priced[-1] = c - c[basis] @ T
+    priced[-1, basis] = 0.0
+    return priced
+
+
+def _phase2(T, basis, max_iters):
     """Bland's rule phase 2 from the feasible basis of the tableau T, with
-    basis[r] basic in row r; T and basis are overwritten.
+    basis[r] basic in row r and the reduced costs in the last row (see
+    _price), kept current by each pivot; T and basis are overwritten. A
+    nonbasic column may enter when its reduced cost is below -COST_TOL.
 
     Returns (status, pivots, z), z the point read off the right-hand side
     at the optimum, or None unless the status is OPTIMAL."""
     used = 0
-    body, rhs = T[:, :-1], T[:, -1]
+    reduced, rhs = T[-1, :-1], T[:-1, -1]
     while used < max_iters:
-        reduced = cost - cost[basis] @ body
         reduced[basis] = 0.0
         eligible = (reduced < -COST_TOL).nonzero()[0]
         if not eligible.size:
-            z = np.zeros(body.shape[1])
+            z = np.zeros(reduced.size)
             z[basis] = rhs
             return Status.OPTIMAL, used, z
         entering = int(eligible[0])
-        col = body[:, entering]
+        col = T[:-1, entering]
         rows = (col > PIVOT_TOL).nonzero()[0]
         if not rows.size:
             return Status.UNBOUNDED, used, None
@@ -116,16 +130,18 @@ def solve(
     x, then the slack of each inequality row, then the slack of each
     finite upper bound; x is the first cost.size entries of z. start is
     - a (tableau, basis) pair that the caller built in closed form: that
-      tableau with basis[r] made basic in row r. solve overwrites it;
-    - or an earlier OPTIMAL solution: a copy of its optimal tableau, which
-      holds the constraints; only the cost is new.
+      tableau with basis[r] made basic in row r;
+    - or an earlier OPTIMAL solution: its optimal tableau, which holds the
+      constraints; only the cost is new.
     Only the shapes are checked (ValueError otherwise): one basis entry
     per row, and a cost no longer than the columns. A start with a
     right-hand side entry below -PIVOT_TOL is infeasible, and the solve
     ends INFEASIBLE with 0 iterations. From x = 1 (ones_tableau) that is
     exact, as A >= 0 makes x = 1 the point that covers the most; an
     optimal tableau's right-hand side is nonnegative up to rounding far
-    below PIVOT_TOL. iterations counts the pivots, at most max_iters.
+    below PIVOT_TOL. Otherwise phase 2 runs on a copy of the start with
+    the cost priced into a last row (_price); the start is not modified.
+    iterations counts the pivots, at most max_iters.
     """
     if isinstance(start, LpSolution):
         if start._optimum is None:
@@ -133,9 +149,9 @@ def solve(
                 "no optimal tableau to start from: "
                 f"the LP status is {start.status.value}"
             )
-        T, basis = start._optimum[0].copy(), start._optimum[1].copy()
+        T, basis = start._optimum[0][:-1], start._optimum[1].copy()
     else:
-        T, basis = start[0], np.asarray(start[1], dtype=np.intp)
+        T, basis = start[0], np.array(start[1], dtype=np.intp)
     cost = np.asarray(cost, dtype=float)
     if basis.shape != T.shape[:1] or cost.size > T.shape[1] - 1:
         raise ValueError(
@@ -147,8 +163,8 @@ def solve(
         return LpSolution(Status.INFEASIBLE, None, None, (), 0)
     if max_iters is None:
         max_iters = _iteration_budget(T[:, :-1])
-    c = np.concatenate([cost, np.zeros(T.shape[1] - 1 - cost.size)])
-    status, iters, z = _phase2(T, basis, c, max_iters)
+    T = _price(T, basis, cost)
+    status, iters, z = _phase2(T, basis, max_iters)
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, (), iters)
     x = z[: cost.size]
@@ -158,73 +174,64 @@ def solve(
         float(cost @ x),
         tuple(sorted(basis.tolist())),
         iters,
-        (T, basis, c),
+        (T, basis),
     )
 
 
-def optimal_face_range(sol: LpSolution, variables) -> list:
-    """Range (lo, hi) of each given variable over the optimal solutions.
+def optimal_face_range(sol: LpSolution) -> list:
+    """Range (lo, hi) of each entry of sol.x over the optimal solutions.
 
-    variables is any iterable of indices into sol.x; any other index
-    raises ValueError. At the optimal basis that `solve` ended on every
-    reduced cost d is >= 0 and a feasible z costs value + d @ z, so the
-    optimal face is the feasible set with z_k = 0 wherever d_k > COST_TOL;
-    the other columns are kept (basic columns have d = 0). Each end is
-    read once off the right-hand side as the optimum's z[var], and then
-    probed where it can move: a probe minimizes or maximizes its variable
-    by phase 2 on the tableau restricted to the kept columns, from the
-    optimal basis. For a variable basic in row r its reduced costs there
+    At the optimal basis that `solve` ended on, every reduced cost d in
+    the tableau's last row is >= 0 and a feasible z costs value + d @ z,
+    so the optimal face is the feasible set with z_k = 0 wherever
+    d_k > COST_TOL; the other columns are kept (basic ones read d = 0).
+    Each range starts at sol.x and each end is probed where it can move:
+    phase 2 minimizes or maximizes the variable on the tableau restricted
+    to the kept columns, from the optimal basis, under the one-hot cost
+    that _price prices. For a variable basic in row r those reduced costs
     are -T[r, k] (minimum) or T[r, k] (maximum) on the kept nonbasic
-    columns k, so a probe pivots or ends UNBOUNDED exactly for the minimum
-    of a basic variable whose row has a kept nonbasic entry above
-    COST_TOL, its maximum when one is below -COST_TOL, and the maximum of
-    a kept nonbasic variable; only those ends are probed. With no kept
-    nonbasic column no end moves, and the face is the optimum alone
-    (Mangasarian's uniqueness condition). A dropped column has range
-    (0, 0). The face tableau is built only when some end is probed, and
-    each probe runs on its own copy. sol is not modified.
+    columns k, so a probe moves exactly the minimum of a basic variable
+    whose row has a kept nonbasic entry above COST_TOL, its maximum when
+    one is below -COST_TOL, and the maximum of a kept nonbasic variable;
+    only those ends are probed. With no kept nonbasic column the face is
+    the optimum alone (Mangasarian's uniqueness condition). A dropped
+    column has range (0, 0). sol is not modified.
     """
     if sol._optimum is None:
         raise ValueError(f"no optimal face: the LP status is {sol.status.value}")
-    variables = list(variables)
-    for var in variables:
-        if not 0 <= var < sol.x.size:
-            raise ValueError(f"variable index {var} out of range")
-    T, basis, cost = sol._optimum
-    reduced = cost - cost[basis] @ T[:, :-1]
-    reduced[basis] = 0.0
-    keep = reduced <= COST_TOL
-    z = np.zeros(keep.size)
-    z[basis] = T[:, -1]
-    z = z.tolist()
-    ranges = [[z[var], z[var]] for var in variables]
+    T, basis = sol._optimum
+    keep = T[-1, :-1] <= COST_TOL
+    T = T[:-1]
+    ranges = [[v, v] for v in sol.x.tolist()]
     free = keep.copy()
     free[basis] = False
     entries = T[:, :-1][:, free]
-    # The (index into variables, side) of each end that a kept nonbasic
-    # column can move, side 0 the minimum and 1 the maximum; with no
-    # such column there is none.
+    # The (variable, side) of each end that a kept nonbasic column can
+    # move, side 0 the minimum and 1 the maximum; with no such column
+    # there is none.
     probes = []
     if entries.size:
         moves = np.zeros((keep.size, 2), dtype=bool)
         moves[basis, 0] = (entries > COST_TOL).any(axis=1)
         moves[basis, 1] = (entries < -COST_TOL).any(axis=1)
         moves[free, 1] = True
-        probes = np.argwhere(moves[variables]).tolist()
+        probes = np.argwhere(moves[: sol.x.size]).tolist()
     if probes:
         position = keep.cumsum() - 1
         face = T[:, np.append(keep, True)]
         face_basis = position[basis]
         max_iters = _iteration_budget(face[:, :-1])
-    for i, side in probes:
-        col = position[variables[i]]
+    for var, side in probes:
+        col = position[var]
         obj = np.zeros(face.shape[1] - 1)
         obj[col] = -1.0 if side else 1.0
-        status, _, end = _phase2(face.copy(), face_basis.copy(), obj, max_iters)
+        status, _, end = _phase2(
+            _price(face, face_basis, obj), face_basis.copy(), max_iters
+        )
         if status is Status.OPTIMAL:
-            ranges[i][side] = float(end[col])
+            ranges[var][side] = float(end[col])
         elif status is Status.UNBOUNDED:
-            ranges[i][side] = INF if side else -INF
+            ranges[var][side] = INF if side else -INF
         else:
             raise LpError(f"face probe ended with status {status.value}")
     return [tuple(r) for r in ranges]

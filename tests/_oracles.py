@@ -20,8 +20,9 @@ every row. `residual` is the largest constraint violation of a point.
 basis, loaded by pivots. `reference_face_range` probes the optimal face
 on the LP with its objective pinned to the optimal value, from a fresh
 phase 1; `face_probes` runs every probe of `wlpcert.optimal_face_range`
-from the optimal tableau, and `probe_every_face_range` reads the ranges
-off them.
+from the optimal tableau, on the face columns that `face_columns` finds
+by pricing the LP's cost afresh (`fresh_reduced_costs`), and
+`probe_every_face_range` reads the ranges off them.
 `gamma_hat_exact` re-derives `wlpcert.gamma_hat_closed_form` by one
 simplex LP per support pattern. `eager_certify` runs the certify loop in
 its earlier order, with the full verdict on every pass; its weighted LP
@@ -210,22 +211,18 @@ def _solve_each(M, rhs):
 
 
 def enumerate_binary_minimum(A, b):
-    """Minimum cardinality binary cover by direct 2^n enumeration."""
+    """Minimum cardinality binary cover by direct 2^n enumeration: every
+    point of {0, 1}^n at once, checked by one matrix product. Returns
+    (value, set of optima), (None, empty set) when none covers."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    best = None
-    optima = set()
-    for code in range(2**n):
-        x = np.array([(code >> i) & 1 for i in range(n)], dtype=float)
-        if np.all(A @ x >= b - 1e-9):
-            val = int(x.sum())
-            if best is None or val < best:
-                best = val
-                optima = {tuple(int(v) for v in x)}
-            elif val == best:
-                optima.add(tuple(int(v) for v in x))
-    return best, optima
+    X = np.array(list(product((0.0, 1.0), repeat=A.shape[1])))
+    X = X[np.all(X @ A.T >= b - 1e-9, axis=1)]
+    if not X.size:
+        return None, set()
+    sums = X.sum(axis=1)
+    best = int(sums.min())
+    return best, set(map(tuple, X[sums == best].astype(int).tolist()))
 
 
 def _reference_pivot(T, basis, row, col):
@@ -406,9 +403,10 @@ def all_artificial_solve(lp):
 
 
 def _reference_start(start):
-    """Copies of start's optimal tableau and of its basis."""
-    T, basis, _ = start._optimum
-    return T.copy(), basis.tolist()
+    """Copies of start's optimal tableau, without its row of reduced
+    costs, and of its basis."""
+    T, basis = start._optimum
+    return T[:-1].copy(), basis.tolist()
 
 
 def eta_lp(A1, c: Weights, beta: float, col: int) -> LinearProgram:
@@ -490,28 +488,48 @@ def reference_face_range(lp: LinearProgram, opt_value: float, variables) -> list
     return ranges
 
 
-def face_columns(sol: LpSolution) -> list:
-    """The columns of sol's optimal tableau whose reduced cost is at most
-    COST_TOL: the columns of the optimal face, in order."""
-    T, basis, cost = sol._optimum
-    reduced = cost - cost[basis] @ T[:, :-1]
+def fresh_reduced_costs(T, basis, cost):
+    """c - c_B T over the columns of the tableau T without its right-hand
+    side, c being cost padded with zeros; basic columns read 0."""
+    c = np.zeros(T.shape[1] - 1)
+    c[: len(cost)] = cost
+    reduced = c - c[basis] @ T[:, :-1]
     reduced[basis] = 0.0
-    return (reduced <= COST_TOL).nonzero()[0].tolist()
+    return reduced
 
 
-def face_probes(sol: LpSolution, variables) -> dict:
+def face_columns(sol: LpSolution, cost) -> list:
+    """The columns of sol's optimal tableau whose reduced cost under cost,
+    the cost of the LP that sol solves, is at most COST_TOL: the columns
+    of the optimal face, in order. The reduced costs are priced afresh on
+    the optimal basis, not read off the tableau's last row."""
+    T, basis = sol._optimum
+    return (fresh_reduced_costs(T[:-1], basis, cost) <= COST_TOL).nonzero()[0].tolist()
+
+
+def assert_last_row_is_fresh(sol: LpSolution, cost):
+    """The last row of sol's optimal tableau is within 1e-12 of the
+    reduced costs of cost priced afresh on its basis, and keeps the same
+    face columns."""
+    T, basis = sol._optimum
+    fresh = fresh_reduced_costs(T[:-1], basis, cost)
+    np.testing.assert_allclose(T[-1, :-1], fresh, rtol=0, atol=1e-12)
+    assert (T[-1, :-1] <= COST_TOL).nonzero()[0].tolist() == face_columns(sol, cost)
+
+
+def face_probes(sol: LpSolution, cost) -> dict:
     """{(var, side): (status, pivots, end)} for every probe of
-    `wlpcert.optimal_face_range(sol, variables)`, even where the basis
-    already proves the end: side 0 minimizes var and side 1 maximizes it,
-    by the row-loop phase 2 on a copy of sol's optimal tableau restricted
-    to face_columns, from the optimal basis; end is the probe's end of
-    var's range. A variable outside the face has no probe."""
-    T, basis, _ = sol._optimum
-    columns = face_columns(sol)
-    face = T[:, columns + [T.shape[1] - 1]]
+    `wlpcert.optimal_face_range(sol)`, even where the basis already
+    proves the end: side 0 minimizes var and side 1 maximizes it, by the
+    row-loop phase 2 on a copy of sol's optimal tableau restricted to
+    face_columns(sol, cost), from the optimal basis; end is the probe's
+    end of var's range. A variable outside the face has no probe."""
+    T, basis = sol._optimum
+    columns = face_columns(sol, cost)
+    face = T[:-1][:, columns + [T.shape[1] - 1]]
     face_basis = [columns.index(k) for k in basis.tolist()]
     probes = {}
-    for var in variables:
+    for var in range(sol.x.size):
         if var not in columns:
             continue
         e = np.zeros(len(columns))
@@ -530,14 +548,13 @@ def face_probes(sol: LpSolution, variables) -> dict:
     return probes
 
 
-def probe_every_face_range(sol: LpSolution, variables) -> list:
-    """`wlpcert.optimal_face_range(sol, variables)` from face_probes, with
+def probe_every_face_range(sol: LpSolution, cost) -> list:
+    """`wlpcert.optimal_face_range(sol)` from face_probes(sol, cost), with
     every probe run; a variable outside the face has range (0, 0)."""
-    variables = list(variables)
-    probes = face_probes(sol, variables)
+    probes = face_probes(sol, cost)
     return [
         (probes[var, 0][2], probes[var, 1][2]) if (var, 0) in probes else (0.0, 0.0)
-        for var in variables
+        for var in range(sol.x.size)
     ]
 
 

@@ -22,20 +22,24 @@ from wlpcert import (
 )
 from wlpcert.certify import ones_tableau
 from wlpcert.lp import (
-    COST_TOL,
     INF,
     PIVOT_TOL,
     _iteration_budget,
     _phase2,
+    _pivot,
+    _price,
 )
 
 from _oracles import (
     LinearProgram,
     _reference_tableau,
     all_artificial_solve,
+    assert_last_row_is_fresh,
     covering_lp,
     enumerate_lp_minimum,
     eta_lp,
+    face_columns,
+    fresh_reduced_costs,
     loaded_start,
     pin_objective,
     reference_face_range,
@@ -183,13 +187,13 @@ class TestNonFiniteData:
 
 class TestOptimalFace:
     def test_unique_vertex_has_zero_width(self, ex1, ones3):
-        ranges = optimal_face_range(solve_weighted_lp(ex1, ones3), range(3))
+        ranges = optimal_face_range(solve_weighted_lp(ex1, ones3))
         assert len(ranges) == 3
         for lo, hi in ranges:
             assert hi - lo <= 1e-7
 
     def test_example2_x1_has_positive_width(self, ex2, ones3):
-        [(lo, hi)] = optimal_face_range(solve_weighted_lp(ex2, ones3), [0])
+        (lo, hi), *_ = optimal_face_range(solve_weighted_lp(ex2, ones3))
         assert hi - lo > 1e-6
         # optimal face is x1 + x2 = 1.5, x3 = 0 with x2 in [0.5, 1]
         assert lo == pytest.approx(0.5, abs=1e-8)
@@ -203,7 +207,7 @@ class TestOptimalFace:
             upper=np.array([1.0, 1.0]),
         )
         sol = solve(lp.objective, slack_start(lp))
-        for lo, hi in optimal_face_range(sol, range(2)):
+        for lo, hi in optimal_face_range(sol):
             assert lo == pytest.approx(0.0, abs=1e-9)
             assert hi == pytest.approx(1.0, abs=1e-9)
 
@@ -256,9 +260,9 @@ def _started_solves(monkeypatch, module_names, cases, warm=True):
     """(lp, start) of every solve that the named modules make from a start
     while certify runs on each (instance, config, weights) case: from an
     earlier optimum when warm, otherwise a copy of the (tableau, basis)
-    start, which solve overwrites. Each solve is given only a cost, so lp
-    is rebuilt under that cost: covering_lp on the rows of certify's last
-    ones_tableau call, or eta_lp on the arguments of the running eta_j."""
+    start. Each solve is given only a cost, so lp is rebuilt under that
+    cost: covering_lp on the rows of certify's last ones_tableau call, or
+    eta_lp on the arguments of the running eta_j."""
     solves, rows, eta_args = [], [], []
     certify_module = importlib.import_module("wlpcert.certify")
 
@@ -322,10 +326,10 @@ def basis_solves(warm_cases, monkeypatch):
 
 
 def assert_same_pivots(lp, start, max_iters=None):
-    """solve on lp from start, a (tableau, basis) that it overwrites, takes
-    the reference's pivots from the same basis. The reference loads that
-    basis by pivots, which count in its iterations; its budget is raised
-    by as many, so both simplexes have the same budget left."""
+    """solve on lp from start, a (tableau, basis), takes the reference's
+    pivots from the same basis. The reference loads that basis by pivots,
+    which count in its iterations; its budget is raised by as many, so
+    both simplexes have the same budget left."""
     T, basis = start
     listed = basis.tolist()
     if max_iters is None:
@@ -337,7 +341,29 @@ def assert_same_pivots(lp, start, max_iters=None):
 
 
 class TestPivotIdentity:
-    """The vectorised simplex takes exactly the reference row loop's pivots."""
+    """The vectorised simplex takes exactly the reference row loop's
+    pivots, and after each of them its last row holds the reduced costs
+    that the reference prices afresh."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_pricing(self, monkeypatch):
+        """After each pivot of a solve, the tableau's last row is within
+        1e-12 of the cost that _price last priced, priced afresh on the
+        new basis."""
+        module = importlib.import_module("wlpcert.lp")
+        costs = []
+
+        def price(T, basis, cost):
+            costs.append(cost)
+            return _price(T, basis, cost)
+
+        def pivot(T, basis, row, col):
+            _pivot(T, basis, row, col)
+            fresh = fresh_reduced_costs(T[:-1], basis, costs[-1])
+            np.testing.assert_allclose(T[-1, :-1], fresh, rtol=0, atol=1e-12)
+
+        monkeypatch.setattr(module, "_price", price)
+        monkeypatch.setattr(module, "_pivot", pivot)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_lp(self, seed):
@@ -466,8 +492,8 @@ class TestWarmStart:
 
     def test_start_with_missing_row_raises(self):
         solved = solve(self.capped_cover(2.0).objective, self.capped_start(2.0))
-        T, basis, cost = solved._optimum
-        start = replace(solved, _optimum=(T[:-1], basis, cost))
+        T, basis = solved._optimum
+        start = replace(solved, _optimum=(T[1:], basis))
         with pytest.raises(ValueError, match="1 rows and 4 columns, its basis lists 2"):
             solve(self.capped_cover(3.0).objective, start=start)
 
@@ -568,6 +594,12 @@ class TestBasisStart:
                 reference_solve(lp, max_iters + inst.n, start=listed), lp
             )
 
+    def test_start_is_not_modified(self, ex1):
+        T, basis = ones_tableau(ex1.A, ex1.b)
+        before = [T.tobytes(), basis.tobytes()]
+        assert solve(np.ones(3), start=(T, basis)).iterations
+        assert [T.tobytes(), basis.tobytes()] == before
+
     def test_wrong_length_raises(self, ex1):
         T, _ = ones_tableau(ex1.A, ex1.b)
         with pytest.raises(ValueError, match="lists 5 columns"):
@@ -586,7 +618,7 @@ class TestFaceRangeMatchesProbes:
     def check(self, lp, start):
         sol = solve(lp.objective, start)
         pinned = pin_objective(lp, sol.value)
-        ranges = optimal_face_range(sol, range(lp.nvars))
+        ranges = optimal_face_range(sol)
         assert len(ranges) == lp.nvars
         for var, (lo, hi) in enumerate(ranges):
             e = np.zeros(lp.nvars)
@@ -619,7 +651,7 @@ class TestFaceRangeMatchesProbes:
         )
         self.check(lp, slack_start(lp))
         sol = solve(lp.objective, slack_start(lp))
-        assert optimal_face_range(sol, range(2)) == [(0.0, INF), (0.0, INF)]
+        assert optimal_face_range(sol) == [(0.0, INF), (0.0, INF)]
 
 
 class TestFaceFromOptimalTableau:
@@ -640,10 +672,8 @@ class TestFaceFromOptimalTableau:
             ineq_rhs=np.array([-1.0, 0.0]),
         )
         sol = solve(lp.objective, loaded_start(lp, [0, 3]))
-        T, basis, cost = sol._optimum
-        reduced = cost - cost[basis] @ T[:, :-1]
-        assert np.setdiff1d((reduced <= COST_TOL).nonzero()[0], basis).size
-        ranges = optimal_face_range(sol, range(2))
+        assert np.setdiff1d(face_columns(sol, lp.objective), sol._optimum[1]).size
+        ranges = optimal_face_range(sol)
         assert ranges == [(1.0, 1.0), (0.0, 0.0)]
         self.assert_matches_reference(lp, sol, ranges)
 
@@ -666,7 +696,7 @@ class TestFaceFromOptimalTableau:
         c = Weights(np.array([0.5, 0.7, 0.8]))
         sol = solve_weighted_lp(ex2, c)
         calls = self.count_probes(monkeypatch)
-        ranges = optimal_face_range(sol, range(3))
+        ranges = optimal_face_range(sol)
         assert not calls
         assert ranges == [(x, x) for x in sol.x.tolist()]
         self.assert_matches_reference(covering_lp(ex2.A, ex2.b, c.c), sol, ranges)
@@ -674,7 +704,7 @@ class TestFaceFromOptimalTableau:
     def test_wider_face_runs_probes(self, ex2, ones3, monkeypatch):
         sol = solve_weighted_lp(ex2, ones3)
         calls = self.count_probes(monkeypatch)
-        optimal_face_range(sol, range(3))
+        optimal_face_range(sol)
         assert calls
 
     def test_degenerate_vertex_runs_probes(self, ex1, ones3, monkeypatch):
@@ -682,14 +712,15 @@ class TestFaceFromOptimalTableau:
         # nonbasic with reduced cost 0, so the basis alone does not prove it.
         sol = solve_weighted_lp(ex1, ones3)
         calls = self.count_probes(monkeypatch)
-        ranges = optimal_face_range(sol, range(3))
+        ranges = optimal_face_range(sol)
         assert calls
         assert max(hi - lo for lo, hi in ranges) <= 1e-12
 
-    def test_warm_ladder_passes(self, monkeypatch):
-        # Each warm pass's face, on the ladder inputs and the small inputs
-        # at seed 1, is read off a tableau that phase 2 reached from the
-        # previous pass's.
+    @pytest.fixture
+    def warm_ladder_passes(self, monkeypatch):
+        """(lp, sol) of each warm pass on the ladder inputs and the small
+        inputs at seed 1: sol is its optimum, which phase 2 reached from
+        the previous pass's optimal tableau."""
         module = importlib.import_module("wlpcert.certify")
         passes = []
 
@@ -707,33 +738,27 @@ class TestFaceFromOptimalTableau:
         for inst, config, weights in _small_cases(monkeypatch):
             certify(inst, config, weights=weights)
         assert len(passes) == 6 + 89
-        for lp, sol in passes:
-            ranges = optimal_face_range(sol, range(lp.nvars))
+        return passes
+
+    def test_warm_ladder_passes(self, warm_ladder_passes):
+        for lp, sol in warm_ladder_passes:
+            ranges = optimal_face_range(sol)
             self.assert_matches_reference(lp, sol, ranges)
+
+    def test_warm_last_row_is_fresh_pricing(self, warm_ladder_passes):
+        # The reduced costs that the pivots carried in the last row are
+        # those of the pass's cost priced afresh on its optimal basis.
+        for lp, sol in warm_ladder_passes:
+            assert_last_row_is_fresh(sol, lp.objective)
 
     def test_repeat_call_leaves_solution_unchanged(self, ex2, ones3):
         lp = covering_lp(ex2.A, ex2.b, ones3.c)
         sol = from_ones(lp)
         before = [a.tobytes() for a in sol._optimum]
-        first = optimal_face_range(sol, range(lp.nvars))
-        assert optimal_face_range(sol, range(lp.nvars)) == first
+        first = optimal_face_range(sol)
+        assert optimal_face_range(sol) == first
         assert [a.tobytes() for a in sol._optimum] == before
         self.assert_matches_reference(lp, sol, first)
-
-    def test_index_outside_the_variables_raises(self, ex1, ones3):
-        # Columns 3.. of the tableau are slacks, and -1 would index the
-        # last of them; neither is an LP variable.
-        sol = solve_weighted_lp(ex1, ones3)
-        with pytest.raises(ValueError, match="variable index -1 out of range"):
-            optimal_face_range(sol, [-1, 3, 5])
-        with pytest.raises(ValueError, match="variable index 99 out of range"):
-            optimal_face_range(sol, [0, 99])
-
-    def test_any_iterable_of_variables(self, ex1, ones3):
-        sol = solve_weighted_lp(ex1, ones3)
-        expected = optimal_face_range(sol, [0, 1, 2])
-        assert optimal_face_range(sol, (v for v in range(3))) == expected
-        assert optimal_face_range(sol, np.arange(3)) == expected
 
     def test_non_optimal_solution_raises(self):
         infeasible = covering_lp(np.ones((1, 1)), np.array([2.0]), np.ones(1))
@@ -745,6 +770,6 @@ class TestFaceFromOptimalTableau:
         ):
             assert sol.status is not Status.OPTIMAL
             with pytest.raises(ValueError, match="no optimal face"):
-                optimal_face_range(sol, [0])
+                optimal_face_range(sol)
         with pytest.raises(LpError, match="infeasible"):
             reference_face_range(infeasible, 0.0, [0])

@@ -1,8 +1,9 @@
 """Property tests of the closed-form start tableaus, x = 1 for covering LPs
 and (u = 0, t = c_j) for eta_j LPs: each against the reference row loop's
-loaded tableau and against vertex enumeration. Also the in-place pivot's
-untouched rows and the face probes read off the optimum, and which of
-those probes run."""
+loaded tableau or its exact closed form, and against vertex enumeration.
+Also the in-place pivot's untouched rows, the reduced costs that the
+pivots carry in the last row, and the face probes read off the optimum,
+and which of those probes run."""
 
 import importlib
 
@@ -23,10 +24,11 @@ from wlpcert import (
     to_standard_form,
 )
 from wlpcert.certify import ones_tableau
-from wlpcert.lp import ELIM_TOL, PIVOT_TOL, _phase2, _pivot
+from wlpcert.lp import ELIM_TOL, PIVOT_TOL, _pivot, _price
 
 from _oracles import (
     _reference_pivot,
+    assert_last_row_is_fresh,
     covering_lp,
     enumerate_lp_minimum,
     eta_lp,
@@ -85,17 +87,25 @@ def lp_minimum(lp):
 
 def assert_is_loaded_tableau(lp, T, basis, loaded):
     """(T, basis) is the reference's tableau after its loading pivots, byte
-    for byte after + 0.0, with the right-hand side exact to the sign of a
-    zero; the reference takes loaded pivots."""
+    for byte after + 0.0; the reference takes loaded pivots. Returns the
+    reference's tableau."""
     ref_T, ref_basis, ref_loaded = reference_loaded_tableau(lp, basis.tolist())
     assert ref_loaded == loaded
     assert basis.tolist() == ref_basis
     assert (T + 0.0).tobytes() == (ref_T + 0.0).tobytes()
-    assert T[:, -1].tobytes() == ref_T[:, -1].tobytes()
+    return ref_T
+
+
+@st.composite
+def tiny_entry_covers(draw):
+    """A tiny_entry_instances draw with costs as instances() draws them."""
+    inst = draw(tiny_entry_instances())
+    c = draw(st.lists(st.sampled_from((0.8, 0.9, 1.0)), min_size=inst.n, max_size=inst.n))
+    return inst, np.array(c)
 
 
 @settings(max_examples=150)
-@given(instances())
+@given(st.one_of(instances(), tiny_entry_covers()))
 def test_covering_start_matches_vertex_enumeration(drawn):
     inst, c = drawn
     lp = covering_lp(inst.A, inst.b, c)
@@ -128,9 +138,29 @@ def test_covering_start_matches_vertex_enumeration(drawn):
 @settings(max_examples=150)
 @given(tiny_entry_instances())
 def test_ones_tableau_is_the_loaded_tableau(inst):
-    lp = covering_lp(inst.A, inst.b, np.ones(inst.n))
+    # The closed form, byte for byte: the covering rows [0 | I_m | A |
+    # A 1 - b], A 1 - b summed from -b_i in column order, over the bound
+    # rows [I_n | 0 | I_n | 1].
+    m, n = inst.A.shape
     T, basis = ones_tableau(inst.A, inst.b)
-    assert_is_loaded_tableau(lp, T, basis, inst.n)
+    expected = np.zeros((m + n, 2 * n + m + 1))
+    for i in range(m):
+        expected[i, n + i] = 1.0
+        total = -inst.b[i]
+        for j in range(n):
+            expected[i, n + m + j] = inst.A[i, j]
+            total += inst.A[i, j]
+        expected[i, -1] = total
+    for j in range(n):
+        expected[m + j, j] = expected[m + j, n + m + j] = expected[m + j, -1] = 1.0
+    assert T.tobytes() == expected.tobytes()
+    assert basis.tolist() == list(range(n, n + m)) + list(range(n))
+    # Where no loading pivot would leave an entry alone, that is with no
+    # entry in (0, ELIM_TOL], it is also the reference's loaded tableau,
+    # up to the sign of a zero.
+    if not np.any((inst.A > 0) & (inst.A <= ELIM_TOL)):
+        lp = covering_lp(inst.A, inst.b, np.ones(inst.n))
+        assert_is_loaded_tableau(lp, T, basis, inst.n)
 
 
 def _recorded_eta(A1, c, beta, col):
@@ -174,7 +204,9 @@ def test_eta_tableau_is_the_loaded_tableau(inst, cj):
     weights = Weights(c=np.full(inst.n, cj))
     for col in range(inst.n):
         *_, lp, (T, basis) = _recorded_eta(A1, weights, 0.5, col)
-        assert_is_loaded_tableau(lp, T, basis, 1)
+        ref_T = assert_is_loaded_tableau(lp, T, basis, 1)
+        # The right-hand side is exact, to the sign of a zero.
+        assert T[:, -1].tobytes() == ref_T[:, -1].tobytes()
 
 
 SMALL = (0.0, -0.0, 0.5 * ELIM_TOL, -ELIM_TOL, ELIM_TOL)
@@ -242,35 +274,39 @@ def degenerate_optimum(drawn, warm):
 @given(degenerate_covers(), st.booleans())
 def test_face_range_matches_every_probe(drawn, warm):
     sol = degenerate_optimum(drawn, warm)
-    variables = range(sol.x.size)
-    assert optimal_face_range(sol, variables) == probe_every_face_range(
-        sol, variables
-    )
+    assert optimal_face_range(sol) == probe_every_face_range(sol, drawn[1])
+
+
+@settings(max_examples=200)
+@given(degenerate_covers(), st.booleans())
+def test_last_row_is_fresh_pricing(drawn, warm):
+    assert_last_row_is_fresh(degenerate_optimum(drawn, warm), drawn[1])
 
 
 @settings(max_examples=200)
 @given(degenerate_covers(), st.booleans())
 def test_face_probe_runs_exactly_where_its_end_moves(drawn, warm):
-    # optimal_face_range runs phase 2 once for each (variable, side) end
-    # whose full probe pivots or ends UNBOUNDED, and for no other end.
+    # optimal_face_range prices a probe's one-hot cost, and runs phase 2
+    # on it, once for each (variable, side) end whose full probe pivots or
+    # ends UNBOUNDED, and for no other end.
     sol = degenerate_optimum(drawn, warm)
     objectives = []
 
-    def recording(T, basis, cost, max_iters):
+    def recording(T, basis, cost):
         objectives.append(cost.copy())
-        return _phase2(T, basis, cost, max_iters)
+        return _price(T, basis, cost)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(LP, "_phase2", recording)
-        optimal_face_range(sol, range(sol.x.size))
-    columns = face_columns(sol)
+        mp.setattr(LP, "_price", recording)
+        optimal_face_range(sol)
+    columns = face_columns(sol, drawn[1])
     ran = []
     for obj in objectives:
         [position] = obj.nonzero()[0]
         ran.append((columns[position], 0 if obj[position] > 0 else 1))
     moves = {
         end
-        for end, (status, pivots, _) in face_probes(sol, range(sol.x.size)).items()
+        for end, (status, pivots, _) in face_probes(sol, drawn[1]).items()
         if pivots or status is Status.UNBOUNDED
     }
     assert sorted(ran) == sorted(moves)
