@@ -213,7 +213,9 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
     feasible and becomes the incumbent when it is better. The node branches
     on its most fractional variable, x_j = 1 first. Each node LP starts
     from x = 1 (ones_tableau), so an infeasible node ends INFEASIBLE with
-    no pivot. Raises LpError after BRANCH_NODE_LIMIT nodes.
+    no pivot; so does one with no free column, whose kept rows read
+    -b_i < -PIVOT_TOL as b_i > ZERO_TOL = PIVOT_TOL. Raises LpError after
+    BRANCH_NODE_LIMIT nodes.
     """
     n = inst.n
     best_value, best = math.inf, None
@@ -231,8 +233,6 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
         x = np.zeros(free.size)
         bound = int(ones.sum())
         if rows.any():
-            if not free.size:
-                continue
             A, b = inst.A[np.ix_(rows, free)], rhs[rows]
             sol = solve(np.ones(free.size), start=ones_tableau(A, b))
             if sol.status is Status.INFEASIBLE:

@@ -96,9 +96,8 @@ def eta_j(A1: np.ndarray, c: Weights, beta: float, col: int) -> tuple:
     return value, q
 
 
-def _s_star_from(eta1: float, min_c: float, n: int) -> int:
+def _s_star_from(eta1: float, threshold: float, n: int) -> int:
     """floor(threshold / eta1), clamped to [0, n]; n when eta1 is zero."""
-    threshold = 0.5 * min_c
     if eta1 <= ZERO_TOL:
         return n
     return max(0, min(n, int(math.floor(threshold / eta1 + ZERO_TOL))))
@@ -140,18 +139,17 @@ def sufficient_verdict(
     default = beta_bar(A1, c)
     if beta is None:
         beta = default
-    min_c = float(np.min(c.c))
+    threshold = 0.5 * float(np.min(c.c))
     etas = []
     witnesses = []
     for j in range(n):
         value, q = eta_j(A1, c, beta, j)
         etas.append(value)
         witnesses.append(q)
-        if _s_star_from(value, min_c, n) < s_observed:
+        if _s_star_from(value, threshold, n) < s_observed:
             break
     eta1 = max(etas)
-    threshold = 0.5 * min_c
-    star = _s_star_from(eta1, min_c, n)
+    star = _s_star_from(eta1, threshold, n)
     bound = star * eta1
     certified = bound < threshold - STRICT_GUARD and star >= s_observed
     report = GoodnessReport(

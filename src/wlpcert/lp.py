@@ -41,7 +41,6 @@ class LpSolution:
     status: Status
     x: np.ndarray | None
     value: float | None
-    basis: tuple
     iterations: int = 0
     # (tableau, basis) that `solve` ended on, reduced costs in the last
     # row, read by `optimal_face_range` and by a solve started from it;
@@ -73,15 +72,19 @@ def _price(T, basis, cost):
     return priced
 
 
-def _phase2(T, basis, max_iters):
+def _phase2(T, basis):
     """Bland's rule phase 2 from the feasible basis of the tableau T, with
     basis[r] basic in row r and the reduced costs in the last row (see
     _price), kept current by each pivot; T and basis are overwritten. A
     nonbasic column may enter when its reduced cost is below -COST_TOL.
+    The pivot budget, the same for every solve and face probe, is
+    _iteration_budget of the constraint rows: 50 (2m + N) pivots for m
+    rows over N columns, after which the status is ITERATION_LIMIT.
 
     Returns (status, pivots, z), z the point read off the right-hand side
     at the optimum, or None unless the status is OPTIMAL."""
     used = 0
+    max_iters = _iteration_budget(T[:-1, :-1])
     reduced, rhs = T[-1, :-1], T[:-1, -1]
     while used < max_iters:
         reduced[basis] = 0.0
@@ -119,11 +122,7 @@ def _iteration_budget(A) -> int:
     return 50 * (m + N + m)
 
 
-def solve(
-    cost: np.ndarray,
-    start: LpSolution | tuple,
-    max_iters: int | None = None,
-) -> LpSolution:
+def solve(cost: np.ndarray, start: LpSolution | tuple) -> LpSolution:
     """Primal simplex from a start; deterministic for fixed input.
 
     The LP is min cost @ x over z >= 0 of a tableau [G | I | b], z being
@@ -141,7 +140,8 @@ def solve(
     optimal tableau's right-hand side is nonnegative up to rounding far
     below PIVOT_TOL. Otherwise phase 2 runs on a copy of the start with
     the cost priced into a last row (_price); the start is not modified.
-    iterations counts the pivots, at most max_iters.
+    iterations counts the pivots, within _phase2's budget; an OPTIMAL
+    solution keeps the tableau and basis it ended on in _optimum.
     """
     if isinstance(start, LpSolution):
         if start._optimum is None:
@@ -160,22 +160,13 @@ def solve(
             f"has {cost.size} entries"
         )
     if np.any(T[:, -1] < -PIVOT_TOL):
-        return LpSolution(Status.INFEASIBLE, None, None, (), 0)
-    if max_iters is None:
-        max_iters = _iteration_budget(T[:, :-1])
+        return LpSolution(Status.INFEASIBLE, None, None, 0)
     T = _price(T, basis, cost)
-    status, iters, z = _phase2(T, basis, max_iters)
+    status, iters, z = _phase2(T, basis)
     if status is not Status.OPTIMAL:
-        return LpSolution(status, None, None, (), iters)
+        return LpSolution(status, None, None, iters)
     x = z[: cost.size]
-    return LpSolution(
-        Status.OPTIMAL,
-        x,
-        float(cost @ x),
-        tuple(sorted(basis.tolist())),
-        iters,
-        (T, basis),
-    )
+    return LpSolution(Status.OPTIMAL, x, float(cost @ x), iters, (T, basis))
 
 
 def optimal_face_range(sol: LpSolution) -> list:
@@ -186,16 +177,17 @@ def optimal_face_range(sol: LpSolution) -> list:
     so the optimal face is the feasible set with z_k = 0 wherever
     d_k > COST_TOL; the other columns are kept (basic ones read d = 0).
     Each range starts at sol.x and each end is probed where it can move:
-    phase 2 minimizes or maximizes the variable on the tableau restricted
-    to the kept columns, from the optimal basis, under the one-hot cost
-    that _price prices. For a variable basic in row r those reduced costs
-    are -T[r, k] (minimum) or T[r, k] (maximum) on the kept nonbasic
-    columns k, so a probe moves exactly the minimum of a basic variable
-    whose row has a kept nonbasic entry above COST_TOL, its maximum when
-    one is below -COST_TOL, and the maximum of a kept nonbasic variable;
-    only those ends are probed. With no kept nonbasic column the face is
-    the optimum alone (Mangasarian's uniqueness condition). A dropped
-    column has range (0, 0). sol is not modified.
+    phase 2, within its own pivot budget, minimizes or maximizes the
+    variable on the tableau restricted to the kept columns, from the
+    optimal basis, under the one-hot cost that _price prices. For a
+    variable basic in row r those reduced costs are -T[r, k] (minimum) or
+    T[r, k] (maximum) on the kept nonbasic columns k, so a probe moves
+    exactly the minimum of a basic variable whose row has a kept nonbasic
+    entry above COST_TOL, its maximum when one is below -COST_TOL, and the
+    maximum of a kept nonbasic variable; only those ends are probed. With
+    no kept nonbasic column the face is the optimum alone (Mangasarian's
+    uniqueness condition). A dropped column has range (0, 0). sol is not
+    modified.
     """
     if sol._optimum is None:
         raise ValueError(f"no optimal face: the LP status is {sol.status.value}")
@@ -220,14 +212,11 @@ def optimal_face_range(sol: LpSolution) -> list:
         position = keep.cumsum() - 1
         face = T[:, np.append(keep, True)]
         face_basis = position[basis]
-        max_iters = _iteration_budget(face[:, :-1])
     for var, side in probes:
         col = position[var]
         obj = np.zeros(face.shape[1] - 1)
         obj[col] = -1.0 if side else 1.0
-        status, _, end = _phase2(
-            _price(face, face_basis, obj), face_basis.copy(), max_iters
-        )
+        status, _, end = _phase2(_price(face, face_basis, obj), face_basis.copy())
         if status is Status.OPTIMAL:
             ranges[var][side] = float(end[col])
         elif status is Status.UNBOUNDED:

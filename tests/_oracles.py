@@ -11,7 +11,9 @@ row-by-row two-phase simplex on a `LinearProgram`, checked against
 vertex enumeration on general LPs; `wlpcert.lp.solve` must reproduce
 its pivots from a basis (listed here, built in closed form there) and
 from an earlier optimal tableau of the same LP under another cost. It
-builds its own tableau and shares no code with `wlpcert.lp`.
+builds its own tableau and shares no code with `wlpcert.lp`. An optimal
+result keeps its final tableau and basis in `_optimum`, as
+`wlpcert.solve`'s does, and `final_basis` reads the basis off either.
 `loaded_start` is its tableau on a listed basis, as a start for
 `wlpcert.solve`.
 `all_artificial_solve` starts the same simplex with an artificial on
@@ -375,16 +377,25 @@ def reference_solve(lp, max_iters=None, start=None):
     )
     it1 += loaded
     if status is not Status.OPTIMAL:
-        return LpSolution(status, None, None, (), it1)
+        return LpSolution(status, None, None, it1)
     c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
     status, it2, z = _reference_phase2(T, basis, c, max_iters - it1)
     iters = it1 + it2
     if status is not Status.OPTIMAL:
-        return LpSolution(status, None, None, (), iters)
+        return LpSolution(status, None, None, iters)
     x = z[: lp.nvars]
-    return LpSolution(
-        Status.OPTIMAL, x, float(lp.objective @ x), tuple(sorted(basis)), iters
-    )
+    # The final tableau with its reduced costs in a last row, and the basis,
+    # as wlpcert.solve keeps them.
+    reduced = np.append(c, 0.0) - c[basis] @ T
+    reduced[basis] = 0.0
+    optimum = (np.vstack([T, reduced]), np.array(basis))
+    return LpSolution(Status.OPTIMAL, x, float(lp.objective @ x), iters, optimum)
+
+
+def final_basis(sol):
+    """The sorted basis that sol, a solution of wlpcert.solve or of
+    reference_solve, ended on; () unless it is OPTIMAL."""
+    return () if sol._optimum is None else tuple(sorted(sol._optimum[1].tolist()))
 
 
 def all_artificial_solve(lp):

@@ -32,6 +32,7 @@ from _oracles import (
     covering_lp,
     eager_certify,
     enumerate_binary_minimum,
+    final_basis,
     full_loop_certify,
     residual,
     verify_certificate,
@@ -503,10 +504,11 @@ class TestFixedPoint:
                 assert len(full.iterations) == k
             _assert_truncates(cert.iterations, full.iterations)
             assert len({id(p) for p in cert.iterations}) == k
-            for name in ("x", "value", "basis", "status"):
+            for name in ("x", "value", "status"):
                 assert _bits(getattr(cert.lp_solution, name)) == _bits(
                     getattr(full.lp_solution, name)
                 )
+            assert final_basis(cert.lp_solution) == final_basis(full.lp_solution)
             for name in (
                 "certified",
                 "recovered",
@@ -614,6 +616,50 @@ class TestSoundnessEnsemble:
             assert cert.brute_force_verified
             assert verify_certificate(inst, cert)
             assert cert.recovered.sum() <= cert.final_report.s_star
+
+
+class TestCertifiedRecoverySearch:
+    """A hypothesis search (derandomised by the tier1 profile) for a
+    certified recovery that is not a 0-1 optimum: integer A in [0, 3]
+    with m <= 6 and n <= 8, b_i a quarter multiple of row i's sum (so
+    x = 1 is feasible), and each row scaled by 2^s, s in [-3, 3]. The
+    fixed example is the search's shrunk wrong certificate with the check
+    off: rows (0, 1 | 1/4) and (3, 1 | 1) x 1/2 pass the eta test with
+    the recovery [1, 1], and x = (0, 1) covers both. With row 2 unscaled
+    the eta test fails (s_star = 1 < 2), so the row scale alone makes
+    the wrong certificate."""
+
+    def test_certified_recovery_is_exact(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def scaled_covers(draw):
+            m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+            entries = st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n)
+            A = np.array(draw(entries), dtype=float).reshape(m, n)
+            quarters = st.lists(st.integers(0, 4), min_size=m, max_size=m)
+            b = A.sum(axis=1) * np.array(draw(quarters)) / 4
+            scales = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+            scale = np.ldexp(1.0, np.array(draw(scales)))
+            return ZeroOneInstance(A=A * scale[:, None], b=b * scale)
+
+        @hypothesis.settings(max_examples=200)
+        @hypothesis.given(scaled_covers())
+        @hypothesis.example(
+            ZeroOneInstance(
+                A=np.array([[0.0, 1.0], [1.5, 0.5]]), b=np.array([0.25, 0.5])
+            )
+        )
+        def check(inst):
+            value, _ = brute_force_ip(inst)
+            assert branch_and_bound_ip(inst)[0] == value
+            cert = certify(inst)
+            if cert.certified:
+                assert np.all(inst.A @ cert.recovered >= inst.b - ZERO_TOL)
+                assert int(cert.recovered.sum()) == value
+
+        check()
 
 
 def random_graph_instance(n, seed, density=0.3):

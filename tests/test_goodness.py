@@ -315,7 +315,7 @@ class TestSufficientVerdict:
         n = sf.shape[1]
         solved = [eta_j(sf, ones3, beta, j) for j in range(n)]
         etas = tuple(value for value, _ in solved)
-        star = _s_star_from(max(etas), 1.0, n)
+        star = _s_star_from(max(etas), 0.5, n)
         expected = dict(
             beta_bar=beta,
             beta_used=beta,

@@ -21,6 +21,7 @@ from wlpcert import (
     to_standard_form,
 )
 from wlpcert.certify import ones_tableau
+from wlpcert.instance import ZERO_TOL
 from wlpcert.lp import (
     INF,
     PIVOT_TOL,
@@ -39,6 +40,7 @@ from _oracles import (
     enumerate_lp_minimum,
     eta_lp,
     face_columns,
+    final_basis,
     fresh_reduced_costs,
     loaded_start,
     pin_objective,
@@ -96,9 +98,15 @@ def slack_start(lp):
     return loaded_start(lp, _reference_tableau(lp)[1])
 
 
-def from_ones(lp, max_iters=None):
+def from_ones(lp):
     """solve on lp, a covering_lp, from x = 1."""
-    return solve(lp.objective, ones_start(lp), max_iters)
+    return solve(lp.objective, ones_start(lp))
+
+
+def set_budget(monkeypatch, max_iters):
+    """Give every simplex run max_iters pivots in place of its budget."""
+    module = importlib.import_module("wlpcert.lp")
+    monkeypatch.setattr(module, "_iteration_budget", lambda A: max_iters)
 
 
 class TestSolve:
@@ -124,16 +132,24 @@ class TestSolve:
         # x >= 2 with x <= 1: x = 1 leaves the covering row negative.
         sol = from_ones(covering_lp(np.ones((1, 1)), np.array([2.0]), np.ones(1)))
         assert sol.status is Status.INFEASIBLE
+        assert sol.iterations == 0
+        # A branch-and-bound node with no free column: a row with no
+        # column and the least b_i above ZERO_TOL reads -b_i < -PIVOT_TOL.
+        b = np.nextafter(ZERO_TOL, INF)
+        sol = solve(np.ones(0), ones_tableau(np.zeros((1, 0)), np.array([b])))
+        assert sol.status is Status.INFEASIBLE
+        assert sol.iterations == 0
 
     def test_deterministic_including_basis(self, ex1, ones3):
         lp = covering_lp(ex1.A, ex1.b, ones3.c)
         a, b = from_ones(lp), from_ones(lp)
-        assert a.basis == b.basis
+        assert final_basis(a) == final_basis(b)
         np.testing.assert_array_equal(a.x, b.x)
         assert a.value == b.value
 
-    def test_iteration_limit_is_explicit(self, ex1, ones3):
-        sol = from_ones(covering_lp(ex1.A, ex1.b, ones3.c), max_iters=1)
+    def test_iteration_limit_is_explicit(self, ex1, ones3, monkeypatch):
+        set_budget(monkeypatch, 1)
+        sol = from_ones(covering_lp(ex1.A, ex1.b, ones3.c))
         assert sol.status is Status.ITERATION_LIMIT
 
     # The reference simplex runs on general LPs, checked here against
@@ -218,7 +234,8 @@ def _fingerprint(sol, lp, loaded=0):
         x = res = None
     else:
         x, res = (sol.x + 0.0).tobytes(), repr(residual(lp, sol.x))
-    return sol.status, sol.iterations + loaded, sol.basis, repr(sol.value), x, res
+    basis = final_basis(sol)
+    return sol.status, sol.iterations + loaded, basis, repr(sol.value), x, res
 
 
 def eta_basis(lp):
@@ -327,15 +344,16 @@ def basis_solves(warm_cases, monkeypatch):
 
 def assert_same_pivots(lp, start, max_iters=None):
     """solve on lp from start, a (tableau, basis), takes the reference's
-    pivots from the same basis. The reference loads that basis by pivots,
-    which count in its iterations; its budget is raised by as many, so
-    both simplexes have the same budget left."""
+    pivots from the same basis. max_iters is solve's budget: the one that
+    set_budget gave, or by default its own. The reference loads that basis
+    by pivots, which count in its iterations; its budget is raised by as
+    many, so both simplexes have the same budget left."""
     T, basis = start
     listed = basis.tolist()
     if max_iters is None:
         max_iters = _iteration_budget(T[:, :-1])
     _, _, loaded = reference_loaded_tableau(lp, listed)
-    sol = solve(lp.objective, start, max_iters)
+    sol = solve(lp.objective, start)
     reference = reference_solve(lp, max_iters + loaded, start=listed)
     assert _fingerprint(sol, lp, loaded) == _fingerprint(reference, lp)
 
@@ -408,7 +426,8 @@ class TestPivotIdentity:
         assert statuses.count(Status.INFEASIBLE) == 1
 
     @pytest.mark.parametrize("max_iters", range(1, 6))
-    def test_iteration_budgets(self, max_iters, certificate_lps):
+    def test_iteration_budgets(self, max_iters, certificate_lps, monkeypatch):
+        set_budget(monkeypatch, max_iters)
         for lp, listed in certificate_lps:
             assert_same_pivots(lp, loaded_start(lp, listed), max_iters)
         for seed in range(40):
@@ -497,9 +516,10 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="1 rows and 4 columns, its basis lists 2"):
             solve(self.capped_cover(3.0).objective, start=start)
 
-    def test_start_without_optimum_raises(self, ex1):
+    def test_start_without_optimum_raises(self, ex1, monkeypatch):
         lp = covering_lp(ex1.A, ex1.b, np.ones(ex1.n))
-        start = from_ones(lp, max_iters=1)
+        set_budget(monkeypatch, 1)
+        start = from_ones(lp)
         assert start._optimum is None
         with pytest.raises(ValueError, match="no optimal tableau"):
             solve(lp.objective, start=start)
@@ -577,18 +597,21 @@ class TestBasisStart:
         assert _fingerprint(sol, lp, 3) == _fingerprint(reference, lp)
 
     @pytest.mark.parametrize("max_iters", range(1, 8))
-    def test_loading_pivots_spend_the_budget(self, max_iters, ex1, ex2, ex3):
+    def test_loading_pivots_spend_the_budget(
+        self, max_iters, ex1, ex2, ex3, monkeypatch
+    ):
         # The reference's n loading pivots spend its budget; the closed-form
         # tableau has none to spend, so solve gets all of max_iters and
         # matches the reference given n more. x = 1 leaves the last LP's row
         # negative: solve ends INFEASIBLE with no pivot, and so does the
         # reference's phase 1.
+        set_budget(monkeypatch, max_iters)
         cover = ZeroOneInstance(A=np.ones((1, 2)), b=np.array([3.0]))
         for inst in (ex1, ex2, ex3, cycle_instance(9), cover):
             lp = covering_lp(inst.A, inst.b, np.ones(inst.n))
             T, basis = ones_tableau(inst.A, inst.b)
             listed = basis.tolist()
-            sol = solve(lp.objective, (T, basis), max_iters)
+            sol = solve(lp.objective, (T, basis))
             assert sol.iterations <= max_iters
             assert _fingerprint(sol, lp, inst.n) == _fingerprint(
                 reference_solve(lp, max_iters + inst.n, start=listed), lp
@@ -760,14 +783,16 @@ class TestFaceFromOptimalTableau:
         assert [a.tobytes() for a in sol._optimum] == before
         self.assert_matches_reference(lp, sol, first)
 
-    def test_non_optimal_solution_raises(self):
+    def test_non_optimal_solution_raises(self, monkeypatch):
         infeasible = covering_lp(np.ones((1, 1)), np.array([2.0]), np.ones(1))
         unbounded = LinearProgram(objective=np.array([-1.0]))
-        for sol in (
+        sols = [
             from_ones(infeasible),
             solve(unbounded.objective, slack_start(unbounded)),
-            from_ones(infeasible, 1),
-        ):
+        ]
+        set_budget(monkeypatch, 1)
+        sols.append(from_ones(infeasible))
+        for sol in sols:
             assert sol.status is not Status.OPTIMAL
             with pytest.raises(ValueError, match="no optimal face"):
                 optimal_face_range(sol)

@@ -25,10 +25,10 @@ whose outcome differs from it (workload, seed, name, before, after), then
 their count; an input missing from either side counts as differing.
 --solves puts solves in place of inputs: one record per `lp.solve`
 result that the inputs' runs produce, named by its place in call order,
-with its status, iterations, basis, repr(value) and a sha256 prefix of
-the bytes of x + 0.0, then one record per `optimal_face_range` result
-that `certify` computes, named face0, face1, .. in call order, with the
-repr of its ranges. It prints a digest of the records and their counts;
+with its status, iterations, the sorted basis it ended on (empty unless
+it is optimal), repr(value) and a sha256 prefix of the bytes of x + 0.0,
+then one record per `optimal_face_range` result that `certify` computes,
+named face0, face1, .. in call order, with the repr of its ranges. It prints a digest of the records and their counts;
 equal solve digests mean that every LP took the same pivots to the same
 point and read the same optimal faces. --list also prints each record,
 and --compare each record that moved, with the fields that moved.
@@ -140,7 +140,7 @@ def solve_record(sol) -> dict:
     return {
         "status": sol.status.value,
         "iterations": sol.iterations,
-        "basis": list(sol.basis),
+        "basis": [] if sol._optimum is None else sorted(sol._optimum[1].tolist()),
         "value": repr(sol.value),
         "x": hashlib.sha256(x).hexdigest()[:16],
     }
