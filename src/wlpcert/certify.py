@@ -3,8 +3,8 @@
 Solves the weighted relaxation, classifies the optimal face, reweights
 the objective when the optimum is not unique, certifies a unique optimum
 via the s * eta1 threshold test, recovers the binary optimum by ceiling,
-and optionally checks a certified recovery against the 0-1 optimum
-found by LP branch-and-bound.
+and checks a certified recovery against the 0-1 optimum found by LP
+branch-and-bound.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class Pass(NamedTuple):
 class CertifyConfig:
     beta_override: float | None = None
     max_weight_iterations: int = 10
-    # Check a certified recovery with branch_and_bound_ip.
+    # Must be True: certify checks every certified recovery with
+    # branch_and_bound_ip. Kept so that callers passing True still work.
     brute_force_verify: bool = True
 
     def __post_init__(self):
@@ -86,12 +87,14 @@ class CertifyConfig:
         beta = self.beta_override
         if beta is not None and not 0 < beta < math.inf:
             raise ValueError("beta override must be positive and finite")
+        if self.brute_force_verify is not True:
+            raise ValueError("brute_force_verify must be True")
 
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
     iterations: tuple  # one Pass per pass run
-    lp_solution: LpSolution | None
+    lp_solution: LpSolution
     certified: bool
     recovered: np.ndarray | None
     brute_force_verified: bool | None
@@ -284,8 +287,8 @@ def certify(
     classify_case would read the same tableau, and each eta_j would be
     solved from the same start under the same c and beta.
 
-    With brute_force_verify, a certified recovery is then checked against
-    branch_and_bound_ip, and a refuted one is not certified.
+    A certified recovery is then checked against branch_and_bound_ip, and
+    a refuted one is not certified.
     """
     c = weights if weights is not None else Weights(c=np.ones(inst.n))
     if c.n != inst.n:
@@ -345,7 +348,7 @@ def certify(
     bf_verified = None
     bf_value = None
     optimum = None
-    if config.brute_force_verify and certified:
+    if certified:
         bf_value, optimum = branch_and_bound_ip(inst)
         bf_verified = int(recovered.sum()) == bf_value and bool(
             np.all(inst.A @ recovered >= inst.b - ZERO_TOL)

@@ -59,13 +59,16 @@ def _emit(doc: dict, as_json: bool, text_lines):
             print(line)
 
 
-def _load_instance(args):
+def _read(path) -> str:
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            inst, file_weights = parse_instance(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
-        raise ValueError(f"cannot read {args.input}: {exc.strerror}")
-    weights = file_weights
+        raise ValueError(f"cannot read {path}: {exc.strerror}")
+
+
+def _load_instance(args):
+    inst, weights = parse_instance(_read(args.input))
     if getattr(args, "weights", None):
         try:
             vals = [float(t) for t in args.weights.split(",")]
@@ -77,8 +80,15 @@ def _load_instance(args):
     return inst, weights
 
 
-def _instance_doc(inst: ZeroOneInstance) -> dict:
-    return {"m": inst.m, "n": inst.n, "digest": inst.digest()}
+def _document(inst: ZeroOneInstance, fields: dict, timings: dict) -> dict:
+    """A command's --json document: the schema version, the instance,
+    the command's fields, then its timings in milliseconds."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "instance": {"m": inst.m, "n": inst.n, "digest": inst.digest()},
+        **fields,
+        "timings_ms": {k: _sig(v) for k, v in timings.items()},
+    }
 
 
 def _verdict_doc(report, names) -> dict:
@@ -94,9 +104,7 @@ def _verdict_doc(report, names) -> dict:
 
 def _report_doc(inst, cert, timings) -> dict:
     sol = cert.lp_solution
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "instance": _instance_doc(inst),
+    fields = {
         **_verdict_doc(
             cert.final_report,
             (
@@ -117,7 +125,7 @@ def _report_doc(inst, cert, timings) -> dict:
             "x": [_sig(float(v)) for v in sol.x],
             "value": _sig(sol.value),
         }
-        if sol is not None and sol.x is not None
+        if sol.x is not None
         else None,
         "recovered": [int(v) for v in cert.recovered]
         if cert.recovered is not None
@@ -143,9 +151,8 @@ def _report_doc(inst, cert, timings) -> dict:
             for p in cert.iterations
         ],
         "discrepancies": list(cert.discrepancies),
-        "timings_ms": {k: _sig(v) for k, v in timings.items()},
     }
-    return doc
+    return _document(inst, fields, timings)
 
 
 def _config_from(args) -> CertifyConfig:
@@ -185,23 +192,16 @@ def cmd_eta(args) -> int:
     t0 = time.perf_counter()
     _, report = sufficient_verdict(A1, c, args.beta)
     timings = {"eta": (time.perf_counter() - t0) * 1000.0}
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "instance": _instance_doc(inst),
-        **_verdict_doc(
-            report,
-            (
-                "beta_bar",
-                "beta_used",
-                "eta_per_column",
-                "eta1",
-                "s_star",
-                "gamma_hat",
-                "threshold",
-            ),
-        ),
-        "timings_ms": {k: _sig(v) for k, v in timings.items()},
-    }
+    names = (
+        "beta_bar",
+        "beta_used",
+        "eta_per_column",
+        "eta1",
+        "s_star",
+        "gamma_hat",
+        "threshold",
+    )
+    doc = _document(inst, _verdict_doc(report, names), timings)
     lines = [
         f"beta_bar: {doc['beta_bar']}  beta_used: {doc['beta_used']}",
         f"eta_per_column: {doc['eta_per_column']}",
@@ -217,15 +217,8 @@ def cmd_brute_force(args) -> int:
     t0 = time.perf_counter()
     value, optima = brute_force_ip(inst)
     timings = {"brute_force": (time.perf_counter() - t0) * 1000.0}
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "instance": _instance_doc(inst),
-        "brute_force": {
-            "value": _sig(float(value)),
-            "optima_count": len(optima),
-        },
-        "timings_ms": {k: _sig(v) for k, v in timings.items()},
-    }
+    fields = {"brute_force": {"value": _sig(float(value)), "optima_count": len(optima)}}
+    doc = _document(inst, fields, timings)
     _emit(doc, args.json, [f"value: {value}  optima: {len(optima)}"])
     return 0
 
@@ -246,12 +239,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_mis(args) -> int:
-    try:
-        with open(args.graph, encoding="utf-8") as fh:
-            vertex_count, edges = parse_graph(fh.read())
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.graph}: {exc.strerror}")
-    inst = from_independent_set(vertex_count, edges)
+    inst = from_independent_set(*parse_graph(_read(args.graph)))
     t0 = time.perf_counter()
     cert = certify(inst, _config_from(args))
     if cert.certified:
@@ -267,15 +255,13 @@ def cmd_mis(args) -> int:
     timings = {"mis": (time.perf_counter() - t0) * 1000.0}
     indicator = mis_recover(x_tilde, inst)
     members = [i + 1 for i, v in enumerate(indicator) if v]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "instance": _instance_doc(inst),
+    fields = {
         "certified": cert.certified,
         "source": source,
         "independent_set": members,
         "size": len(members),
-        "timings_ms": {k: _sig(v) for k, v in timings.items()},
     }
+    doc = _document(inst, fields, timings)
     _emit(
         doc,
         args.json,

@@ -97,10 +97,10 @@ def eta_j(A1: np.ndarray, c: Weights, beta: float, col: int) -> tuple:
 
 
 def _s_star_from(eta1: float, threshold: float, n: int) -> int:
-    """floor(threshold / eta1), clamped to [0, n]; n when eta1 is zero."""
+    """floor(threshold / eta1), at most n; n when eta1 is zero."""
     if eta1 <= ZERO_TOL:
         return n
-    return max(0, min(n, int(math.floor(threshold / eta1 + ZERO_TOL))))
+    return min(n, int(math.floor(threshold / eta1 + ZERO_TOL)))
 
 
 def gamma_hat_closed_form(A1: np.ndarray, c: Weights, beta: float) -> float:

@@ -731,7 +731,7 @@ def full_loop_certify(inst, config=CertifyConfig(), weights=None) -> Certificate
     bf_verified = None
     bf_value = None
     optimum = None
-    if config.brute_force_verify and certified:
+    if certified:
         bf_value, optimum = branch_and_bound_ip(inst)
         bf_verified = int(recovered.sum()) == bf_value and bool(
             np.all(inst.A @ recovered >= inst.b - ZERO_TOL)

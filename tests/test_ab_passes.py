@@ -53,11 +53,10 @@ def test_different_answers_stop_the_run(capsys, tmp_path):
     )
     (tmp_path / "perfbench").mkdir()
     shutil.copy(ROOT / "perfbench" / "workloads.py", tmp_path / "perfbench")
-    certify = tmp_path / "src" / "wlpcert" / "certify.py"
-    text = certify.read_text(encoding="utf-8")
-    line = "recovered = ceil_recover(np.clip(sol.x, 0.0, 1.0))"
-    assert text.count(line) == 1
-    certify.write_text(text.replace(line, line + " * 0"), encoding="utf-8")
+    # certify looks ceil_recover up when it runs, so a later definition
+    # replaces the imported one.
+    with open(tmp_path / "src" / "wlpcert" / "certify.py", "a", encoding="utf-8") as fh:
+        fh.write("\nceil_recover = lambda x: np.zeros(np.size(x), dtype=int)\n")
     assert _tool().main(_argv(ROOT, tmp_path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -273,6 +273,14 @@ class TestCertify:
         config = CertifyConfig(max_weight_iterations=np.int64(2))
         assert len(certify(random_instance(3, 3, 1), config).iterations) == 2
 
+    def test_config_rejects_unchecked_certificates(self):
+        # Every certified recovery is checked; the test alone is unsound.
+        with pytest.raises(ValueError, match="brute_force_verify must be True"):
+            CertifyConfig(brute_force_verify=False)
+
+    def test_config_accepts_checked_certificates(self):
+        assert CertifyConfig(brute_force_verify=True) == CertifyConfig()
+
     def test_weights_of_wrong_length_raise(self):
         with pytest.raises(ValueError, match="length 2, the instance has 3"):
             certify(random_instance(2, 3, 1), weights=Weights(c=[1, 1]))
@@ -623,11 +631,11 @@ class TestCertifiedRecoverySearch:
     certified recovery that is not a 0-1 optimum: integer A in [0, 3]
     with m <= 6 and n <= 8, b_i a quarter multiple of row i's sum (so
     x = 1 is feasible), and each row scaled by 2^s, s in [-3, 3]. The
-    fixed example is the search's shrunk wrong certificate with the check
-    off: rows (0, 1 | 1/4) and (3, 1 | 1) x 1/2 pass the eta test with
-    the recovery [1, 1], and x = (0, 1) covers both. With row 2 unscaled
-    the eta test fails (s_star = 1 < 2), so the row scale alone makes
-    the wrong certificate."""
+    fixed example is the search's shrunk wrong certificate of the paper's
+    test, which the check refutes: rows (0, 1 | 1/4) and (3, 1 | 1) x 1/2
+    pass the eta test with the recovery [1, 1], and x = (0, 1) covers
+    both. With row 2 unscaled the eta test fails (s_star = 1 < 2), so the
+    row scale alone makes the wrong certificate."""
 
     def test_certified_recovery_is_exact(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -155,7 +155,7 @@ class TestCertifyCommand:
     def test_missing_file_exit_two(self, tmp_path, capsys):
         code = main(["certify", "--input", str(tmp_path / "nope.txt")])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: cannot read" in capsys.readouterr().err
 
     def test_malformed_file_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -431,8 +431,9 @@ class TestMisCommand:
         assert main(["mis", "--graph", str(path), "--beta", "inf"]) == 2
         assert "positive and finite" in capsys.readouterr().err
 
-    def test_missing_graph_exit_two(self, tmp_path):
+    def test_missing_graph_exit_two(self, tmp_path, capsys):
         assert main(["mis", "--graph", str(tmp_path / "nope.txt")]) == 2
+        assert "error: cannot read" in capsys.readouterr().err
 
     def test_no_verify_rejected(self, tmp_path, ex1_file):
         # Neither command skips the exact check of a certificate.
