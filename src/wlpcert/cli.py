@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from enum import Enum
 
 import numpy as np
 
@@ -39,15 +40,28 @@ from .lp import LpError
 
 SCHEMA_VERSION = "3"
 
+# The GoodnessReport fields of certify's report, in document order; eta
+# writes all of them but eta_s_bound.
+VERDICT_FIELDS = (
+    "beta_bar", "beta_used", "eta_per_column", "eta1", "s_star", "eta_s_bound",
+    "gamma_hat", "threshold",
+)
+
 
 def _sig(x):
-    """Round floats to 12 significant digits for JSON output."""
-    if x is None:
-        return None
+    """The JSON form of a report value: dicts, lists, tuples and arrays
+    entry by entry, an enum as its value, a float rounded to 12
+    significant digits ("inf" when infinite), anything else as it is."""
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return float(f"{x:.12g}")
+        return "inf" if math.isinf(x) else float(f"{x:.12g}")
+    if isinstance(x, dict):
+        return {k: _sig(v) for k, v in x.items()}
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [_sig(v) for v in x]
+    if isinstance(x, Enum):
+        return x.value
     return x
 
 
@@ -69,7 +83,7 @@ def _read(path) -> str:
 
 def _load_instance(args):
     inst, weights = parse_instance(_read(args.input))
-    if getattr(args, "weights", None):
+    if getattr(args, "weights", None) is not None:
         try:
             vals = [float(t) for t in args.weights.split(",")]
         except ValueError:
@@ -81,14 +95,17 @@ def _load_instance(args):
 
 
 def _document(inst: ZeroOneInstance, fields: dict, timings: dict) -> dict:
-    """A command's --json document: the schema version, the instance,
-    the command's fields, then its timings in milliseconds."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "instance": {"m": inst.m, "n": inst.n, "digest": inst.digest()},
-        **fields,
-        "timings_ms": {k: _sig(v) for k, v in timings.items()},
-    }
+    """A command's --json document, rendered by _sig from the raw values
+    it is given: the schema version, the instance, the command's fields,
+    then its timings in milliseconds."""
+    return _sig(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "instance": {"m": inst.m, "n": inst.n, "digest": inst.digest()},
+            **fields,
+            "timings_ms": timings,
+        }
+    )
 
 
 def _verdict_doc(report, names) -> dict:
@@ -96,61 +113,37 @@ def _verdict_doc(report, names) -> dict:
     pass ran no verdict."""
     if report is None:
         return dict.fromkeys(names)
-    doc = {name: _sig(getattr(report, name)) for name in names}
-    if "eta_per_column" in doc:
-        doc["eta_per_column"] = [_sig(v) for v in report.eta_per_column]
-    return doc
+    return {name: getattr(report, name) for name in names}
 
 
 def _report_doc(inst, cert, timings) -> dict:
     sol = cert.lp_solution
+    bf_value = cert.brute_force_value
     fields = {
-        **_verdict_doc(
-            cert.final_report,
-            (
-                "beta_bar",
-                "beta_used",
-                "eta_per_column",
-                "eta1",
-                "s_star",
-                "eta_s_bound",
-                "gamma_hat",
-                "threshold",
-            ),
-        ),
+        **_verdict_doc(cert.final_report, VERDICT_FIELDS),
         "certified": cert.certified,
-        "case": cert.final_case.value if cert.final_case else None,
-        "weights": [_sig(float(v)) for v in cert.final_weights.c],
-        "lp": {
-            "x": [_sig(float(v)) for v in sol.x],
-            "value": _sig(sol.value),
-        }
-        if sol.x is not None
-        else None,
-        "recovered": [int(v) for v in cert.recovered]
-        if cert.recovered is not None
-        else None,
+        "case": cert.final_case,
+        "weights": cert.final_weights.c,
+        "lp": None if sol.x is None else {"x": sol.x, "value": sol.value},
+        "recovered": cert.recovered,
+        # branch_and_bound_ip's value is an int; the report writes 2.0.
         "brute_force": {
-            "value": _sig(
-                float(cert.brute_force_value)
-                if cert.brute_force_value is not None
-                else None
-            ),
+            "value": None if bf_value is None else float(bf_value),
             "verified": cert.brute_force_verified,
         },
         "iterations": [
             {
-                "weights": [_sig(float(v)) for v in p.weights.c],
+                "weights": p.weights.c,
                 **_verdict_doc(
                     p.report,
                     ("eta1", "s_star", "eta_s_bound", "threshold", "certified"),
                 ),
-                "case": p.case.value if p.case else None,
-                "reason": p.reason.value,
+                "case": p.case,
+                "reason": p.reason,
             }
             for p in cert.iterations
         ],
-        "discrepancies": list(cert.discrepancies),
+        "discrepancies": cert.discrepancies,
     }
     return _document(inst, fields, timings)
 
@@ -192,15 +185,7 @@ def cmd_eta(args) -> int:
     t0 = time.perf_counter()
     _, report = sufficient_verdict(A1, c, args.beta)
     timings = {"eta": (time.perf_counter() - t0) * 1000.0}
-    names = (
-        "beta_bar",
-        "beta_used",
-        "eta_per_column",
-        "eta1",
-        "s_star",
-        "gamma_hat",
-        "threshold",
-    )
+    names = [name for name in VERDICT_FIELDS if name != "eta_s_bound"]
     doc = _document(inst, _verdict_doc(report, names), timings)
     lines = [
         f"beta_bar: {doc['beta_bar']}  beta_used: {doc['beta_used']}",
@@ -217,7 +202,7 @@ def cmd_brute_force(args) -> int:
     t0 = time.perf_counter()
     value, optima = brute_force_ip(inst)
     timings = {"brute_force": (time.perf_counter() - t0) * 1000.0}
-    fields = {"brute_force": {"value": _sig(float(value)), "optima_count": len(optima)}}
+    fields = {"brute_force": {"value": float(value), "optima_count": len(optima)}}
     doc = _document(inst, fields, timings)
     _emit(doc, args.json, [f"value: {value}  optima: {len(optima)}"])
     return 0

@@ -699,6 +699,33 @@ class TestRefutedCertificate:
         assert x.sum() == cover and np.all(inst.A @ x >= inst.b)
 
 
+class TestRowScale:
+    """The paper's test is not row-scale invariant, in the unsafe
+    direction too: halving row 2 of an uncertified instance makes its
+    first pass pass the eta test with a wrong recovery, which only the
+    exact check refutes."""
+
+    def test_as_given_never_passes(self):
+        A, b = np.array([[0.0, 1.0], [3.0, 1.0]]), np.array([0.25, 1.0])
+        cert = certify(ZeroOneInstance(A=A, b=b))
+        reasons = [p.reason for p in cert.iterations]
+        assert reasons == [PassReason.SUPPORT_GT_S_STAR] * 2
+        assert [p.report.s_star for p in cert.iterations] == [1, 1]
+        assert not cert.certified
+        assert cert.brute_force_value is None
+
+    def test_row_halved_is_refuted(self):
+        A, b = np.array([[0.0, 1.0], [1.5, 0.5]]), np.array([0.25, 0.5])
+        cert = certify(ZeroOneInstance(A=A, b=b))
+        [first] = cert.iterations
+        assert first.reason is PassReason.REFUTED
+        assert first.report.certified and first.report.s_star == 2
+        assert first.report.eta1 == pytest.approx(0.15)
+        np.testing.assert_array_equal(cert.recovered, [1, 1])
+        assert cert.brute_force_value == 1
+        assert cert.brute_force_optimum == (0, 1)
+
+
 def _seeded_instance(seed):
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(1, 9)), int(rng.integers(1, 17))

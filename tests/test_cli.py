@@ -1,6 +1,7 @@
 import gc
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from wlpcert import (
+    CaseKind,
     LpError,
     branch_and_bound_ip,
     cli,
@@ -58,6 +60,42 @@ def ex2_file(tmp_path):
     path = tmp_path / "ex2.txt"
     path.write_text(EX2_TEXT)
     return str(path)
+
+
+def test_sig_renders_whole_document():
+    # One rule renders every report value, at any depth: arrays and
+    # tuples as lists, enums by value, floats to 12 significant digits
+    # or "inf"; ints, bools, None and strings as they are.
+    doc = {
+        "floats": np.array([0.5, 1.0 / 3.0]),
+        "ints": np.array([0, 1, 1]),
+        "nested": {
+            "tuple": (0.25, 2.0 / 3.0),
+            "case": CaseKind.UNIQUE_OPTIMUM,
+            "inf": math.inf,
+            "third": 1 / 3,
+        },
+        "int": 2,
+        "bool": True,
+        "none": None,
+        "str": "weights repeat from pass 2",
+    }
+    expected = {
+        "floats": [0.5, 0.333333333333],
+        "ints": [0, 1, 1],
+        "nested": {
+            "tuple": [0.25, 0.666666666667],
+            "case": "unique_optimum",
+            "inf": "inf",
+            "third": 0.333333333333,
+        },
+        "int": 2,
+        "bool": True,
+        "none": None,
+        "str": "weights repeat from pass 2",
+    }
+    # Compared as JSON text, so that 1 and 1.0 or True and 1 differ.
+    assert json.dumps(cli._sig(doc)) == json.dumps(expected)
 
 
 class TestCertifyCommand:
@@ -189,11 +227,14 @@ class TestCertifyCommand:
         assert code == 2
         assert "beta override must be positive" in capsys.readouterr().err
 
-    def test_bad_weights_list_exit_two(self, ex1_file):
+    def test_bad_weights_list_exit_two(self, ex1_file, capsys):
         assert main(["certify", "--input", ex1_file, "--weights", "0.5"]) == 2
         assert (
             main(["certify", "--input", ex1_file, "--weights", "a,b,c"]) == 2
         )
+        # An empty list is an input error too, not the file's weights.
+        assert main(["certify", "--input", ex1_file, "--weights", ""]) == 2
+        assert "error: bad --weights list ''" in capsys.readouterr().err
 
     def test_json_schema(self, ex1, ex1_file, capsys):
         main(["certify", "--input", ex1_file, "--beta", "0.5625", "--json"])
