@@ -2,11 +2,12 @@
 
 Primal simplex with Bland's rule (lowest-index tie-breaking,
 deterministic) and optimal-face probing for uniqueness analysis. Every
-solve runs from a start that the caller supplies: a tableau built in
-closed form on a basis, or the optimal tableau of an earlier solve of the
-same LP under another cost. A feasible start goes straight to the
-simplex; a start that leaves a row negative is not a basic feasible
-solution, and the solve ends INFEASIBLE with no pivot.
+solve, face probes included, runs from a start that the caller
+supplies: a tableau built in closed form on a basis, the optimal tableau
+of an earlier solve of the same LP under another cost, or, for a probe,
+that optimal tableau restricted to its face. A feasible start goes
+straight to the simplex; a start that leaves a row negative is not a
+basic feasible solution, and the solve ends INFEASIBLE with no pivot.
 """
 
 from __future__ import annotations
@@ -72,17 +73,55 @@ def _price(T, basis, cost):
     return priced
 
 
-def _phase2(T, basis):
-    """Bland's rule phase 2 from the feasible basis of the tableau T, with
-    basis[r] basic in row r and the reduced costs in the last row (see
-    _price), kept current by each pivot; T and basis are overwritten. A
-    nonbasic column may enter when its reduced cost is below -COST_TOL.
-    The pivot budget, the same for every solve and face probe, is
-    _iteration_budget of the constraint rows: 50 (2m + N) pivots for m
-    rows over N columns, after which the status is ITERATION_LIMIT.
+def _iteration_budget(A) -> int:
+    m, N = A.shape
+    return 50 * (m + N + m)
 
-    Returns (status, pivots, z), z the point read off the right-hand side
-    at the optimum, or None unless the status is OPTIMAL."""
+
+def solve(cost: np.ndarray, start: LpSolution | tuple) -> LpSolution:
+    """Primal simplex from a start; deterministic for fixed input.
+
+    The LP is min cost @ x over z >= 0 of a tableau [G | I | b], z being
+    x, then the slack of each inequality row, then the slack of each
+    finite upper bound; x is the first cost.size entries of z. start is
+    - a (tableau, basis) pair that the caller built in closed form: that
+      tableau with basis[r] made basic in row r, or the optimal tableau
+      restricted to its face (optimal_face_range's probes);
+    - or an earlier OPTIMAL solution: its optimal tableau, which holds the
+      constraints; only the cost is new.
+    Only the shapes are checked (ValueError otherwise): one basis entry
+    per row, and a cost no longer than the columns. A start with a
+    right-hand side entry below -PIVOT_TOL is infeasible, and the solve
+    ends INFEASIBLE with 0 iterations. From x = 1 (ones_tableau) that is
+    exact, as A >= 0 makes x = 1 the point that covers the most; an
+    optimal tableau's right-hand side is nonnegative up to rounding far
+    below PIVOT_TOL. Otherwise Bland's rule runs on a copy of the start
+    with the cost priced into a last row (_price), kept current by each
+    pivot; the start is not modified. A nonbasic column may enter when its
+    reduced cost is below -COST_TOL. iterations counts the pivots within
+    the budget, the same for every solve: _iteration_budget of the
+    constraint rows, 50 (2m + N) pivots for m rows over N columns, after
+    which the status is ITERATION_LIMIT. An OPTIMAL solution keeps the
+    tableau and basis it ended on in _optimum.
+    """
+    if isinstance(start, LpSolution):
+        if start._optimum is None:
+            raise ValueError(
+                "no optimal tableau to start from: "
+                f"the LP status is {start.status.value}"
+            )
+        start = (start._optimum[0][:-1], start._optimum[1])
+    T, basis = start[0], np.array(start[1], dtype=np.intp)
+    cost = np.asarray(cost, dtype=float)
+    if basis.shape != T.shape[:1] or cost.size > T.shape[1] - 1:
+        raise ValueError(
+            f"start tableau has {T.shape[0]} rows and {T.shape[1] - 1} "
+            f"columns, its basis lists {basis.size} columns and the cost "
+            f"has {cost.size} entries"
+        )
+    if np.any(T[:, -1] < -PIVOT_TOL):
+        return LpSolution(Status.INFEASIBLE, None, None, 0)
+    T = _price(T, basis, cost)
     used = 0
     max_iters = _iteration_budget(T[:-1, :-1])
     reduced, rhs = T[-1, :-1], T[:-1, -1]
@@ -92,12 +131,13 @@ def _phase2(T, basis):
         if not eligible.size:
             z = np.zeros(reduced.size)
             z[basis] = rhs
-            return Status.OPTIMAL, used, z
+            x = z[: cost.size]
+            return LpSolution(Status.OPTIMAL, x, float(cost @ x), used, (T, basis))
         entering = int(eligible[0])
         col = T[:-1, entering]
         rows = (col > PIVOT_TOL).nonzero()[0]
         if not rows.size:
-            return Status.UNBOUNDED, used, None
+            return LpSolution(Status.UNBOUNDED, None, None, used)
         best = 0
         if rows.size > 1:
             ratios = (rhs[rows] / col[rows]).tolist()
@@ -114,59 +154,7 @@ def _phase2(T, basis):
                     best = k
         _pivot(T, basis, int(rows[best]), entering)
         used += 1
-    return Status.ITERATION_LIMIT, used, None
-
-
-def _iteration_budget(A) -> int:
-    m, N = A.shape
-    return 50 * (m + N + m)
-
-
-def solve(cost: np.ndarray, start: LpSolution | tuple) -> LpSolution:
-    """Primal simplex from a start; deterministic for fixed input.
-
-    The LP is min cost @ x over z >= 0 of a tableau [G | I | b], z being
-    x, then the slack of each inequality row, then the slack of each
-    finite upper bound; x is the first cost.size entries of z. start is
-    - a (tableau, basis) pair that the caller built in closed form: that
-      tableau with basis[r] made basic in row r;
-    - or an earlier OPTIMAL solution: its optimal tableau, which holds the
-      constraints; only the cost is new.
-    Only the shapes are checked (ValueError otherwise): one basis entry
-    per row, and a cost no longer than the columns. A start with a
-    right-hand side entry below -PIVOT_TOL is infeasible, and the solve
-    ends INFEASIBLE with 0 iterations. From x = 1 (ones_tableau) that is
-    exact, as A >= 0 makes x = 1 the point that covers the most; an
-    optimal tableau's right-hand side is nonnegative up to rounding far
-    below PIVOT_TOL. Otherwise phase 2 runs on a copy of the start with
-    the cost priced into a last row (_price); the start is not modified.
-    iterations counts the pivots, within _phase2's budget; an OPTIMAL
-    solution keeps the tableau and basis it ended on in _optimum.
-    """
-    if isinstance(start, LpSolution):
-        if start._optimum is None:
-            raise ValueError(
-                "no optimal tableau to start from: "
-                f"the LP status is {start.status.value}"
-            )
-        T, basis = start._optimum[0][:-1], start._optimum[1].copy()
-    else:
-        T, basis = start[0], np.array(start[1], dtype=np.intp)
-    cost = np.asarray(cost, dtype=float)
-    if basis.shape != T.shape[:1] or cost.size > T.shape[1] - 1:
-        raise ValueError(
-            f"start tableau has {T.shape[0]} rows and {T.shape[1] - 1} "
-            f"columns, its basis lists {basis.size} columns and the cost "
-            f"has {cost.size} entries"
-        )
-    if np.any(T[:, -1] < -PIVOT_TOL):
-        return LpSolution(Status.INFEASIBLE, None, None, 0)
-    T = _price(T, basis, cost)
-    status, iters, z = _phase2(T, basis)
-    if status is not Status.OPTIMAL:
-        return LpSolution(status, None, None, iters)
-    x = z[: cost.size]
-    return LpSolution(Status.OPTIMAL, x, float(cost @ x), iters, (T, basis))
+    return LpSolution(Status.ITERATION_LIMIT, None, None, used)
 
 
 def optimal_face_range(sol: LpSolution) -> list:
@@ -177,9 +165,9 @@ def optimal_face_range(sol: LpSolution) -> list:
     so the optimal face is the feasible set with z_k = 0 wherever
     d_k > COST_TOL; the other columns are kept (basic ones read d = 0).
     Each range starts at sol.x and each end is probed where it can move:
-    phase 2, within its own pivot budget, minimizes or maximizes the
-    variable on the tableau restricted to the kept columns, from the
-    optimal basis, under the one-hot cost that _price prices. For a
+    solve, within its pivot budget, minimizes or maximizes the variable
+    on the tableau restricted to the kept columns, from the optimal
+    basis, under the one-hot cost that solve prices. For a
     variable basic in row r those reduced costs are -T[r, k] (minimum) or
     T[r, k] (maximum) on the kept nonbasic columns k, so a probe moves
     exactly the minimum of a basic variable whose row has a kept nonbasic
@@ -216,11 +204,11 @@ def optimal_face_range(sol: LpSolution) -> list:
         col = position[var]
         obj = np.zeros(face.shape[1] - 1)
         obj[col] = -1.0 if side else 1.0
-        status, _, end = _phase2(_price(face, face_basis, obj), face_basis.copy())
-        if status is Status.OPTIMAL:
-            ranges[var][side] = float(end[col])
-        elif status is Status.UNBOUNDED:
+        probe = solve(obj, (face, face_basis))
+        if probe.status is Status.OPTIMAL:
+            ranges[var][side] = float(probe.x[col])
+        elif probe.status is Status.UNBOUNDED:
             ranges[var][side] = INF if side else -INF
         else:
-            raise LpError(f"face probe ended with status {status.value}")
+            raise LpError(f"face probe ended with status {probe.status.value}")
     return [tuple(r) for r in ranges]

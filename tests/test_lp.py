@@ -26,7 +26,6 @@ from wlpcert.lp import (
     INF,
     PIVOT_TOL,
     _iteration_budget,
-    _phase2,
     _pivot,
     _price,
 )
@@ -702,15 +701,15 @@ class TestFaceFromOptimalTableau:
 
     @staticmethod
     def count_probes(monkeypatch):
-        """Count the phase-2 runs that optimal_face_range makes."""
+        """Count the solves that optimal_face_range makes."""
         module = importlib.import_module("wlpcert.lp")
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return _phase2(*args)
+            return solve(*args)
 
-        monkeypatch.setattr(module, "_phase2", counting)
+        monkeypatch.setattr(module, "solve", counting)
         return calls
 
     def test_vertex_face_runs_no_probe(self, ex2, monkeypatch):

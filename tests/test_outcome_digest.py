@@ -36,7 +36,7 @@ def test_solves_digest_is_repeatable(capsys):
     assert tool.main(argv) == 0
     first = capsys.readouterr().out
     assert re.fullmatch(
-        r"ladder seed 1: [0-9a-f]{16} over 18 solves and 11 face ranges\n", first
+        r"ladder seed 1: [0-9a-f]{16} over 35 solves and 11 face ranges\n", first
     )
     assert tool.main(argv) == 0
     assert capsys.readouterr().out == first
@@ -49,10 +49,10 @@ def test_solves_digest_is_repeatable(capsys):
 
 
 def test_certify_solves_take_no_phase1_pivot(monkeypatch):
-    # Every LP that certify solves on the seed-1 ladder and small inputs
-    # starts from a feasible basis and ends OPTIMAL, or from one that
-    # leaves a row negative and ends INFEASIBLE with no pivot. No solve
-    # needs a phase 1.
+    # Every LP that certify solves on the seed-1 ladder and small inputs,
+    # face probes included, starts from a feasible basis and ends OPTIMAL,
+    # or from one that leaves a row negative and ends INFEASIBLE with no
+    # pivot. No solve needs a phase 1.
     certify_module = importlib.import_module("wlpcert.certify")
     exact_check = certify_module.branch_and_bound_ip
     infeasible, checked = [], set()
@@ -74,7 +74,7 @@ def test_certify_solves_take_no_phase1_pivot(monkeypatch):
                     for i, sol in enumerate(solves[before:], before)
                     if sol.status is Status.INFEASIBLE
                 ]
-    assert len(solves) == 18 + 423
+    assert len(solves) == 35 + 584
     assert all(sol.status in (Status.OPTIMAL, Status.INFEASIBLE) for sol in solves)
     # One branch-and-bound node of the exact check that refutes
     # random_2x2_s35's certificate: x = 1 leaves one of its rows uncovered.
@@ -141,10 +141,10 @@ def test_solves_compare_prints_only_moved_solves(capsys, tmp_path):
     assert tool.main(argv + ["--list"]) == 0
     saved = capsys.readouterr().out
     *records, last = saved.splitlines(keepends=True)
-    assert len(records) == 18 + 11
+    assert len(records) == 35 + 11
     assert last.startswith("ladder seed 1: ")
-    assert last.endswith(" over 18 solves and 11 face ranges\n")
-    solves, faces = records[:18], records[18:]
+    assert last.endswith(" over 35 solves and 11 face ranges\n")
+    solves, faces = records[:35], records[35:]
     name, record = solves[0].split(maxsplit=1)
     assert name == "0"
     assert sorted(json.loads(record)) == ["basis", "iterations", "status", "value", "x"]
@@ -157,7 +157,7 @@ def test_solves_compare_prints_only_moved_solves(capsys, tmp_path):
     path.write_text(saved, encoding="utf-8")
     compare = argv + ["--compare", str(path)]
     assert tool.main(compare) == 0
-    assert capsys.readouterr().out == "0 of 29 solves and face ranges differ\n"
+    assert capsys.readouterr().out == "0 of 46 solves and face ranges differ\n"
 
     # Move one saved record's iterations, move the first face range and
     # add a solve the run lacks: each is printed with the fields that
@@ -168,7 +168,7 @@ def test_solves_compare_prints_only_moved_solves(capsys, tmp_path):
     moved_face = {"ranges": "[]"}
     lines = [f"  0 {json.dumps(edited, sort_keys=True)}\n", *solves[1:]]
     lines += [f"  face0 {json.dumps(moved_face)}\n", *faces[1:]]
-    lines += [f"  18 {json.dumps(extra, sort_keys=True)}\n", last]
+    lines += [f"  35 {json.dumps(extra, sort_keys=True)}\n", last]
     path.write_text("".join(lines), encoding="utf-8")
     assert tool.main(compare) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -178,18 +178,18 @@ def test_solves_compare_prints_only_moved_solves(capsys, tmp_path):
         "ladder seed 1 face0: ranges",
         f"  before {json.dumps(moved_face)}",
         f"  after  {face.strip()}",
-        "ladder seed 1 solve 18: basis iterations status value x",
+        "ladder seed 1 solve 35: basis iterations status value x",
         f"  before {json.dumps(extra, sort_keys=True)}",
         "  after  null",
-        "3 of 30 solves and face ranges differ",
+        "3 of 47 solves and face ranges differ",
     ]
 
 
 def test_traced_counts_match_recorded_solves(monkeypatch):
     # The benchmark's tracer and recorded_solves both hook the `solve`
-    # globals. Their eta and weighted solve and pivot counts must agree
-    # on a traced ladder pass, and be above 0: a program LP that stopped
-    # calling `solve` by name would read 0 in both.
+    # globals. Their eta, face and weighted solve and pivot counts must
+    # agree on a traced ladder pass, and be above 0: a program LP or face
+    # probe that stopped calling `solve` by name would read 0 in both.
     monkeypatch.syspath_prepend(TOOL.parent.parent / "perfbench")
     run = importlib.import_module("run")
     spans = importlib.import_module("spans")
@@ -219,10 +219,14 @@ def test_traced_counts_match_recorded_solves(monkeypatch):
         monkeypatch.setattr(
             module, "solve_weighted_lp", counted("weighted", module.solve_weighted_lp)
         )
+        monkeypatch.setattr(
+            module, "optimal_face_range", counted("face", module.optimal_face_range)
+        )
         for case in cases:
             certify(case.instance, case.config, weights=case.weights)
     assert sorted(recorded) == [
-        "lp.pivots.eta", "lp.pivots.weighted", "lp.solves.eta", "lp.solves.weighted"
+        "lp.pivots.eta", "lp.pivots.face", "lp.pivots.weighted",
+        "lp.solves.eta", "lp.solves.face", "lp.solves.weighted",
     ]
     assert {name: layer[name] for name in recorded} == recorded
     assert all(value > 0 for value in recorded.values())

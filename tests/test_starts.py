@@ -286,27 +286,42 @@ def test_last_row_is_fresh_pricing(drawn, warm):
 @settings(max_examples=200)
 @given(degenerate_covers(), st.booleans())
 def test_face_probe_runs_exactly_where_its_end_moves(drawn, warm):
-    # optimal_face_range prices a probe's one-hot cost, and runs phase 2
-    # on it, once for each (variable, side) end whose full probe pivots or
-    # ends UNBOUNDED, and for no other end.
+    # optimal_face_range solves a probe, pricing its one-hot cost, once for
+    # each (variable, side) end whose full probe pivots or ends UNBOUNDED,
+    # and for no other end. Each probe passes solve's start gate and ends
+    # with the status and pivots of the oracle's probe of that end.
     sol = degenerate_optimum(drawn, warm)
-    objectives = []
+    columns = face_columns(sol, drawn[1])
+
+    def end_of(obj):
+        [position] = obj.nonzero()[0]
+        return columns[position], 0 if obj[position] > 0 else 1
+
+    objectives, probes = [], []
 
     def recording(T, basis, cost):
         objectives.append(cost.copy())
         return _price(T, basis, cost)
 
+    def solving(cost, start):
+        probe = solve(cost, start)
+        probes.append((end_of(cost), probe))
+        return probe
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LP, "_price", recording)
+        mp.setattr(LP, "solve", solving)
         optimal_face_range(sol)
-    columns = face_columns(sol, drawn[1])
-    ran = []
-    for obj in objectives:
-        [position] = obj.nonzero()[0]
-        ran.append((columns[position], 0 if obj[position] > 0 else 1))
+    ran = [end_of(obj) for obj in objectives]
+    oracle = face_probes(sol, drawn[1])
     moves = {
         end
-        for end, (status, pivots, _) in face_probes(sol, drawn[1]).items()
+        for end, (status, pivots, _) in oracle.items()
         if pivots or status is Status.UNBOUNDED
     }
     assert sorted(ran) == sorted(moves)
+    assert [end for end, _ in probes] == ran
+    assert not any(probe.status is Status.INFEASIBLE for _, probe in probes)
+    assert [(probe.status, probe.iterations) for _, probe in probes] == [
+        oracle[end][:2] for end, _ in probes
+    ]

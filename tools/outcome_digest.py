@@ -24,14 +24,21 @@ earlier --list run and prints, in place of the digests, only the inputs
 whose outcome differs from it (workload, seed, name, before, after), then
 their count; an input missing from either side counts as differing.
 --solves puts solves in place of inputs: one record per `lp.solve`
-result that the inputs' runs produce, named by its place in call order,
-with its status, iterations, the sorted basis it ended on (empty unless
-it is optimal), repr(value) and a sha256 prefix of the bytes of x + 0.0,
-then one record per `optimal_face_range` result that `certify` computes,
-named face0, face1, .. in call order, with the repr of its ranges. It prints a digest of the records and their counts;
-equal solve digests mean that every LP took the same pivots to the same
-point and read the same optimal faces. --list also prints each record,
-and --compare each record that moved, with the fields that moved.
+result that the inputs' runs produce, face probes included, named by its
+place in call order, with its status, iterations, the sorted basis it
+ended on (empty unless it is optimal), repr(value) and a sha256 prefix
+of the bytes of x + 0.0, then one record per `optimal_face_range` result
+that `certify` computes, named face0, face1, .. in call order, with the
+repr of its ranges. It prints a digest of the records and their counts;
+equal solve digests mean that every LP, each face probe too, took the
+same pivots to the same point and read the same optimal faces. --list
+also prints each record, and --compare each record that moved, with the
+fields that moved. A change that adds or removes solves (routing the
+face probes through `solve` added one record per probe) shifts every
+later index; to compare such a change list for list, record the program
+LPs (the `solve` globals of `wlpcert.goodness` and `wlpcert.certify`)
+apart from the probes (that of `wlpcert.lp`) with `recorded`, and
+compare each list, and the face ranges, on its own.
 """
 
 from __future__ import annotations
