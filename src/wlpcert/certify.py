@@ -125,10 +125,12 @@ def ones_tableau(A, b) -> tuple:
     feasible exactly when the LP is."""
     m, n = A.shape
     T = np.zeros((m + n, 2 * n + m + 1))
-    np.fill_diagonal(T[:m, n:], 1.0)
+    # The identity blocks, as np.fill_diagonal writes them: strided, flat.
+    flat, step = T.reshape(-1), T.shape[1] + 1
+    flat[n::step] = 1.0
+    flat[m * T.shape[1] :: step] = 1.0
     T[:m, n + m : -1] = A
-    T[:m, -1] = np.hstack([-b[:, None], A]).cumsum(axis=1)[:, -1]
-    T[m:, :n] = T[m:, n + m : -1] = np.eye(n)
+    T[:m, -1] = np.concatenate([-b[:, None], A], axis=1).cumsum(axis=1)[:, -1]
     T[m:, -1] = 1.0
     return T, np.concatenate([np.arange(n, n + m), np.arange(n)])
 
@@ -250,7 +252,7 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
             continue
         point = ones.astype(int)
         point[free] = x > ZERO_TOL
-        if point.sum() < best_value and np.all(inst.A @ point >= inst.b - ZERO_TOL):
+        if point.sum() < best_value and (inst.A @ point >= inst.b - ZERO_TOL).all():
             best_value, best = int(point.sum()), tuple(point.tolist())
         if bound >= best_value:
             continue
@@ -343,7 +345,7 @@ def certify(
 
     recovered = None
     if sol.status is Status.OPTIMAL:
-        recovered = ceil_recover(np.clip(sol.x, 0.0, 1.0))
+        recovered = ceil_recover(np.minimum(np.maximum(sol.x, 0.0), 1.0))
 
     bf_verified = None
     bf_value = None
@@ -351,7 +353,7 @@ def certify(
     if certified:
         bf_value, optimum = branch_and_bound_ip(inst)
         bf_verified = int(recovered.sum()) == bf_value and bool(
-            np.all(inst.A @ recovered >= inst.b - ZERO_TOL)
+            (inst.A @ recovered >= inst.b - ZERO_TOL).all()
         )
         if not bf_verified:
             certified = False

@@ -40,8 +40,8 @@ def beta_bar(A1: np.ndarray, c: Weights) -> float:
     The column-norm rho is a heuristic default; callers may override the
     radius entirely when a different beta is wanted.
     """
-    rho = float(np.max(np.abs(A1).sum(axis=0)))
-    return (float(np.max(c.c)) + 0.5 * float(np.min(c.c))) / rho
+    rho = float(np.abs(A1).sum(axis=0).max())
+    return (float(c.c.max()) + 0.5 * float(c.c.min())) / rho
 
 
 def eta_j(A1: np.ndarray, c: Weights, beta: float, col: int) -> tuple:
@@ -56,7 +56,10 @@ def eta_j(A1: np.ndarray, c: Weights, beta: float, col: int) -> tuple:
     The LP starts from the feasible point (u = 0, t = c_col): every row on
     its slack except row n, where t is basic. Its tableau is built in
     closed form: the slack-basis tableau with row n negated, then added to
-    rows 0..n-1, which is the pivot on row n's entry -1 in t's column.
+    rows 0..n-1, which is the pivot on row n's entry -1 in t's column. Over
+    (u | t | slacks | rhs), row k < n is [A_k + A_col | 0 | e_k - e_n |
+    beta + c_col, plus c_col if k = col], row n [A_col | 1 | -e_n, zeros
+    -0.0 | c_col], row n+1+i [e_i | 0 | e_(n+1+i) | beta]; A_k is column k.
     """
     n = A1.shape[1]
     m = A1.shape[0] - n
@@ -70,16 +73,19 @@ def eta_j(A1: np.ndarray, c: Weights, beta: float, col: int) -> tuple:
     # -c_col in row n, then u <= beta; columns: (u, t), one slack per row,
     # the right-hand side.
     T = np.zeros((n + 1 + m, 2 * m + n + 3))
-    T[:n, :m] = At
-    T[n, :m] = -At[col]
-    T[: n + 1, m] = -1.0
-    np.fill_diagonal(T[n + 1 :, :m], 1.0)
-    np.fill_diagonal(T[:, m + 1 :], 1.0)
+    np.add(At, At[col], out=T[:n, :m])
+    T[n, :m] = At[col]
+    T[n, m] = 1.0
+    T[n, m + 1 : -1] = -0.0
+    # The identity blocks, as np.fill_diagonal writes them: strided, flat.
+    flat, step = T.reshape(-1), T.shape[1] + 1
+    flat[m + 1 :: step] = 1.0
+    flat[(n + 1) * T.shape[1] :: step] = 1.0
+    T[: n + 1, m + n + 1] = -1.0
     T[:, -1] = beta
+    T[:n, -1] += cj
     T[col, -1] += cj
-    T[n, -1] = -cj
-    T[n] = -T[n]
-    T[:n] += T[n]
+    T[n, -1] = cj
     basis = np.arange(m + 1, 2 * m + n + 2)
     basis[n] = m
     cost = np.zeros(m + 1)
@@ -90,7 +96,7 @@ def eta_j(A1: np.ndarray, c: Weights, beta: float, col: int) -> tuple:
     u = sol.x[:m]
     target = np.zeros(n)
     target[col] = cj
-    q = np.concatenate([u, np.clip(target - At @ u, -beta, 0.0)])
+    q = np.concatenate([u, np.minimum(np.maximum(target - At @ u, -beta), 0.0)])
     # A minimum of an inf-norm is >= 0; round-off can leave it just below.
     value = max(0.0, sol.value)
     return value, q
@@ -107,7 +113,7 @@ def gamma_hat_closed_form(A1: np.ndarray, c: Weights, beta: float) -> float:
     """max(0, max_j c_j - beta * ||A1 e_j||_1); valid because A1 >= 0 and
     x >= 0 make the 1-norm term linear. Independent of s >= 1."""
     col_norms = np.abs(A1).sum(axis=0)
-    return float(max(0.0, np.max(c.c - beta * col_norms)))
+    return float(max(0.0, (c.c - beta * col_norms).max()))
 
 
 def sufficient_verdict(
@@ -139,7 +145,7 @@ def sufficient_verdict(
     default = beta_bar(A1, c)
     if beta is None:
         beta = default
-    threshold = 0.5 * float(np.min(c.c))
+    threshold = 0.5 * float(c.c.min())
     etas = []
     witnesses = []
     for j in range(n):

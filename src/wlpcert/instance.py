@@ -82,9 +82,9 @@ class Weights:
 
     def __post_init__(self):
         c = np.array(self.c, dtype=float).reshape(-1)
-        if c.size < 1 or not np.all(np.isfinite(c)):
+        if not c.size or not np.isfinite(c).all():
             raise InstanceError("weights must be a nonempty finite vector")
-        if np.any(c <= 0) or np.any(c > 1):
+        if not (c.min() > 0 and c.max() <= 1):
             raise InstanceError("weight entry outside (0, 1]")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
@@ -97,7 +97,9 @@ class Weights:
 def to_standard_form(inst: ZeroOneInstance) -> np.ndarray:
     """The read-only stacked matrix A1 = [A; I_n] that beta_bar, eta_j and
     gamma_hat read."""
-    A1 = np.vstack([inst.A, np.eye(inst.n)])
+    A1 = np.zeros((inst.m + inst.n, inst.n))
+    A1[: inst.m] = inst.A
+    A1[inst.m :].reshape(-1)[:: inst.n + 1] = 1.0
     A1.setflags(write=False)
     return A1
 
@@ -167,7 +169,7 @@ def random_instance(
 def ceil_recover(x) -> np.ndarray:
     """Round an LP point in [0, 1]^n up to its support indicator."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    if np.any(x < -BOUND_TOL) or np.any(x > 1 + BOUND_TOL):
+    if x.size and not (x.min() >= -BOUND_TOL and x.max() <= 1 + BOUND_TOL):
         raise InstanceError("entry outside [0, 1]")
     return (x > ZERO_TOL).astype(int)
 

@@ -119,7 +119,7 @@ def solve(cost: np.ndarray, start: LpSolution | tuple) -> LpSolution:
             f"columns, its basis lists {basis.size} columns and the cost "
             f"has {cost.size} entries"
         )
-    if np.any(T[:, -1] < -PIVOT_TOL):
+    if (T[:, -1] < -PIVOT_TOL).any():
         return LpSolution(Status.INFEASIBLE, None, None, 0)
     T = _price(T, basis, cost)
     used = 0
@@ -185,12 +185,12 @@ def optimal_face_range(sol: LpSolution) -> list:
     ranges = [[v, v] for v in sol.x.tolist()]
     free = keep.copy()
     free[basis] = False
-    entries = T[:, :-1][:, free]
     # The (variable, side) of each end that a kept nonbasic column can
     # move, side 0 the minimum and 1 the maximum; with no such column
     # there is none.
     probes = []
-    if entries.size:
+    if free.any():
+        entries = T[:, :-1][:, free]
         moves = np.zeros((keep.size, 2), dtype=bool)
         moves[basis, 0] = (entries > COST_TOL).any(axis=1)
         moves[basis, 1] = (entries < -COST_TOL).any(axis=1)

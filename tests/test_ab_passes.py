@@ -5,6 +5,8 @@ import re
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_passes.py"
 
@@ -31,7 +33,35 @@ def test_same_tree_on_both_sides(capsys):
     assert re.fullmatch(r"change median \d+\.\d{6} s", lines[2])
     assert re.fullmatch(r"ratio \d+\.\d{3}", lines[3])
     assert re.fullmatch(r"change faster in [0-4] of 4 passes", lines[4])
-    assert len(lines) == 5
+    assert lines[5] in ("rule: met", "rule: not met")
+    assert len(lines) == 6
+
+
+PARENT_PASSES = [1.0, 1.2] * 5  # median 1.1 s, IQR 0.2 s
+
+
+@pytest.mark.parametrize(
+    "change, rule",
+    [
+        ([0.5] * 10, "met"),
+        ([0.5] * 9 + [1.3], "met"),  # 9 of 10 won
+        ([0.5] * 8 + [1.3] * 2, "not met"),  # 8 of 10 won
+        ([t - 0.15 for t in PARENT_PASSES], "not met"),  # 10 won, within the IQR
+        (PARENT_PASSES, "not met"),  # ties win nothing
+    ],
+)
+def test_rule_line(capsys, monkeypatch, change, rule):
+    # Pass times stand in for the timed passes, in the order each side runs.
+    tool = _tool()
+    times = {"ab_parent": iter(PARENT_PASSES), "ab_change": iter(change)}
+    monkeypatch.setattr(
+        tool, "timed_pass", lambda package, cases: next(times[package.__name__])
+    )
+    assert tool.main(_argv(ROOT, ROOT, passes=10)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    wins = sum(c < p for p, c in zip(PARENT_PASSES, change))
+    assert lines[4] == f"change faster in {wins} of 10 passes"
+    assert lines[5] == f"rule: {rule}"
 
 
 def test_mis_certifies_each_graph(capsys):
@@ -40,7 +70,8 @@ def test_mis_certifies_each_graph(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "mis seed 1: 7 inputs, same answers, 2 passes per side"
     assert re.fullmatch(r"change faster in [0-2] of 2 passes", lines[4])
-    assert len(lines) == 5
+    assert lines[5] in ("rule: met", "rule: not met")
+    assert len(lines) == 6
 
 
 def test_different_answers_stop_the_run(capsys, tmp_path):

@@ -81,10 +81,12 @@ class TestInstanceInvariants:
             ZeroOneInstance(A=np.array([[1.0]]), b=np.array([np.nan]))
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(InstanceError):
-            Weights(c=np.array([0.0, 1.0]))
-        with pytest.raises(InstanceError):
-            Weights(c=np.array([1.2]))
+        for c in ([0.0, 1.0], [1.2], [-0.5, 1.0]):
+            with pytest.raises(InstanceError, match=r"outside \(0, 1\]"):
+                Weights(c=np.array(c))
+        for c in ([np.nan], [np.inf], [-np.inf], [], [0.5, np.nan]):
+            with pytest.raises(InstanceError, match="nonempty finite"):
+                Weights(c=np.array(c))
 
 
 class TestStandardForm:
@@ -96,6 +98,7 @@ class TestStandardForm:
             sf,
             [[1, 2, 0], [0, 1, 1], [1, 0, 2], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
         )
+        assert sf.tobytes() == np.vstack([ex1.A, np.eye(3)]).tobytes()
 
     def test_one_by_one(self):
         inst = ZeroOneInstance(A=np.array([[2.0]]), b=np.array([1.0]))
@@ -199,8 +202,9 @@ class TestCeilRecover:
         np.testing.assert_array_equal(ceil_recover([0.2, 0.0, 1.0]), [1, 0, 1])
 
     def test_out_of_range(self):
-        with pytest.raises(InstanceError, match="outside"):
-            ceil_recover([1.5])
+        for x in ([1.5], [np.nan, 0.5]):
+            with pytest.raises(InstanceError, match="outside"):
+                ceil_recover(x)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dominates_fractional_point(self, seed):

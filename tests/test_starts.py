@@ -209,6 +209,45 @@ def test_eta_tableau_is_the_loaded_tableau(inst, cj):
         assert T[:, -1].tobytes() == ref_T[:, -1].tobytes()
 
 
+@settings(max_examples=60)
+@given(
+    tiny_entry_instances(),
+    st.sampled_from((0.3, 0.7, 1.0)),
+    st.sampled_from((0.5, 2.0)),
+)
+def test_eta_tableau_is_the_closed_form(inst, cj, beta):
+    # The entries that eta_j's docstring lists, byte for byte, signed zeros
+    # included; row n holds t, every other row its slack.
+    m, n = inst.A.shape
+    A1 = to_standard_form(inst)
+    c = cj / (1.0 + np.arange(n))
+    for col in range(n):
+        *_, (T, basis) = _recorded_eta(A1, Weights(c=c), beta, col)
+        expected = np.zeros((n + 1 + m, 2 * m + n + 3))
+        slack = m + 1
+        for k in range(n):
+            for i in range(m):
+                expected[k, i] = inst.A[i, k] + inst.A[i, col]
+            expected[k, slack + k] = 1.0
+            expected[k, slack + n] = -1.0
+            expected[k, -1] = beta + c[col]
+        expected[col, -1] += c[col]
+        for i in range(m):
+            expected[n, i] = inst.A[i, col]
+        expected[n, m] = 1.0
+        for k in range(n + 1 + m):
+            expected[n, slack + k] = -0.0
+        expected[n, slack + n] = -1.0
+        expected[n, -1] = c[col]
+        for i in range(m):
+            expected[n + 1 + i, i] = expected[n + 1 + i, slack + n + 1 + i] = 1.0
+            expected[n + 1 + i, -1] = beta
+        assert T.tobytes() == expected.tobytes()
+        rows = list(range(slack, slack + n + 1 + m))
+        rows[n] = m
+        assert basis.tolist() == rows
+
+
 SMALL = (0.0, -0.0, 0.5 * ELIM_TOL, -ELIM_TOL, ELIM_TOL)
 
 

@@ -16,7 +16,11 @@ after the other, and swaps which side goes first on every pass, so that
 both sides see the same drift of the machine. It prints each side's
 median pass time, the change / parent ratio of the medians, the
 interquartile range of the parent's passes, and the number of passes in
-which the change was faster than the parent pass run beside it.
+which the change was faster than the parent pass run beside it. A last
+line reads `rule: met` when the change was faster in at least nine
+tenths of the passes and its median is below the parent's by more than
+that interquartile range, the rule a claimed gain must meet; otherwise
+`rule: not met`.
 """
 
 from __future__ import annotations
@@ -130,15 +134,18 @@ def main(argv=None) -> int:
             times[side].append(timed_pass(*sides[side]))
     parent, change = (statistics.median(times[side]) for side in SIDES)
     quartiles = statistics.quantiles(times["parent"], n=4)
+    iqr = quartiles[2] - quartiles[0]
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    met = 10 * wins >= 9 * args.passes and parent - change > iqr
     print(
         f"{args.workload} seed {args.seed}: {len(answers['parent'])} inputs, "
         f"same answers, {args.passes} passes per side"
     )
-    print(f"parent median {parent:.6f} s (IQR {quartiles[2] - quartiles[0]:.6f} s)")
+    print(f"parent median {parent:.6f} s (IQR {iqr:.6f} s)")
     print(f"change median {change:.6f} s")
     print(f"ratio {change / parent:.3f}")
     print(f"change faster in {wins} of {args.passes} passes")
+    print(f"rule: {'met' if met else 'not met'}")
     return 0
 
 
