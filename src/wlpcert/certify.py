@@ -194,7 +194,7 @@ def brute_force_ip(inst: ZeroOneInstance) -> tuple:
         stop = min(start + BRUTE_FORCE_BLOCK, 2**n)
         codes = np.arange(start, stop, dtype=np.int64)
         X = ((codes[:, None] >> np.arange(n)) & 1).astype(np.int8)
-        feasible = np.all(X @ inst.A.T >= inst.b - ZERO_TOL, axis=1)
+        feasible = inst.covers(X)
         if not feasible.any():
             continue
         sums = X.sum(axis=1)
@@ -252,7 +252,7 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
             continue
         point = ones.astype(int)
         point[free] = x > ZERO_TOL
-        if point.sum() < best_value and (inst.A @ point >= inst.b - ZERO_TOL).all():
+        if point.sum() < best_value and inst.covers(point):
             best_value, best = int(point.sum()), tuple(point.tolist())
         if bound >= best_value:
             continue
@@ -352,9 +352,7 @@ def certify(
     optimum = None
     if certified:
         bf_value, optimum = branch_and_bound_ip(inst)
-        bf_verified = int(recovered.sum()) == bf_value and bool(
-            (inst.A @ recovered >= inst.b - ZERO_TOL).all()
-        )
+        bf_verified = int(recovered.sum()) == bf_value and bool(inst.covers(recovered))
         if not bf_verified:
             certified = False
             iterations[-1] = iterations[-1]._replace(reason=PassReason.REFUTED)

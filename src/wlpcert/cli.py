@@ -82,6 +82,7 @@ def _read(path) -> str:
 
 
 def _load_instance(args):
+    """The instance and its weights: --weights, else the file's, else all 1."""
     inst, weights = parse_instance(_read(args.input))
     if getattr(args, "weights", None) is not None:
         try:
@@ -91,7 +92,7 @@ def _load_instance(args):
         if len(vals) != inst.n:
             raise ValueError(f"--weights needs {inst.n} entries")
         weights = Weights(c=np.array(vals))
-    return inst, weights
+    return inst, weights if weights is not None else Weights(c=np.ones(inst.n))
 
 
 def _document(inst: ZeroOneInstance, fields: dict, timings: dict) -> dict:
@@ -181,9 +182,8 @@ def cmd_certify(args) -> int:
 def cmd_eta(args) -> int:
     inst, weights = _load_instance(args)
     A1 = to_standard_form(inst)
-    c = weights if weights is not None else Weights(c=np.ones(inst.n))
     t0 = time.perf_counter()
-    _, report = sufficient_verdict(A1, c, args.beta)
+    _, report = sufficient_verdict(A1, weights, args.beta)
     timings = {"eta": (time.perf_counter() - t0) * 1000.0}
     names = [name for name in VERDICT_FIELDS if name != "eta_s_bound"]
     doc = _document(inst, _verdict_doc(report, names), timings)

@@ -68,6 +68,11 @@ class ZeroOneInstance:
     def n(self) -> int:
         return self.A.shape[1]
 
+    def covers(self, X):
+        """Whether each 0-1 point x, a row of X, meets A x >= b - ZERO_TOL:
+        one bool per row, or a single bool when X is one point."""
+        return (X @ self.A.T >= self.b - ZERO_TOL).all(axis=-1)
+
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(repr((self.A.tolist(), self.b.tolist())).encode())

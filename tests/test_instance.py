@@ -88,6 +88,16 @@ class TestInstanceInvariants:
             with pytest.raises(InstanceError, match="nonempty finite"):
                 Weights(c=np.array(c))
 
+    def test_covers_each_point_at_the_zero_tolerance(self, ex1):
+        # One bool per row of X, or a single bool for one point; a row
+        # short of b_i by less than ZERO_TOL still counts as covered.
+        X = np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1]])
+        assert ex1.covers(X).tolist() == [True, False, True]
+        assert ex1.covers(X[0]).ndim == 0 and not ex1.covers(X[1])
+        inst = ZeroOneInstance(A=np.array([[1.0, 1.0]]), b=np.array([2.0 + 1e-10]))
+        assert inst.covers(np.array([1, 1]))
+        assert not inst.covers(np.array([1, 0]))
+
 
 class TestStandardForm:
     def test_example1_blocks(self, ex1):
