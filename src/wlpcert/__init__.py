@@ -1,5 +1,7 @@
 """Weighted-LP exactness certificates for nonnegative 0-1 covering programs."""
 
+from types import ModuleType as _ModuleType
+
 from .instance import (
     InstanceError,
     ParseError,
@@ -42,5 +44,7 @@ from .certify import (
     solve_weighted_lp,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The re-exported names, not the submodules that importing them binds.
+__all__ = [name for name, value in vars().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

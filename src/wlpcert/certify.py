@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .instance import (
+    BOUND_TOL,
     Weights,
     ZERO_TOL,
     ZeroOneInstance,
@@ -26,7 +27,6 @@ from .instance import (
 )
 from .goodness import GoodnessReport, beta_bar, sufficient_verdict
 from .lp import (
-    UNIQUE_TOL,
     LpError,
     LpSolution,
     Status,
@@ -39,8 +39,8 @@ BRUTE_FORCE_GUARD = 20
 BRUTE_FORCE_BLOCK = 1 << 16
 # Nodes branch_and_bound_ip may solve before it raises LpError.
 BRANCH_NODE_LIMIT = 20_000
-# A node LP value within this of an integer k gives the bound k, not k + 1.
-BRANCH_BOUND_TOL = 1e-6
+# classify_case calls an optimal face unique when no entry's range is wider.
+UNIQUE_TOL = 1e-7
 
 
 class CaseKind(Enum):
@@ -213,7 +213,7 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
 
     A node fixes some variables: x_j = 1 moves column j to the right-hand
     side, x_j = 0 drops it. Its bound is the fixed ones plus
-    ceil(LP value - BRANCH_BOUND_TOL), since the 0-1 optimum is an integer
+    ceil(LP value - BOUND_TOL), since the 0-1 optimum is an integer
     no smaller than the LP value. A >= 0, so the LP point rounded up is
     feasible and becomes the incumbent when it is better. The node branches
     on its most fractional variable, x_j = 1 first. Each node LP starts
@@ -247,7 +247,7 @@ def branch_and_bound_ip(inst: ZeroOneInstance) -> tuple:
                     f"branch-and-bound node ended with status {sol.status.value}"
                 )
             x = sol.x
-            bound += math.ceil(sol.value - BRANCH_BOUND_TOL)
+            bound += math.ceil(sol.value - BOUND_TOL)
         if bound >= best_value:
             continue
         point = ones.astype(int)
@@ -343,13 +343,9 @@ def certify(
     else:
         discrepancies.append("weight-adjustment iteration budget exhausted")
 
-    recovered = None
-    if sol.status is Status.OPTIMAL:
-        recovered = ceil_recover(np.minimum(np.maximum(sol.x, 0.0), 1.0))
+    recovered = ceil_recover(sol.x) if sol.status is Status.OPTIMAL else None
 
-    bf_verified = None
-    bf_value = None
-    optimum = None
+    bf_verified = bf_value = optimum = None
     if certified:
         bf_value, optimum = branch_and_bound_ip(inst)
         bf_verified = int(recovered.sum()) == bf_value and bool(inst.covers(recovered))

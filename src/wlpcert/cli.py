@@ -40,8 +40,7 @@ from .lp import LpError
 
 SCHEMA_VERSION = "3"
 
-# The GoodnessReport fields of certify's report, in document order; eta
-# writes all of them but eta_s_bound.
+# The GoodnessReport fields of certify's and eta's reports, in document order.
 VERDICT_FIELDS = (
     "beta_bar", "beta_used", "eta_per_column", "eta1", "s_star", "eta_s_bound",
     "gamma_hat", "threshold",
@@ -150,10 +149,7 @@ def _report_doc(inst, cert, timings) -> dict:
 
 
 def _config_from(args) -> CertifyConfig:
-    return CertifyConfig(
-        beta_override=args.beta,
-        max_weight_iterations=args.max_iters,
-    )
+    return CertifyConfig(beta_override=args.beta, max_weight_iterations=args.max_iters)
 
 
 def cmd_certify(args) -> int:
@@ -185,8 +181,7 @@ def cmd_eta(args) -> int:
     t0 = time.perf_counter()
     _, report = sufficient_verdict(A1, weights, args.beta)
     timings = {"eta": (time.perf_counter() - t0) * 1000.0}
-    names = [name for name in VERDICT_FIELDS if name != "eta_s_bound"]
-    doc = _document(inst, _verdict_doc(report, names), timings)
+    doc = _document(inst, _verdict_doc(report, VERDICT_FIELDS), timings)
     lines = [
         f"beta_bar: {doc['beta_bar']}  beta_used: {doc['beta_used']}",
         f"eta_per_column: {doc['eta_per_column']}",
@@ -278,6 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    default_passes = CertifyConfig.max_weight_iterations
 
     def common(p, weighted=True):
         p.add_argument("--input", required=True, help="instance file")
@@ -290,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run the full adjust-and-certify loop")
     common(p)
-    p.add_argument("--max-iters", type=_pass_budget, default=10)
+    p.add_argument("--max-iters", type=_pass_budget, default=default_passes)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("eta", help="per-column residual bounds and s_star")
@@ -312,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mis", help="maximum independent set via the certifier")
     p.add_argument("--graph", required=True, help="graph file (p/e lines)")
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--max-iters", type=_pass_budget, default=10)
+    p.add_argument("--max-iters", type=_pass_budget, default=default_passes)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mis)
 

@@ -18,6 +18,8 @@ from .lp import PIVOT_TOL
 # feasibility of 0-1 points, and the s_star floor. It is the simplex's
 # own, so a value the simplex treats as zero is counted as zero.
 ZERO_TOL = PIVOT_TOL
+# How far an LP result may sit from an integer: an entry outside [0, 1] in
+# recovery, a 0-1 entry in mis_recover, a branch-and-bound node's bound.
 BOUND_TOL = 1e-6
 
 

@@ -22,7 +22,6 @@ COST_TOL = 1e-9
 PIVOT_TOL = 1e-9
 # A pivot leaves alone the rows whose pivot-column entry is at most this.
 ELIM_TOL = 1e-13
-UNIQUE_TOL = 1e-7
 INF = math.inf
 
 

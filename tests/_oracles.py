@@ -17,7 +17,8 @@ result keeps its final tableau and basis in `_optimum`, as
 `loaded_start` is its tableau on a listed basis, as a start for
 `wlpcert.solve`.
 `all_artificial_solve` starts the same simplex with an artificial on
-every row. `residual` is the largest constraint violation of a point.
+every row. `residual` is the largest constraint violation of a point,
+and `assert_warm_matches_cold` compares a warm solve with its cold one.
 `reference_loaded_tableau` is that simplex's start tableau on a listed
 basis, loaded by pivots. `reference_face_range` probes the optimal face
 on the LP with its objective pinned to the optimal value, from a fresh
@@ -42,6 +43,7 @@ from itertools import combinations, product
 import numpy as np
 
 from wlpcert.certify import (
+    UNIQUE_TOL,
     CaseKind,
     Certificate,
     CertifyConfig,
@@ -65,7 +67,6 @@ from wlpcert.lp import (
     COST_TOL,
     INF,
     PIVOT_TOL,
-    UNIQUE_TOL,
     LpError,
     LpSolution,
     Status,
@@ -452,6 +453,15 @@ def residual(lp: LinearProgram, x: np.ndarray) -> float:
     if finite_up.any():
         res = max(res, float(np.max(x[finite_up] - lp.upper[finite_up], initial=0.0)))
     return res
+
+
+def assert_warm_matches_cold(warm: LpSolution, cold: LpSolution, lp: LinearProgram):
+    """A warm solve of lp ends as its cold solve does, within 1e-9 of its
+    value, in no more pivots, at a point that meets lp's rows."""
+    assert warm.status is cold.status
+    assert math.isclose(warm.value, cold.value, rel_tol=0, abs_tol=1e-9)
+    assert warm.iterations <= cold.iterations
+    assert residual(lp, warm.x) <= 1e-8
 
 
 def pin_objective(lp: LinearProgram, value: float) -> LinearProgram:

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import itertools
 import math
 from dataclasses import fields, is_dataclass, replace
@@ -800,3 +801,14 @@ class TestBranchAndBound:
         assert value == round(res.fun)
         x = np.array(point)
         assert x.sum() == value and np.all(inst.A @ x >= inst.b)
+
+
+def test_star_import_binds_the_exports_only():
+    # Importing the re-exported names binds the submodules goodness,
+    # instance and lp on the package too; __all__ leaves them out.
+    namespace = {}
+    exec("from wlpcert import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(importlib.import_module("wlpcert").__all__)
+    assert not [name for name, value in namespace.items() if inspect.ismodule(value)]
+    assert callable(namespace["certify"])

@@ -428,6 +428,22 @@ class TestMisCommand:
         assert doc["size"] == 2
         assert doc["independent_set"] == [1, 3]
 
+    def test_single_edge_certificate(self, tmp_path, capsys):
+        # A single edge is certified (on pass 2), so the answer is the
+        # certificate's recovery, not a branch-and-bound optimum.
+        path = tmp_path / "k2.txt"
+        path.write_text("p 2\ne 1 2\n")
+        assert main(["mis", "--graph", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "independent set (size 1): [1]\n"
+            "source: certificate (certified=True)\n"
+        )
+        assert main(["mis", "--graph", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["source"] == "certificate"
+        assert doc["certified"] is True
+        assert doc["independent_set"] == [1]
+
     def test_triangle(self, tmp_path, capsys, monkeypatch):
         # K3 is not certified; the answer comes from branch-and-bound,
         # never from enumeration.

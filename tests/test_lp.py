@@ -35,6 +35,7 @@ from _oracles import (
     _reference_tableau,
     all_artificial_solve,
     assert_last_row_is_fresh,
+    assert_warm_matches_cold,
     covering_lp,
     enumerate_lp_minimum,
     eta_lp,
@@ -451,11 +452,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_cold_solve(self, seed):
         start, lp = self.covering_pair(seed)
-        warm, cold = solve(lp.objective, start=start), from_ones(lp)
-        assert warm.status is cold.status
-        assert warm.value == pytest.approx(cold.value, rel=0, abs=1e-9)
-        assert warm.iterations <= cold.iterations
-        assert residual(lp, warm.x) <= 1e-8
+        assert_warm_matches_cold(solve(lp.objective, start=start), from_ones(lp), lp)
 
     def test_start_is_not_modified(self):
         start, lp = self.covering_pair(0)

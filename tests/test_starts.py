@@ -1,9 +1,9 @@
 """Property tests of the closed-form start tableaus, x = 1 for covering LPs
 and (u = 0, t = c_j) for eta_j LPs: each against the reference row loop's
 loaded tableau or its exact closed form, and against vertex enumeration.
-Also the in-place pivot's untouched rows, the reduced costs that the
-pivots carry in the last row, and the face probes read off the optimum,
-and which of those probes run."""
+Also a warm weighted-LP pass against its cold solve, the in-place pivot's
+untouched rows, the reduced costs that the pivots carry in the last row,
+and the face probes read off the optimum, and which of those probes run."""
 
 import importlib
 
@@ -11,16 +11,18 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wlpcert import (
     Status,
     Weights,
     ZeroOneInstance,
+    adjust_weights,
     beta_bar,
     eta_j,
     optimal_face_range,
     solve,
+    solve_weighted_lp,
     to_standard_form,
 )
 from wlpcert.certify import ones_tableau
@@ -29,6 +31,7 @@ from wlpcert.lp import ELIM_TOL, PIVOT_TOL, _pivot, _price
 from _oracles import (
     _reference_pivot,
     assert_last_row_is_fresh,
+    assert_warm_matches_cold,
     covering_lp,
     enumerate_lp_minimum,
     eta_lp,
@@ -133,6 +136,22 @@ def test_covering_start_matches_vertex_enumeration(drawn):
     assert (ones.status is Status.INFEASIBLE) == uncovered
     if uncovered:
         assert ones.iterations == 0
+
+
+@settings(max_examples=150)
+@given(instances())
+def test_warm_weighted_pass_has_the_cold_value(drawn):
+    # certify's pass 2: the weighted LP under adjust_weights(x*), warm
+    # from the unit-cost optimum x*, against the same LP from x = 1.
+    inst, _ = drawn
+    first = solve_weighted_lp(inst, Weights(c=np.ones(inst.n)))
+    assume(first.status is Status.OPTIMAL)
+    c = adjust_weights(first.x)
+    assert_warm_matches_cold(
+        solve_weighted_lp(inst, c, first),
+        solve_weighted_lp(inst, c),
+        covering_lp(inst.A, inst.b, c.c),
+    )
 
 
 @settings(max_examples=150)
