@@ -80,17 +80,9 @@ def _read(path) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror}")
 
 
-def _load_instance(args):
-    """The instance and its weights: --weights, else the file's, else all 1."""
-    inst, weights = parse_instance(_read(args.input))
-    if getattr(args, "weights", None) is not None:
-        try:
-            vals = [float(t) for t in args.weights.split(",")]
-        except ValueError:
-            raise ValueError(f"bad --weights list {args.weights!r}")
-        if len(vals) != inst.n:
-            raise ValueError(f"--weights needs {inst.n} entries")
-        weights = Weights(c=np.array(vals))
+def _load_instance(path) -> tuple:
+    """The instance and its weights: the file's c line, else all 1."""
+    inst, weights = parse_instance(_read(path))
     return inst, weights if weights is not None else Weights(c=np.ones(inst.n))
 
 
@@ -148,14 +140,10 @@ def _report_doc(inst, cert, timings) -> dict:
     return _document(inst, fields, timings)
 
 
-def _config_from(args) -> CertifyConfig:
-    return CertifyConfig(beta_override=args.beta, max_weight_iterations=args.max_iters)
-
-
 def cmd_certify(args) -> int:
-    inst, weights = _load_instance(args)
+    inst, weights = _load_instance(args.input)
     t0 = time.perf_counter()
-    cert = certify(inst, _config_from(args), weights=weights)
+    cert = certify(inst, CertifyConfig(beta_override=args.beta), weights=weights)
     timings = {"certify": (time.perf_counter() - t0) * 1000.0}
     doc = _report_doc(inst, cert, timings)
     lines = [
@@ -176,7 +164,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    inst, weights = _load_instance(args)
+    inst, weights = _load_instance(args.input)
     A1 = to_standard_form(inst)
     t0 = time.perf_counter()
     _, report = sufficient_verdict(A1, weights, args.beta)
@@ -193,7 +181,7 @@ def cmd_eta(args) -> int:
 
 
 def cmd_brute_force(args) -> int:
-    inst, _ = _load_instance(args)
+    inst, _ = _load_instance(args.input)
     t0 = time.perf_counter()
     value, optima = brute_force_ip(inst)
     timings = {"brute_force": (time.perf_counter() - t0) * 1000.0}
@@ -204,24 +192,14 @@ def cmd_brute_force(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    inst = random_instance(args.m, args.n, args.seed, args.max_entry)
-    text = format_instance(inst)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.output}: {exc.strerror}")
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(format_instance(random_instance(args.m, args.n, args.seed)))
     return 0
 
 
 def cmd_mis(args) -> int:
     inst = from_independent_set(*parse_graph(_read(args.graph)))
     t0 = time.perf_counter()
-    cert = certify(inst, _config_from(args))
+    cert = certify(inst, CertifyConfig())
     if cert.certified:
         x_tilde, source = cert.recovered, "certificate"
     else:
@@ -253,17 +231,6 @@ def cmd_mis(args) -> int:
     return 0
 
 
-def _pass_budget(text: str) -> int:
-    """The --max-iters value: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wlpcert",
@@ -273,20 +240,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_passes = CertifyConfig.max_weight_iterations
 
     def common(p, weighted=True):
         p.add_argument("--input", required=True, help="instance file")
         if weighted:
             p.add_argument("--beta", type=float, default=None,
                            help="override the dual-radius beta_bar")
-            p.add_argument("--weights", default=None,
-                           help="comma-separated weights, overrides the file's c line")
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("certify", help="run the full adjust-and-certify loop")
     common(p)
-    p.add_argument("--max-iters", type=_pass_budget, default=default_passes)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("eta", help="per-column residual bounds and s_star")
@@ -297,18 +260,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, weighted=False)
     p.set_defaults(func=cmd_brute_force)
 
-    p = sub.add_parser("gen", help="write a seeded random instance file")
+    p = sub.add_parser("gen", help="print a seeded random instance file")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-entry", type=int, default=2)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("mis", help="maximum independent set via the certifier")
     p.add_argument("--graph", required=True, help="graph file (p/e lines)")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--max-iters", type=_pass_budget, default=default_passes)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_mis)
 

@@ -8,6 +8,7 @@ seeded generator, and ceiling recovery.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,9 +193,12 @@ def _floats(tokens, lineno):
     out = []
     for tok in tokens:
         try:
-            out.append(float(tok))
+            value = float(tok)
         except ValueError:
             raise ParseError(lineno, f"non-numeric token {tok!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(lineno, f"non-finite token {tok!r}")
+        out.append(value)
     return out
 
 

@@ -13,8 +13,10 @@ import pytest
 
 from wlpcert import (
     CaseKind,
+    CertifyConfig,
     LpError,
     branch_and_bound_ip,
+    certify,
     cli,
     format_instance,
     random_instance,
@@ -107,10 +109,7 @@ class TestCertifyCommand:
         assert "recovered: [0, 1, 1]" in out
 
     def test_not_certified_exit_one(self, ex2_file, capsys):
-        code = main(
-            ["certify", "--input", ex2_file, "--max-iters", "1"]
-        )
-        assert code == 1
+        assert main(["certify", "--input", ex2_file]) == 1
         assert "certified: False" in capsys.readouterr().out
 
     def test_uncovered_instance_exit_one(self, tmp_path, capsys):
@@ -126,12 +125,10 @@ class TestCertifyCommand:
             "weighted relaxation ended with status infeasible"
         ]
 
-    def test_json_non_unique_final_pass(self, ex2_file, capsys):
-        code = main(
-            ["certify", "--input", ex2_file, "--max-iters", "1", "--json"]
-        )
-        assert code == 1
-        doc = json.loads(capsys.readouterr().out)
+    def test_json_non_unique_final_pass(self, ex2):
+        # One pass on example 2 ends non-unique and runs no verdict.
+        cert = certify(ex2, CertifyConfig(max_weight_iterations=1))
+        doc = cli._report_doc(ex2, cert, {})
         for key in (
             "beta_bar",
             "beta_used",
@@ -152,8 +149,8 @@ class TestCertifyCommand:
 
     def test_json_reports_weight_fixed_point(self, ex2, ex2_file, capsys):
         # Pass 2's adjusted weights are its own, so the loop stops there
-        # and a larger --max-iters cannot help: passes 3-10 of the full
-        # loop repeat pass 2.
+        # and a larger max_weight_iterations cannot help: passes 3-10 of
+        # the full loop repeat pass 2.
         assert main(["certify", "--input", ex2_file, "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["discrepancies"] == ["weights repeat from pass 2"]
@@ -164,31 +161,11 @@ class TestCertifyCommand:
         assert full[:2] == passes
         assert all(entry == passes[1] for entry in full[2:])
 
-    @pytest.mark.parametrize("command", ["certify", "mis"])
-    def test_zero_max_iters_exit_two(self, command, ex1_file, tmp_path, capsys):
-        graph = tmp_path / "p3.txt"
-        graph.write_text(P3_GRAPH)
-        source = ["--input", ex1_file] if command == "certify" else ["--graph", str(graph)]
-        with pytest.raises(SystemExit) as exc:
-            main([command, *source, "--max-iters", "0"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --max-iters: must be an integer >= 1, not '0'" in err
-        assert "max_weight_iterations" not in err
-
-    def test_weights_flag_certifies_example2(self, ex2_file):
-        code = main(
-            [
-                "certify",
-                "--input",
-                ex2_file,
-                "--beta",
-                "0.7",
-                "--weights",
-                "0.5,0.7,0.8",
-            ]
-        )
-        assert code == 0
+    def test_weights_flag_certifies_example2(self, tmp_path, capsys):
+        path = tmp_path / "ex2_weighted.txt"
+        path.write_text(EX2_TEXT + "c 0.5 0.7 0.8\n")
+        assert main(["certify", "--input", str(path), "--beta", "0.7"]) == 0
+        assert "recovered: [1, 1, 0]" in capsys.readouterr().out
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         code = main(["certify", "--input", str(tmp_path / "nope.txt")])
@@ -219,22 +196,10 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf"])
     def test_bad_beta_exit_two(self, beta, ex2_file, capsys):
-        # One non-unique pass on example 2 runs no verdict, so only the
-        # config check can reject the override.
-        code = main(
-            ["certify", "--input", ex2_file, "--beta", beta, "--max-iters", "1"]
-        )
+        # CertifyConfig rejects the override before any pass runs.
+        code = main(["certify", "--input", ex2_file, "--beta", beta])
         assert code == 2
         assert "beta override must be positive" in capsys.readouterr().err
-
-    def test_bad_weights_list_exit_two(self, ex1_file, capsys):
-        assert main(["certify", "--input", ex1_file, "--weights", "0.5"]) == 2
-        assert (
-            main(["certify", "--input", ex1_file, "--weights", "a,b,c"]) == 2
-        )
-        # An empty list is an input error too, not the file's weights.
-        assert main(["certify", "--input", ex1_file, "--weights", ""]) == 2
-        assert "error: bad --weights list ''" in capsys.readouterr().err
 
     def test_json_schema(self, ex1, ex1_file, capsys):
         main(["certify", "--input", ex1_file, "--beta", "0.5625", "--json"])
@@ -385,12 +350,9 @@ class TestBruteForceCommand:
 
 class TestGenCommand:
     def test_roundtrip(self, tmp_path, capsys):
+        assert main(["gen", "--m", "3", "--n", "4", "--seed", "7"]) == 0
         out = tmp_path / "inst.txt"
-        code = main(
-            ["gen", "--m", "3", "--n", "4", "--seed", "7", "--output", str(out)]
-        )
-        assert code == 0
-        capsys.readouterr()
+        out.write_text(capsys.readouterr().out)
         code = main(["brute-force", "--input", str(out), "--json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -406,16 +368,6 @@ class TestGenCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "2 2"
         assert len(out.splitlines()) == 4
-
-    def test_unwritable_output_exit_two(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "inst.txt"
-        code = main(["gen", "--m", "2", "--n", "2", "--output", str(out)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: cannot write {out}: No such file or directory\n"
-        )
 
 
 class TestMisCommand:
@@ -482,23 +434,27 @@ class TestMisCommand:
         assert doc["size"] == 10
         assert calls == [21]
 
-    def test_infinite_beta_exit_two(self, tmp_path, capsys):
-        path = tmp_path / "p3.txt"
-        path.write_text(P3_GRAPH)
-        assert main(["mis", "--graph", str(path), "--beta", "inf"]) == 2
-        assert "positive and finite" in capsys.readouterr().err
-
     def test_missing_graph_exit_two(self, tmp_path, capsys):
         assert main(["mis", "--graph", str(tmp_path / "nope.txt")]) == 2
         assert "error: cannot read" in capsys.readouterr().err
 
     def test_no_verify_rejected(self, tmp_path, ex1_file):
-        # Neither command skips the exact check of a certificate.
+        # Neither command skips the exact check of a certificate. Weights
+        # come only from the file's c line, the pass budget only from
+        # CertifyConfig, and gen prints only to stdout with entries up to 2.
         path = tmp_path / "p3.txt"
         path.write_text(P3_GRAPH)
+        gen = ["gen", "--m", "2", "--n", "2"]
         for argv in (
             ["mis", "--graph", str(path), "--no-verify"],
             ["certify", "--input", ex1_file, "--no-verify"],
+            ["certify", "--input", ex1_file, "--weights", "0.5,0.7,0.8"],
+            ["certify", "--input", ex1_file, "--max-iters", "1"],
+            ["eta", "--input", ex1_file, "--weights", "0.5,0.7,0.8"],
+            [*gen, "--output", str(tmp_path / "inst.txt")],
+            [*gen, "--max-entry", "3"],
+            ["mis", "--graph", str(path), "--beta", "0.5"],
+            ["mis", "--graph", str(path), "--max-iters", "1"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)

@@ -53,6 +53,20 @@ class TestParse:
         with pytest.raises(ParseError, match=r"c entry outside \(0, 1\]"):
             parse_instance("1 2\n1 1\n1\nc 0.5 1.5\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "template, line",
+        [
+            ("1 2\n# row of A\n1 {}\n1\n", 3),
+            ("1 2\n1 1\n{}\n", 3),
+            ("1 2\n1 1\n1\n\nc 0.5 {}\n", 5),
+        ],
+        ids=["A", "b", "c"],
+    )
+    def test_non_finite_token_names_its_line(self, template, line, token):
+        with pytest.raises(ParseError, match=f"^line {line}: non-finite token '{token}'$"):
+            parse_instance(template.format(token))
+
     def test_roundtrip_through_format(self, ex1):
         text = format_instance(ex1, Weights(np.array([0.5, 0.7, 0.8])))
         inst, weights = parse_instance(text)

@@ -63,14 +63,17 @@ def _load_workloads():
 
 
 def input_texts() -> dict:
-    """Input files by name: the paper's examples 1 and 2, a 1x2 instance
-    that no 0-1 point covers (x0 + x1 >= 3), random_instance(2, 2, 35),
-    whose certificate the exact check refutes, and the 9-cycle."""
+    """Input files by name: the paper's examples 1 and 2, example 2 with
+    the weights c = (0.5, 0.7, 0.8) on its c line, a 1x2 instance that no
+    0-1 point covers (x0 + x1 >= 3), random_instance(2, 2, 35), whose
+    certificate the exact check refutes, and the 9-cycle."""
     from wlpcert import format_instance, random_instance
 
+    ex2 = "3 3\n1 0 0\n1 1 0\n0 1 1\n0 1.5 0.5\n"
     return {
         "ex1.txt": "# example instance 1\n3 3\n1 2 0\n0 1 1\n1 0 2\n1 1 1\n",
-        "ex2.txt": "3 3\n1 0 0\n1 1 0\n0 1 1\n0 1.5 0.5\n",
+        "ex2.txt": ex2,
+        "ex2_weighted.txt": ex2 + "c 0.5 0.7 0.8\n",
         "uncovered.txt": "1 2\n1 1\n3\n",
         "random_2x2_s35.txt": format_instance(random_instance(2, 2, 35)),
         "c9.txt": "p 9\n" + "".join(f"e {i} {i % 9 + 1}\n" for i in range(1, 10)),
@@ -80,7 +83,7 @@ def input_texts() -> dict:
 RUNS = (
     "certify --input ex1.txt --beta 0.5625",
     "certify --input ex1.txt --beta 0.5625 --json",
-    "certify --input ex2.txt --max-iters 1 --json",
+    "certify --input ex2_weighted.txt --beta 0.7 --json",
     "certify --input uncovered.txt",
     "certify --input uncovered.txt --json",
     "certify --input random_2x2_s35.txt --json",
