@@ -336,7 +336,7 @@ def certify(
         if certified:
             break
         nxt = adjust_weights(sol.x)
-        if np.array_equal(nxt.c, c.c):
+        if (nxt.c == c.c).all():
             discrepancies.append(f"weights repeat from pass {k}")
             break
         c = nxt

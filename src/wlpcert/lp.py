@@ -179,7 +179,10 @@ def optimal_face_range(sol: LpSolution) -> list:
     if sol._optimum is None:
         raise ValueError(f"no optimal face: the LP status is {sol.status.value}")
     T, basis = sol._optimum
-    keep = T[-1, :-1] <= COST_TOL
+    # The face's columns, its right-hand side among them.
+    columns = T[-1] <= COST_TOL
+    columns[-1] = True
+    keep = columns[:-1]
     T = T[:-1]
     ranges = [[v, v] for v in sol.x.tolist()]
     free = keep.copy()
@@ -194,10 +197,11 @@ def optimal_face_range(sol: LpSolution) -> list:
         moves[basis, 0] = (entries > COST_TOL).any(axis=1)
         moves[basis, 1] = (entries < -COST_TOL).any(axis=1)
         moves[free, 1] = True
-        probes = np.argwhere(moves[: sol.x.size]).tolist()
+        variables, sides = moves[: sol.x.size].nonzero()
+        probes = list(zip(variables.tolist(), sides.tolist()))
     if probes:
         position = keep.cumsum() - 1
-        face = T[:, np.append(keep, True)]
+        face = T[:, columns]
         face_basis = position[basis]
     for var, side in probes:
         col = position[var]

@@ -8,19 +8,21 @@ has: `wlpcert.solve` takes a cost and a start tableau. `covering_lp` is
 the weighted relaxation, and `eta_lp` the LP that `wlpcert.eta_j`
 solves, each written out as a `LinearProgram`. `reference_solve` is a
 row-by-row two-phase simplex on a `LinearProgram`, checked against
-vertex enumeration on general LPs; `wlpcert.lp.solve` must reproduce
-its pivots from a basis (listed here, built in closed form there) and
-from an earlier optimal tableau of the same LP under another cost. It
-builds its own tableau and shares no code with `wlpcert.lp`. An optimal
-result keeps its final tableau and basis in `_optimum`, as
-`wlpcert.solve`'s does, and `final_basis` reads the basis off either.
-`loaded_start` is its tableau on a listed basis, as a start for
-`wlpcert.solve`.
+vertex enumeration on general LPs. It takes `wlpcert.solve`'s starts, a
+(tableau, basis) pair or an earlier optimal solution, and counts only
+simplex pivots, as `solve` does; `solve` must reproduce its pivots from
+the same start. It shares no code with `wlpcert.lp`: without a start it
+builds its own tableau on the slack basis. An optimal result keeps its
+final tableau and basis in `_optimum`, as `wlpcert.solve`'s does, and
+`final_basis` reads the basis off either. Two start builders give the
+reference its own tableau on a listed basis: `reference_loaded_tableau`
+pivots each listed column into its row of the slack-basis tableau and
+counts those loading pivots, and `loaded_start` is its (tableau, basis)
+pair, a start for either simplex.
 `all_artificial_solve` starts the same simplex with an artificial on
 every row. `residual` is the largest constraint violation of a point,
 and `assert_warm_matches_cold` compares a warm solve with its cold one.
-`reference_loaded_tableau` is that simplex's start tableau on a listed
-basis, loaded by pivots. `reference_face_range` probes the optimal face
+`reference_face_range` probes the optimal face
 on the LP with its objective pinned to the optimal value, from a fresh
 phase 1; `face_probes` runs every probe of `wlpcert.optimal_face_range`
 from the optimal tableau, on the face columns that `face_columns` finds
@@ -347,8 +349,8 @@ def reference_loaded_tableau(lp, start):
 
 
 def loaded_start(lp, listed):
-    """(tableau, basis) that `wlpcert.solve` can start from:
-    reference_loaded_tableau's tableau with the listed columns basic."""
+    """(tableau, basis) that `wlpcert.solve` or reference_solve can start
+    from: reference_loaded_tableau's tableau with the listed columns basic."""
     T, basis, _ = reference_loaded_tableau(lp, listed)
     return T, np.array(basis)
 
@@ -356,27 +358,19 @@ def loaded_start(lp, listed):
 def reference_solve(lp, max_iters=None, start=None):
     """Two-phase simplex with Bland's rule, one tableau row at a time.
 
-    Without start, phase 1 starts on _reference_tableau's slack basis. With
-    start a list of one column per row, it starts on
-    reference_loaded_tableau's tableau; those loading pivots count as
-    iterations and spend max_iters. With start an earlier optimal solution
-    of lp under another cost, it starts on a copy of start's optimal
-    tableau and basis. Either way each row whose entry is below -PIVOT_TOL
-    is negated and gets an artificial, and phase 2 runs under lp's cost."""
-    loaded = 0
-    if isinstance(start, LpSolution):
-        T, basis = _reference_start(start)
-    elif start is not None:
-        T, basis, loaded = reference_loaded_tableau(lp, start)
-    else:
-        T, basis = _reference_tableau(lp)
+    Without start, phase 1 starts on _reference_tableau's slack basis. start
+    is either of wlpcert.solve's starts, taken on copies: a (tableau, basis)
+    pair, or an earlier optimal solution of lp under another cost, whose
+    optimal tableau and basis it starts from. Either way each row whose
+    entry is below -PIVOT_TOL is negated and gets an artificial, and phase 2
+    runs under lp's cost. iterations counts the simplex pivots of both
+    phases, which alone spend max_iters, by default 50 (2m + N) for m rows
+    over N columns."""
+    T, basis = _reference_tableau(lp) if start is None else _reference_start(start)
     if max_iters is None:
         max_iters = _budget(T)
     art_rows = [i for i in range(T.shape[0]) if T[i, -1] < -PIVOT_TOL]
-    status, it1, T, basis = _reference_phase1(
-        T, basis, art_rows, max_iters - loaded
-    )
-    it1 += loaded
+    status, it1, T, basis = _reference_phase1(T, basis, art_rows, max_iters)
     if status is not Status.OPTIMAL:
         return LpSolution(status, None, None, it1)
     c = np.concatenate([lp.objective, np.zeros(T.shape[1] - 1 - lp.nvars)])
@@ -415,10 +409,12 @@ def all_artificial_solve(lp):
 
 
 def _reference_start(start):
-    """Copies of start's optimal tableau, without its row of reduced
-    costs, and of its basis."""
-    T, basis = start._optimum
-    return T[:-1].copy(), basis.tolist()
+    """Copies of start's tableau and basis: a (tableau, basis) pair, or an
+    earlier optimal solution's tableau without its row of reduced costs."""
+    if isinstance(start, LpSolution):
+        T, basis = start._optimum
+        start = T[:-1], basis
+    return start[0].copy(), np.asarray(start[1]).tolist()
 
 
 def eta_lp(A1, c: Weights, beta: float, col: int) -> LinearProgram:

@@ -726,6 +726,24 @@ class TestRowScale:
         assert cert.brute_force_value == 1
         assert cert.brute_force_optimum == (0, 1)
 
+    def test_power_of_two_rows_keep_the_lp_value(self, monkeypatch):
+        # The weighted LP is row-scale invariant: each row (A_i, b_i) of a
+        # small input at seed 1 times 2^k, k in -3..3, changes neither the
+        # status nor the value bits of the LP at unit weights. Fixed inputs,
+        # since the absolute PIVOT_TOL, COST_TOL and ELIM_TOL can be crossed
+        # by an arbitrary draw.
+        cases = workload_cases("small", 1, monkeypatch)
+        assert len(cases) == 112
+        for index, case in enumerate(cases):
+            inst = case.instance
+            k = np.random.default_rng([1, index]).integers(-3, 4, size=inst.m)
+            scale = 2.0 ** k
+            scaled = ZeroOneInstance(A=inst.A * scale[:, None], b=inst.b * scale)
+            c = Weights(np.ones(inst.n))
+            sol, scaled_sol = solve_weighted_lp(inst, c), solve_weighted_lp(scaled, c)
+            assert scaled_sol.status is sol.status
+            assert repr(scaled_sol.value) == repr(sol.value)
+
 
 def _seeded_instance(seed):
     rng = np.random.default_rng(seed)

@@ -228,14 +228,14 @@ class TestOptimalFace:
             assert hi == pytest.approx(1.0, abs=1e-9)
 
 
-def _fingerprint(sol, lp, loaded=0):
-    """sol's status, iterations plus loaded, basis, value, x and residual."""
+def _fingerprint(sol, lp):
+    """sol's status, iterations, basis, value, x and residual."""
     if sol.x is None:
         x = res = None
     else:
         x, res = (sol.x + 0.0).tobytes(), repr(residual(lp, sol.x))
     basis = final_basis(sol)
-    return sol.status, sol.iterations + loaded, basis, repr(sol.value), x, res
+    return sol.status, sol.iterations, basis, repr(sol.value), x, res
 
 
 def eta_basis(lp):
@@ -343,19 +343,22 @@ def basis_solves(warm_cases, monkeypatch):
 
 
 def assert_same_pivots(lp, start, max_iters=None):
-    """solve on lp from start, a (tableau, basis), takes the reference's
-    pivots from the same basis. max_iters is solve's budget: the one that
-    set_budget gave, or by default its own. The reference loads that basis
-    by pivots, which count in its iterations; its budget is raised by as
-    many, so both simplexes have the same budget left."""
-    T, basis = start
-    listed = basis.tolist()
+    """solve on lp from start takes the reference's pivots under the same
+    budget: max_iters, the one that set_budget gave, or by default solve's
+    own. From a (tableau, basis) the reference starts on its own tableau on
+    that basis; from an earlier optimum, on copies of its tableau and
+    basis. Returns solve's solution."""
+    sol = solve(lp.objective, start)
+    if isinstance(start, LpSolution):
+        T = start._optimum[0][:-1]
+    else:
+        start = loaded_start(lp, start[1].tolist())
+        T = start[0]
     if max_iters is None:
         max_iters = _iteration_budget(T[:, :-1])
-    _, _, loaded = reference_loaded_tableau(lp, listed)
-    sol = solve(lp.objective, start)
-    reference = reference_solve(lp, max_iters + loaded, start=listed)
-    assert _fingerprint(sol, lp, loaded) == _fingerprint(reference, lp)
+    reference = reference_solve(lp, max_iters, start=start)
+    assert _fingerprint(sol, lp) == _fingerprint(reference, lp)
+    return sol
 
 
 class TestPivotIdentity:
@@ -399,40 +402,43 @@ class TestPivotIdentity:
         # on pass 2; the small inputs start 89 passes warm.
         assert len(warm_passes) == 1 + 1 + 1 + 1 + 89
         for lp, start in warm_passes:
-            warm = solve(lp.objective, start=start)
-            assert _fingerprint(warm, lp) == _fingerprint(
-                reference_solve(lp, start=start), lp
-            )
+            assert_same_pivots(lp, start)
 
     def test_basis_starts(self, basis_solves):
         # From x = 1: 9 weighted and node LPs on the first five inputs and
         # 144 on the small inputs, one of them infeasible. From
-        # (u = 0, t = c_j): every eta_j LP, 19 and 190. The reference loads
-        # the same tableau, up to signed zeros, by pivots, which count in its
-        # iterations: n for x = 1, 1 for an eta_j LP. Its budget is raised
-        # by as many, so both simplexes have the same budget left.
+        # (u = 0, t = c_j): every eta_j LP, 19 and 190. Each start is the
+        # reference's own tableau on its basis, up to signed zeros, which
+        # the reference loads from its slack basis by n pivots for x = 1
+        # and 1 for an eta_j LP.
         assert len(basis_solves) == 9 + 144 + 19 + 190
         statuses = []
         for lp, (T, basis) in basis_solves:
-            listed = basis.tolist()
-            loaded_T, _, loaded = reference_loaded_tableau(lp, listed)
+            loaded_T, _, loaded = reference_loaded_tableau(lp, basis.tolist())
             assert (T + 0.0).tobytes() == (loaded_T + 0.0).tobytes()
             assert loaded == (1 if lp.upper[-1] == INF else lp.nvars)
-            budget = _iteration_budget(T[:, :-1])
-            sol = solve(lp.objective, start=(T, basis))
-            statuses.append(sol.status)
-            reference = reference_solve(lp, budget + loaded, start=listed)
-            assert _fingerprint(sol, lp, loaded) == _fingerprint(reference, lp)
+            statuses.append(assert_same_pivots(lp, (T, basis)).status)
         assert statuses.count(Status.INFEASIBLE) == 1
 
-    @pytest.mark.parametrize("max_iters", range(1, 6))
-    def test_iteration_budgets(self, max_iters, certificate_lps, monkeypatch):
+    @pytest.mark.parametrize("max_iters", range(1, 8))
+    def test_iteration_budgets(
+        self, max_iters, ex1, ex2, ex3, certificate_lps, monkeypatch
+    ):
+        # Beside the random LPs, the weighted LPs of examples 1-3, C9 and a
+        # 1x2 cover start from x = 1, which leaves the cover's row negative:
+        # solve ends INFEASIBLE with no pivot, and so does the reference's
+        # phase 1.
         set_budget(monkeypatch, max_iters)
         for lp, listed in certificate_lps:
             assert_same_pivots(lp, loaded_start(lp, listed), max_iters)
-        for seed in range(40):
-            lp = random_box_cover(seed)
-            assert_same_pivots(lp, ones_start(lp), max_iters)
+        cover = ZeroOneInstance(A=np.ones((1, 2)), b=np.array([3.0]))
+        lps = [random_box_cover(seed) for seed in range(40)] + [
+            covering_lp(inst.A, inst.b, np.ones(inst.n))
+            for inst in (ex1, ex2, ex3, cycle_instance(9), cover)
+        ]
+        for lp in lps:
+            sol = assert_same_pivots(lp, ones_start(lp), max_iters)
+            assert sol.iterations <= max_iters
 
 
 class TestWarmStart:
@@ -576,42 +582,17 @@ class TestSlackStart:
 
 class TestBasisStart:
     """solve(cost, start=(tableau, basis)) starts from a tableau built on
-    another basis, counts no loading pivot, and ends INFEASIBLE at once
-    when that basis leaves a row negative."""
+    another basis, leaves it as it is, and checks only its shapes."""
 
-    def test_feasible_basis_skips_phase1(self, ex1):
-        # x = 1 covers example 1, so its tableau is feasible and needs no
-        # phase 1; the reference takes 3 loading pivots more. Its value is
-        # the reference's from the slack basis, through phase 1.
+    def test_feasible_basis_matches_both_reference_starts(self, ex1):
+        # x = 1 covers example 1, so its tableau is feasible. solve takes
+        # the reference's pivots from that basis, and reaches the value the
+        # reference reaches from the slack basis, through phase 1.
         lp = covering_lp(ex1.A, ex1.b, np.ones(3))
         T, basis = ones_tableau(ex1.A, ex1.b)
         assert np.all(T[:, -1] >= 0)
-        listed = basis.tolist()
-        sol = solve(lp.objective, start=(T, basis))
+        sol = assert_same_pivots(lp, (T, basis))
         assert sol.value == pytest.approx(reference_solve(lp).value, rel=0, abs=1e-12)
-        reference = reference_solve(lp, start=listed)
-        assert _fingerprint(sol, lp, 3) == _fingerprint(reference, lp)
-
-    @pytest.mark.parametrize("max_iters", range(1, 8))
-    def test_loading_pivots_spend_the_budget(
-        self, max_iters, ex1, ex2, ex3, monkeypatch
-    ):
-        # The reference's n loading pivots spend its budget; the closed-form
-        # tableau has none to spend, so solve gets all of max_iters and
-        # matches the reference given n more. x = 1 leaves the last LP's row
-        # negative: solve ends INFEASIBLE with no pivot, and so does the
-        # reference's phase 1.
-        set_budget(monkeypatch, max_iters)
-        cover = ZeroOneInstance(A=np.ones((1, 2)), b=np.array([3.0]))
-        for inst in (ex1, ex2, ex3, cycle_instance(9), cover):
-            lp = covering_lp(inst.A, inst.b, np.ones(inst.n))
-            T, basis = ones_tableau(inst.A, inst.b)
-            listed = basis.tolist()
-            sol = solve(lp.objective, (T, basis))
-            assert sol.iterations <= max_iters
-            assert _fingerprint(sol, lp, inst.n) == _fingerprint(
-                reference_solve(lp, max_iters + inst.n, start=listed), lp
-            )
 
     def test_start_is_not_modified(self, ex1):
         T, basis = ones_tableau(ex1.A, ex1.b)
